@@ -31,6 +31,7 @@ from .solver import (
     expansion_fit,
     solve_eigenvalue,
 )
+from .torus import grid_axis
 
 DEFAULT_CONFIG = {"family": "two_particle", "hopping": [1.0, 1.0, 1.0],
                   "phi": {"constant": 1.0}}
@@ -66,12 +67,14 @@ def _parse_path(text):
 def _parse_mu_spec(text):
     """'x1.5' = 1.5 * mu(p); a plain float is an absolute coupling."""
     text = text.strip()
+    kind = "multiple" if text.startswith("x") else "absolute"
     try:
-        if text.startswith("x"):
-            return ("multiple", float(text[1:]))
-        return ("absolute", float(text))
+        value = float(text[1:] if kind == "multiple" else text)
     except ValueError:
         raise ConfigError("cannot parse mu spec: %r" % text)
+    if not np.isfinite(value):
+        raise ConfigError("mu spec must be finite: %r" % text)
+    return kind, value
 
 
 def _resolve_mu(mu_spec, mu_threshold):
@@ -79,10 +82,18 @@ def _resolve_mu(mu_spec, mu_threshold):
     return value * mu_threshold if kind == "multiple" else value
 
 
-def _load_config(args):
-    if getattr(args, "config", None):
-        return ModelConfig.load(args.config)
-    return ModelConfig.from_dict(DEFAULT_CONFIG)
+def _load(args):
+    """(config, model, quadrature spec) of one command."""
+    cfg = (ModelConfig.load(args.config) if getattr(args, "config", None)
+           else ModelConfig.from_dict(DEFAULT_CONFIG))
+    return cfg, model_from_config(cfg), _quadrature_spec(args)
+
+
+def _fiber(model, spec, p):
+    """(critical point, evaluator, mu(p)) of the fibre at p."""
+    cp = find_maximizer(model, p)
+    ev = OmegaEvaluator(model, p, cp, spec)
+    return cp, ev, coupling_threshold(model, p, cp, evaluator=ev)
 
 
 def _quadrature_spec(args):
@@ -133,32 +144,28 @@ def _fmt(x):
 
 
 def cmd_threshold(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    spec = _quadrature_spec(args)
+    cfg, model, spec = _load(args)
     p = _parse_point(args.p)
-    cp = find_maximizer(model, p)
-    ev = OmegaEvaluator(model, p, cp, spec)
+    cp, _, mu_p = _fiber(model, spec, p)
     payload = {
         "p": list(p),
         "q0": list(cp.q0.as_array()),
         "M": cp.M,
         "m": cp.m,
-        "mu_threshold": coupling_threshold(model, p, cp, evaluator=ev),
+        "mu_threshold": mu_p,
         "metadata": _metadata(cfg, spec),
     }
     _emit(payload, args, "threshold.json")
     return 0
 
 
-def _report_payload(model, cfg, spec, p, mu_spec, with_expansion):
-    cp = find_maximizer(model, p)
-    ev = OmegaEvaluator(model, p, cp, spec)
-    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
-    mu = _resolve_mu(mu_spec, mu_p)
-    report = analyze(model, p, cp, mu, evaluator=ev,
-                     with_expansion=with_expansion)
-    payload = report.to_json_dict()
+def cmd_eigenvalue(args):
+    cfg, model, spec = _load(args)
+    p = _parse_point(args.p)
+    mu_spec = _parse_mu_spec(args.mu)
+    cp, ev, mu_p = _fiber(model, spec, p)
+    payload = analyze(model, p, cp, _resolve_mu(mu_spec, mu_p),
+                      evaluator=ev).to_json_dict()
     payload.update({
         "p": list(p),
         "q0": list(cp.q0.as_array()),
@@ -166,27 +173,14 @@ def _report_payload(model, cfg, spec, p, mu_spec, with_expansion):
         "m": cp.m,
         "metadata": _metadata(cfg, spec),
     })
-    return payload
-
-
-def cmd_eigenvalue(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    payload = _report_payload(model, cfg, _quadrature_spec(args),
-                              _parse_point(args.p), _parse_mu_spec(args.mu),
-                              with_expansion=False)
     _emit(payload, args, "eigenvalue.json")
     return 0
 
 
 def cmd_classify(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    spec = _quadrature_spec(args)
+    cfg, model, spec = _load(args)
     p = _parse_point(args.p)
-    cp = find_maximizer(model, p)
-    ev = OmegaEvaluator(model, p, cp, spec)
-    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
+    cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(_parse_mu_spec(args.mu), mu_p)
     result = classify_threshold(model, p, cp, mu, evaluator=ev)
     payload = {
@@ -203,12 +197,9 @@ def cmd_classify(args):
 
 
 def cmd_expansion(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    spec = _quadrature_spec(args)
+    cfg, model, spec = _load(args)
     p = _parse_point(args.p)
-    cp = find_maximizer(model, p)
-    ev = OmegaEvaluator(model, p, cp, spec)
+    cp, ev, _ = _fiber(model, spec, p)
     window = tuple(float(v) for v in args.window.split(","))
     if len(window) != 2 or not 0 < window[0] < window[1]:
         raise ConfigError("window must be 'lo,hi' with 0 < lo < hi")
@@ -231,16 +222,12 @@ def cmd_expansion(args):
 
 
 def cmd_oracle(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    spec = _quadrature_spec(args)
+    cfg, model, spec = _load(args)
     p = _parse_point(args.p)
     n_list = [int(v) for v in args.N.split(",") if v.strip()]
     if not n_list:
         raise ConfigError("empty N list")
-    cp = find_maximizer(model, p)
-    ev = OmegaEvaluator(model, p, cp, spec)
-    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
+    cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(_parse_mu_spec(args.mu), mu_p)
     payload = {
         "p": list(p), "mu": mu, "mu_threshold": mu_p,
@@ -297,9 +284,7 @@ def _sweep_point(model, spec, p, mu_specs, outputs, oracle_n):
     column; a failure at the critical-point stage poisons every mu row."""
     rows = []
     try:
-        cp = find_maximizer(model, p)
-        ev = OmegaEvaluator(model, p, cp, spec)
-        mu_p = coupling_threshold(model, p, cp, evaluator=ev)
+        cp, ev, mu_p = _fiber(model, spec, p)
         fit = (expansion_fit(model, p, cp, evaluator=ev)
                if "expansion" in outputs else None)
     except FriedrichsError as exc:
@@ -341,9 +326,7 @@ def _sample_path(waypoints, samples):
 
 
 def cmd_sweep(args):
-    cfg = _load_config(args)
-    model = model_from_config(cfg)
-    spec = _quadrature_spec(args)
+    cfg, model, spec = _load(args)
     if not args.out:
         raise ConfigError("sweep requires --out DIR")
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
@@ -358,7 +341,7 @@ def cmd_sweep(args):
         raise ConfigError("at least one mu value must be requested")
 
     if args.p_grid:
-        ax = -np.pi + 2.0 * np.pi * (np.arange(args.p_grid) + 0.5) / args.p_grid
+        ax = grid_axis(args.p_grid)
         points = [np.array([a, b, c]) for a in ax for b in ax for c in ax]
         path_desc = {"p_grid": args.p_grid}
     else:

@@ -17,7 +17,13 @@ from .errors import (
     NonUniqueMaximumError,
     UnsupportedFamilyError,
 )
-from .torus import TorusVector, torus_distance, wrap_angles
+from .torus import (
+    TorusVector,
+    grid_axis,
+    tensor_grid,
+    torus_distance,
+    wrap_angles,
+)
 
 GRID_N_DEFAULT = 24
 GRAD_TOL = 1e-12
@@ -46,14 +52,9 @@ class CriticalPointInfo:
         return self.M - self.m
 
 
-def _grid_axes(n):
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-
 def _grid_values(model, p, n):
-    ax = _grid_axes(n)
-    return ax, model.w(p, (ax[:, None, None], ax[None, :, None],
-                           ax[None, None, :]))
+    ax = grid_axis(n, offset=0)
+    return ax, model.w(p, tensor_grid(ax))
 
 
 def _local_maxima_mask(vals):
@@ -129,8 +130,6 @@ def find_maximizer(model, p, seed=None, grid_n=GRID_N_DEFAULT,
 
     Raises DegenerateMaximumError / NonUniqueMaximumError otherwise.
     """
-    p = np.asarray(p.as_array() if isinstance(p, TorusVector) else p,
-                   dtype=float)
     ax, vals = _grid_values(model, p, grid_n)
     spread_grid = float(vals.max() - vals.min())
     window = _CANDIDATE_WINDOW * spread_grid

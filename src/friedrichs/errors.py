@@ -65,3 +65,9 @@ class ExpansionFitError(FriedrichsError):
 
 class BracketingError(FriedrichsError):
     """Internal error: root bracketing failed (should be impossible)."""
+
+
+def check_coupling(mu):
+    """Raise InvalidInputError unless mu is positive and finite."""
+    if not 0.0 < mu < float("inf"):
+        raise InvalidInputError("mu = %r is not positive and finite" % (mu,))

@@ -19,6 +19,7 @@ kept so closed-form checks can be attached to ``two_particle``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     InvalidInputError,
     TrivialFormFactorError,
 )
-from .torus import TorusVector
+from .torus import TorusVector, grid_axis, tensor_grid
 
 _PHI_SCALE_GRID = 24  # grid used for max|phi| normalisation
 
@@ -145,14 +146,28 @@ class HarmonicTable:
         ]
 
 
-def _table_from_entries(entries):
+def _real(value, name):
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ConfigError("%s must be a number, got %r" % (name, value))
+
+
+def _reals(values, name):
+    if isinstance(values, (list, tuple, np.ndarray)) and len(values) == 3:
+        return [_real(v, name) for v in values]
+    raise ConfigError("%s must be 3 numbers, got %r" % (name, values))
+
+
+def _table_from_entries(entries, name):
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise ConfigError("%s must be a non-empty list: %r" % (name, entries))
     idx, cos, sin = [], [], []
     for e in entries:
-        idx.append(e["index"])
-        cos.append(e.get("value", e.get("cos", 0.0)))
-        sin.append(e.get("sin", 0.0))
-    if not idx:
-        raise ConfigError("empty Fourier table")
+        if not isinstance(e, dict) or "index" not in e:
+            raise ConfigError("%s entry without an \"index\": %r" % (name, e))
+        idx.append(_reals(e["index"], name + " index"))
+        cos.append(_real(e.get("value", e.get("cos", 0.0)), name + " value"))
+        sin.append(_real(e.get("sin", 0.0), name + " sin"))
     return HarmonicTable(idx, cos, sin)
 
 
@@ -186,16 +201,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError("model config must be an object: %r" % (d,))
         family = d.get("family")
         if family == "two_particle":
             return cls(family=family,
-                       hopping=tuple(d.get("hopping", (1.0, 1.0, 1.0))),
-                       phi=dict(d.get("phi", {"constant": 1.0})))
+                       hopping=d.get("hopping", (1.0, 1.0, 1.0)),
+                       phi=d.get("phi", {"constant": 1.0}))
         if family == "trig_poly":
             if "w_table" not in d or "phi_table" not in d:
                 raise ConfigError("trig_poly config needs w_table and phi_table")
-            return cls(family=family, w_table=list(d["w_table"]),
-                       phi_table=list(d["phi_table"]))
+            return cls(family=family, w_table=d["w_table"],
+                       phi_table=d["phi_table"])
         raise ConfigError("unknown model family: %r" % (family,))
 
     def save(self, path):
@@ -215,17 +232,17 @@ class ModelConfig:
 
 def _phi_table_from_coeffs(phi):
     """Lower the two_particle phi coefficient blocks to a Fourier table."""
+    if not isinstance(phi, dict):
+        raise ConfigError("phi must be an object, got %r" % (phi,))
     idx = [(0, 0, 0)]
-    cos = [float(phi.get("constant", 0.0))]
+    cos = [_real(phi.get("constant", 0.0), "phi.constant")]
     sin = [0.0]
     eye = np.eye(3, dtype=int)
     for order, (ck, sk) in enumerate((("cos1", "sin1"), ("cos2", "sin2")),
                                      start=1):
-        a = phi.get(ck)
-        b = phi.get(sk)
-        for i in range(3):
-            ai = 0.0 if a is None else float(a[i])
-            bi = 0.0 if b is None else float(b[i])
+        a, b = ([0.0] * 3 if phi.get(k) is None else _reals(phi[k], "phi." + k)
+                for k in (ck, sk))
+        for i, (ai, bi) in enumerate(zip(a, b)):
             if ai != 0.0 or bi != 0.0:
                 idx.append(tuple(order * eye[i]))
                 cos.append(ai)
@@ -244,8 +261,8 @@ class DispersionModel:
         self.config = config
         self.family = config.family
         if config.family == "two_particle":
-            c = np.asarray(config.hopping, dtype=float)
-            if c.shape != (3,) or np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+            c = np.array(_reals(config.hopping, "hopping"))
+            if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
                 raise InvalidDispersionError(
                     "invalid dispersion: hopping weights must be positive")
             self.hopping = tuple(float(v) for v in c)
@@ -255,10 +272,10 @@ class DispersionModel:
             self._phi = _phi_table_from_coeffs(config.phi)
         elif config.family == "trig_poly":
             self.hopping = None
-            self._w_block = _table_from_entries(config.w_table)
+            self._w_block = _table_from_entries(config.w_table, "w_table")
             if self._w_block.is_zero():
                 raise InvalidDispersionError("invalid dispersion: empty w table")
-            self._phi = _table_from_entries(config.phi_table)
+            self._phi = _table_from_entries(config.phi_table, "phi_table")
         else:
             raise ConfigError("unknown model family: %r" % (config.family,))
         if self._phi.is_zero():
@@ -306,9 +323,7 @@ class DispersionModel:
     def phi_max_abs(self):
         """max |phi| sampled on a coarse grid (cached)."""
         if self._phi_max_abs is None:
-            ax = -np.pi + 2.0 * np.pi * np.arange(_PHI_SCALE_GRID) / _PHI_SCALE_GRID
-            v = self.phi((ax[:, None, None], ax[None, :, None],
-                          ax[None, None, :]))
+            v = self.phi(tensor_grid(grid_axis(_PHI_SCALE_GRID, offset=0)))
             self._phi_max_abs = float(np.max(np.abs(v)))
         return self._phi_max_abs
 

@@ -19,27 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidInputError
-from .torus import TorusVector
+from .errors import InvalidInputError, check_coupling
+from .torus import grid_axis, tensor_grid
 
 DENSE_N_MAX = 12
 
 
-def _p_array(p):
-    return np.asarray(p.as_array() if isinstance(p, TorusVector) else p,
-                      dtype=float)
-
-
-def midpoint_axis(N, offset=0.5):
-    """Grid q_j = -pi + 2 pi (j + offset)/N; offset=0.5 is the midpoint grid."""
-    return -np.pi + 2.0 * np.pi * (np.arange(N) + offset) / N
-
-
 def grid_values(model, p, N, offset=0.5):
     """(w_p values, phi values) flattened over the N^3 grid."""
-    ax = midpoint_axis(N, offset)
-    grid = (ax[:, None, None], ax[None, :, None], ax[None, None, :])
-    w = np.asarray(model.w(_p_array(p), grid))
+    grid = tensor_grid(grid_axis(N, offset))
+    w = np.asarray(model.w(p, grid))
     phi = np.broadcast_to(np.asarray(model.phi(grid)), w.shape)
     return w.ravel(), phi.ravel()
 
@@ -72,6 +61,12 @@ def richardson_omega_threshold(model, p, M, N_pair=(64, 128), offset=0.5):
 EDGE_RESOLUTION_FRACTION = 0.01
 
 
+def _secular_det(z, mu_h3, phi2, w):
+    # module level, not a closure: brentq keeps a closure alive in a
+    # reference cycle, and with it the lattice arrays, until a full GC
+    return 1.0 - mu_h3 * np.sum(phi2 / (z - w))
+
+
 def secular_root(model, p, mu, N, offset=0.5):
     """Root of 1 = mu h^3 sum phi^2/(z - w) above the discrete band top.
 
@@ -85,6 +80,7 @@ def secular_root(model, p, mu, N, offset=0.5):
     keep genuine near-threshold roots (which clear the edge by a O(1)
     fraction of the spacing), large enough to reject the artifacts.
     """
+    check_coupling(mu)
     if N < 8 or N % 2:
         raise InvalidInputError("secular_root requires even N >= 8")
     w, phi = grid_values(model, p, N, offset)
@@ -97,15 +93,13 @@ def secular_root(model, p, mu, N, offset=0.5):
     z_lo = w_max + max(EDGE_RESOLUTION_FRACTION * gap,
                        64.0 * np.finfo(float).eps * max(1.0, abs(w_max)))
 
-    def det(z):
-        return 1.0 - mu * h3 * np.sum(phi2 / (z - w))
-
-    if det(z_lo) >= 0.0:
+    args = (mu * h3, phi2, w)
+    if _secular_det(z_lo, *args) >= 0.0:
         return None
     z_hi = z_lo + mu * h3 * float(np.sum(phi2)) + max(spread, 1.0)
-    while det(z_hi) <= 0.0:
+    while _secular_det(z_hi, *args) <= 0.0:
         z_hi = w_max + 2.0 * (z_hi - w_max)
-    return float(brentq(det, z_lo, z_hi, xtol=1e-13,
+    return float(brentq(_secular_det, z_lo, z_hi, args=args, xtol=1e-13,
                         rtol=4.0 * np.finfo(float).eps, maxiter=200))
 
 
@@ -126,6 +120,7 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     Reports the extremal eigenvalues and the number of eigenvalues strictly
     above the top diagonal entry (0 or 1 by rank-one interlacing).
     """
+    check_coupling(mu)
     if N > DENSE_N_MAX:
         raise InvalidInputError(
             "dense_spectrum limited to N <= %d (matrix size N^3)" % DENSE_N_MAX)

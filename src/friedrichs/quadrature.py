@@ -20,7 +20,9 @@ at q0 with support radius rho:
 An OmegaEvaluator caches node data per refinement level, so evaluating at
 many spectral parameters z (root finding, expansion fits) costs one
 vectorised reduction per z, and values at different z share identical
-node sets.
+node sets.  Omega and the second moment int phi^2 / (z - w_p)^2 (the
+power-2 integrand, -dOmega/dz) share that node cache and one refinement
+loop.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     QuadratureError,
     QuadratureNotConvergedError,
 )
-from .torus import TorusVector, wrap_angles
+from .torus import TorusVector, grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # default ball radius cap (must stay below pi/2)
 
@@ -130,21 +132,26 @@ def sphere_product_rule(n):
     return nu, np.outer(wu, np.full(nphi, wphi)).ravel()
 
 
-def _radial_closed_form(delta, k, rho):
-    """int_0^rho r^2 / (delta + k r^2) dr, vectorised over k > 0."""
-    k = np.asarray(k, dtype=float)
-    if delta == 0.0:
+def _radial_closed_form(delta, k, rho, power):
+    """int_0^rho r^2 / (delta + k r^2)^power dr, vectorised over k > 0;
+    power 2 needs delta > 0."""
+    if power == 1 and delta == 0.0:
         return rho / k
     a = np.sqrt(delta / k)
-    return (rho - a * np.arctan(rho / a)) / k
-
-
-def _radial_closed_form_sq(delta, k, rho):
-    """int_0^rho r^2 / (delta + k r^2)^2 dr for delta > 0."""
-    k = np.asarray(k, dtype=float)
-    a = np.sqrt(delta / k)
+    if power == 1:
+        return (rho - a * np.arctan(rho / a)) / k
     return (np.arctan(rho / a) / (2.0 * a)
             - rho / (2.0 * (a * a + rho * rho))) / (k * k)
+
+
+def _power(x, power):
+    return x if power == 1 else x * x
+
+
+def _dist2_to(ax, q0):
+    """Squared wrapped distance from the tensor grid over ax to q0."""
+    d1, d2, d3 = (wrap_angles(ax - c) ** 2 for c in q0)
+    return d1[:, None, None] + d2[None, :, None] + d3[None, None, :]
 
 
 def auto_rho(model, p, cp, cap=RHO_CAP):
@@ -154,7 +161,7 @@ def auto_rho(model, p, cp, cap=RHO_CAP):
     nu, _ = sphere_product_rule(8)
     radii = np.linspace(0.02, cap, 50)
     pts = q0[None, None, :] + radii[:, None, None] * nu[None, :, :]
-    u = cp.M - model.w(p, (pts[..., 0], pts[..., 1], pts[..., 2]))
+    u = cp.M - model.w(p, pts)
     floor = 1e-12 * max(cp.spread, 1.0)
     bad = np.nonzero(np.min(u, axis=1) <= floor)[0]
     if bad.size == 0:
@@ -199,24 +206,17 @@ class OmegaEvaluator:
         rho = self.rho
 
         # far field: midpoint torus grid, weight h^3 (1-chi) phi^2
-        ax = -np.pi + 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
-        x1 = ax[:, None, None]
-        x2 = ax[None, :, None]
-        x3 = ax[None, None, :]
-        d1 = wrap_angles(ax - self.q0[0])
-        d2 = wrap_angles(ax - self.q0[1])
-        d3 = wrap_angles(ax - self.q0[2])
-        dist = np.sqrt((d1 * d1)[:, None, None] + (d2 * d2)[None, :, None]
-                       + (d3 * d3)[None, None, :])
+        ax = grid_axis(n_grid)
+        grid = tensor_grid(ax)
+        dist = np.sqrt(_dist2_to(ax, self.q0))
         weight = (2.0 * np.pi / n_grid) ** 3 * (
             1.0 - bump_profile(dist / rho, s.bump_order))
-        phi2 = np.broadcast_to(np.asarray(self.model.phi((x1, x2, x3))) ** 2,
+        phi2 = np.broadcast_to(np.asarray(self.model.phi(grid)) ** 2,
                                dist.shape)
         weight = weight * phi2
         keep = weight > 0.0
         far_weight = weight[keep]
-        far_w = np.broadcast_to(self.model.w(self.p, (x1, x2, x3)),
-                                dist.shape)[keep]
+        far_w = np.broadcast_to(self.model.w(self.p, grid), dist.shape)[keep]
         del weight, phi2, dist, keep
 
         # near field: polar nodes about q0
@@ -225,15 +225,13 @@ class OmegaEvaluator:
         wr = 0.5 * rho * wr
         nu, wa = sphere_product_rule(n_ang)
         pts = self.q0[None, None, :] + r[:, None, None] * nu[None, :, :]
-        w_near = np.asarray(self.model.w(
-            self.p, (pts[..., 0], pts[..., 1], pts[..., 2])))
+        w_near = np.asarray(self.model.w(self.p, pts))
         u = self.M - w_near
         if np.min(u) <= 0.0:
             raise QuadratureError(
                 "near-field ball of radius %.3f contains points at or above "
                 "the band edge; decrease rho" % rho)
-        phi2_near = np.asarray(self.model.phi(
-            (pts[..., 0], pts[..., 1], pts[..., 2]))) ** 2
+        phi2_near = np.asarray(self.model.phi(pts)) ** 2
         chi = bump_profile(r / rho, s.bump_order)
         P = (wr * chi * r * r)[:, None] * wa[None, :] * phi2_near
         R2 = wr * r * r
@@ -256,65 +254,61 @@ class OmegaEvaluator:
                 "below threshold: z = %.12g < M(p) = %.12g" % (z, self.M))
         return max(float(z) - self.M, 0.0)
 
-    def value_at_level(self, z, level):
-        """(total, near, far) at a fixed refinement level."""
+    def _sums(self, z, level, power):
+        """(total, near, far) of int phi^2 / (z - w_p)^power at one level."""
         delta = self._delta(z)
         L = self._level(level)
-        far = float(np.sum(L["far_weight"] / (z - L["far_w"])))
-        direct = float(np.sum(L["P"] / (delta + (self.M - L["w_near"]))))
+        far = float(np.sum(L["far_weight"]
+                           / _power(z - L["far_w"], power)))
+        direct = float(np.sum(
+            L["P"] / _power(delta + (self.M - L["w_near"]), power)))
         denom = delta + L["k"][None, :] * (L["r"] ** 2)[:, None]
-        model_part = float(self._phi0_sq
-                           * np.sum(L["R2"][:, None] * L["wa"][None, :] / denom))
+        model_part = float(self._phi0_sq * np.sum(
+            L["R2"][:, None] * L["wa"][None, :] / _power(denom, power)))
         closed = float(self._phi0_sq * np.sum(
-            L["wa"] * _radial_closed_form(delta, L["k"], self.rho)))
+            L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
         near = direct - model_part + closed
         return near + far, near, far
+
+    def value_at_level(self, z, level):
+        """(total, near, far) at a fixed refinement level."""
+        return self._sums(z, level, 1)
+
+    def _refine(self, sums_at_level, what):
+        """Double all node counts until consecutive level totals agree to
+        the spec's relative tolerance.  Returns (level, estimate, sums)."""
+        prev = None
+        for level in range(self.spec.max_refinements + 1):
+            sums = sums_at_level(level)
+            if prev is not None:
+                est = abs(sums[0] - prev)
+                if est <= self.spec.rel_tol * max(abs(sums[0]), 1e-300):
+                    return level, est, sums
+            prev = sums[0]
+        raise QuadratureNotConvergedError(
+            "%s not converged: estimate %.3e above tolerance %.1e"
+            % (what, est, self.spec.rel_tol))
 
     def evaluate(self, z) -> OmegaValue:
         """Omega(p; z) with one-step refinement error estimation.
 
-        Doubles all node counts until consecutive levels agree to the
-        spec's relative tolerance; raises QuadratureNotConvergedError if
-        max_refinements doublings do not suffice.
+        Raises QuadratureNotConvergedError if max_refinements doublings do
+        not reach the spec's relative tolerance.
         """
-        prev = None
-        for level in range(self.spec.max_refinements + 1):
-            total, near, far = self.value_at_level(z, level)
-            if prev is not None:
-                est = abs(total - prev)
-                if est <= self.spec.rel_tol * max(abs(total), 1e-300):
-                    return OmegaValue(
-                        value=total, estimated_error=est, near_field=near,
-                        far_field=far,
-                        n_grid=self.spec.n_grid * 2 ** level, rho=self.rho)
-            prev = total
-        raise QuadratureNotConvergedError(
-            "quadrature not converged: estimate %.3e above tolerance %.1e"
-            % (abs(total - prev) if prev != total else 0.0,
-               self.spec.rel_tol))
+        level, est, (total, near, far) = self._refine(
+            lambda level: self.value_at_level(z, level), "quadrature")
+        return OmegaValue(value=total, estimated_error=est, near_field=near,
+                          far_field=far, n_grid=self.spec.n_grid * 2 ** level,
+                          rho=self.rho)
 
     def second_moment(self, z):
         """int phi^2 / (z - w_p)^2 ds for z > M(p), same node reuse."""
-        delta = self._delta(z)
-        if delta <= 0.0:
+        if self._delta(z) <= 0.0:
             raise BelowThresholdError(
                 "second moment diverges at the band edge")
-        prev = None
-        for level in range(self.spec.max_refinements + 1):
-            L = self._level(level)
-            far = np.sum(L["far_weight"] / (z - L["far_w"]) ** 2)
-            direct = np.sum(L["P"] / (delta + (self.M - L["w_near"])) ** 2)
-            denom = delta + L["k"][None, :] * (L["r"] ** 2)[:, None]
-            model_part = self._phi0_sq * np.sum(
-                L["R2"][:, None] * L["wa"][None, :] / denom ** 2)
-            closed = self._phi0_sq * np.sum(
-                L["wa"] * _radial_closed_form_sq(delta, L["k"], self.rho))
-            total = float(far + direct - model_part + closed)
-            if prev is not None and abs(total - prev) <= \
-                    self.spec.rel_tol * max(abs(total), 1e-300):
-                return total
-            prev = total
-        raise QuadratureNotConvergedError("second moment did not converge")
+        _, _, (total, _, _) = self._refine(
+            lambda level: self._sums(z, level, 2), "second moment")
+        return total
 
 
 def omega(model, p, cp, z, spec: QuadratureSpec | None = None) -> OmegaValue:
@@ -358,18 +352,12 @@ def state_norm_diagnostics(model, p, cp, z, spec: QuadratureSpec | None = None,
     q0 = ev.q0
 
     n_grid = spec.n_grid
-    ax = -np.pi + 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
-    x1 = ax[:, None, None]
-    x2 = ax[None, :, None]
-    x3 = ax[None, None, :]
-    d1 = wrap_angles(ax - q0[0])
-    d2 = wrap_angles(ax - q0[1])
-    d3 = wrap_angles(ax - q0[2])
-    dist2 = ((d1 * d1)[:, None, None] + (d2 * d2)[None, :, None]
-             + (d3 * d3)[None, None, :])
+    ax = grid_axis(n_grid)
+    grid = tensor_grid(ax)
+    dist2 = _dist2_to(ax, q0)
     mask = dist2 > rho0 * rho0
-    w_vals = np.broadcast_to(model.w(p, (x1, x2, x3)), dist2.shape)[mask]
-    phi_vals = np.broadcast_to(model.phi((x1, x2, x3)), dist2.shape)[mask]
+    w_vals = np.broadcast_to(model.w(p, grid), dist2.shape)[mask]
+    phi_vals = np.broadcast_to(model.phi(grid), dist2.shape)[mask]
     h3 = (2.0 * np.pi / n_grid) ** 3
     f = phi_vals / (delta + (cp.M - w_vals))
     l2_out = h3 * float(np.sum(f * f))
@@ -385,8 +373,8 @@ def state_norm_diagnostics(model, p, cp, z, spec: QuadratureSpec | None = None,
         r = 0.5 * (b - a) * (xr + 1.0) + a
         wrr = 0.5 * (b - a) * wr
         pts = q0[None, None, :] + r[:, None, None] * nu[None, :, :]
-        w_sh = np.asarray(model.w(p, (pts[..., 0], pts[..., 1], pts[..., 2])))
-        phi_sh = np.asarray(model.phi((pts[..., 0], pts[..., 1], pts[..., 2])))
+        w_sh = np.asarray(model.w(p, pts))
+        phi_sh = np.asarray(model.phi(pts))
         fsh = phi_sh / (delta + (cp.M - w_sh))
         r2 = (r * r)[:, None]
         l2_cum.append(l2_cum[-1]

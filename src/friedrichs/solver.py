@@ -18,14 +18,19 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .critical import CriticalPointInfo
-from .errors import BracketingError, ExpansionFitError, InvalidInputError
+from .errors import (
+    BracketingError,
+    ExpansionFitError,
+    InvalidInputError,
+    check_coupling,
+)
 from .quadrature import (
     NormDiagnostics,
     OmegaEvaluator,
     QuadratureSpec,
     state_norm_diagnostics,
 )
-from .torus import TorusVector
+from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of max|phi| is zero
@@ -52,6 +57,12 @@ def _evaluator(model, p, cp, spec, evaluator):
     return OmegaEvaluator(model, p, cp, spec)
 
 
+def _det(z, ev, mu):
+    # module level, not a closure: brentq holds a closure in a reference
+    # cycle, which keeps the evaluator's node levels alive until a full GC
+    return 1.0 - mu * ev.evaluate(z).value
+
+
 def coupling_threshold(model, p, cp: CriticalPointInfo,
                        spec: QuadratureSpec | None = None,
                        evaluator: OmegaEvaluator | None = None) -> float:
@@ -64,10 +75,8 @@ def fredholm_det(model, p, cp: CriticalPointInfo, mu, z,
                  spec: QuadratureSpec | None = None,
                  evaluator: OmegaEvaluator | None = None) -> float:
     """Determinant 1 - mu * Omega(p; z) for z >= M(p)."""
-    if mu <= 0.0:
-        raise InvalidInputError("coupling mu must be positive")
-    ev = _evaluator(model, p, cp, spec, evaluator)
-    return 1.0 - mu * ev.evaluate(z).value
+    check_coupling(mu)
+    return _det(z, _evaluator(model, p, cp, spec, evaluator), mu)
 
 
 def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
@@ -82,27 +91,23 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
     positive - and polished by Brent's method (bisection with secant /
     inverse-quadratic acceleration).
     """
-    if mu <= 0.0:
-        raise InvalidInputError("coupling mu must be positive")
+    check_coupling(mu)
     ev = _evaluator(model, p, cp, spec, evaluator)
-    mu_p = 1.0 / ev.evaluate(cp.M).value
+    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     if mu <= mu_p * (1.0 + mu_rel_tol):
         return None
-
-    def det(z):
-        return 1.0 - mu * ev.evaluate(z).value
 
     gap = mu * model.phi_l2_norm_sq()
     z_hi = cp.M + gap
     for _ in range(MAX_BRACKET_EXPANSIONS):
-        if det(z_hi) > 0.0:
+        if _det(z_hi, ev, mu) > 0.0:
             break
         gap *= 2.0
         z_hi = cp.M + gap
     else:
         raise BracketingError(
             "failed to bracket the determinant root above the band edge")
-    root = brentq(det, cp.M, z_hi, xtol=1e-14,
+    root = brentq(_det, cp.M, z_hi, args=(ev, mu), xtol=1e-14,
                   rtol=4.0 * np.finfo(float).eps, maxiter=200)
     return float(root)
 
@@ -140,8 +145,7 @@ class EigenfunctionEval:
 
     def norm_on_grid(self, n_grid=64):
         """L2 norm via the plain midpoint rule (smooth integrand)."""
-        ax = -np.pi + 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
-        vals = self((ax[:, None, None], ax[None, :, None], ax[None, None, :]))
+        vals = self(tensor_grid(grid_axis(n_grid)))
         return float(np.sqrt((2.0 * np.pi / n_grid) ** 3 * np.sum(vals * vals)))
 
     def residual_sup(self, n_grid=64):
@@ -151,8 +155,7 @@ class EigenfunctionEval:
         independent discrete application of the operator, not a replay of
         the quadrature that produced E.
         """
-        ax = -np.pi + 2.0 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
-        grid = (ax[:, None, None], ax[None, :, None], ax[None, None, :])
+        grid = tensor_grid(grid_axis(n_grid))
         w = np.asarray(self.model.w(self.p, grid))
         phi = np.broadcast_to(np.asarray(self.model.phi(grid)), w.shape)
         psi = self.normalization * self.mu * phi / (self.energy - w)
@@ -168,7 +171,7 @@ def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
     if not energy > cp.M:
         raise InvalidInputError("eigenfunction requires E > M(p)")
     ev = _evaluator(model, p, cp, spec, evaluator)
-    det = 1.0 - mu * ev.evaluate(energy).value
+    det = _det(energy, ev, mu)
     if abs(det) > 1e-8:
         raise InvalidInputError(
             "energy is not an eigenvalue: |determinant| = %.3e" % abs(det))
@@ -201,7 +204,7 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
     of the threshold state is attached as corroboration.
     """
     ev = _evaluator(model, p, cp, spec, evaluator)
-    mu_p = 1.0 / ev.evaluate(cp.M).value
+    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     phi_q0 = float(model.phi(cp.q0.as_array()))
     phi_scale = model.phi_max_abs()
     if abs(mu - mu_p) > tol_mu * mu_p:
@@ -321,7 +324,7 @@ def analyze(model, p, cp: CriticalPointInfo, mu,
             with_expansion=False, with_diagnostics=True) -> SpectralReport:
     """Full single-point analysis: threshold, eigenvalue, classification."""
     ev = _evaluator(model, p, cp, spec, evaluator)
-    mu_p = 1.0 / ev.evaluate(cp.M).value
+    mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     energy = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
     norm_const = None
     if energy is not None:

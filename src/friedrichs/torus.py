@@ -26,6 +26,16 @@ def wrap_angles(x):
     return arr - TWO_PI * np.ceil((arr - np.pi) / TWO_PI)
 
 
+def grid_axis(n, offset=0.5):
+    """Nodes -pi + 2 pi (j + offset)/n; offset 0.5 is the midpoint grid."""
+    return -np.pi + TWO_PI * (np.arange(n) + offset) / n
+
+
+def tensor_grid(ax):
+    """The n^3 tensor grid over one axis as three broadcastable arrays."""
+    return ax[:, None, None], ax[None, :, None], ax[None, None, :]
+
+
 def torus_distance(a, b):
     """Euclidean distance between torus points using wrapped differences."""
     d = wrap_angles(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))

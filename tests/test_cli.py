@@ -57,6 +57,28 @@ def test_bad_usage_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"family": "two_particle", "hopping": "abc"}, "hopping"),
+    ([1, 2], "model config"),
+    ({"family": "two_particle", "phi": {"cos1": [1]}}, "phi.cos1"),
+    ({"family": "trig_poly", "w_table": [{"value": 3.0}],
+      "phi_table": [{"index": [0, 0, 0], "value": 1.0}]}, "index"),
+])
+def test_malformed_config_exit_1(capsys, tmp_path, config, field):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, ["threshold", "--config", str(path)])
+    assert code == 1
+    assert err.startswith("friedrichs: ") and field in err
+
+
+@pytest.mark.parametrize("mu", ["inf", "nan", "xinf"])
+def test_non_finite_mu_exit_1(capsys, mu):
+    code, _, err = _run(capsys, ["oracle", "--N", "16", "--mu", mu])
+    assert code == 1
+    assert err.startswith("friedrichs: ")
+
+
 def test_eigenvalue_x2(capsys):
     code, out, _ = _run(capsys, ["eigenvalue", "--p", "0,0,0", "--mu", "x2"])
     assert code == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,18 @@ def test_spec_validation():
         fr.QuadratureSpec(max_refinements=0)
     refined = fr.QuadratureSpec().refined()
     assert refined.n_grid == 128 and refined.n_radial == 96
+
+
+def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
+    spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
+                             rel_tol=1e-15, max_refinements=1)
+    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
+    z = cp_one.M + 0.1
+    cases = ((ev.evaluate, ev.value_at_level),
+             (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
+    for call, at_level in cases:
+        est = abs(at_level(z, 1)[0] - at_level(z, 0)[0])
+        assert est > 0.0
+        with pytest.raises(fr.QuadratureNotConvergedError,
+                           match=re.escape("estimate %.3e above" % est)):
+            call(z)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -276,3 +279,29 @@ def test_analyze_report_fields(model_one, cp_one, ev_one, mu_one):
     assert rep_low.E is None
     assert rep_low.classification is fr.Classification.REGULAR
     assert rep_low.to_json_dict()["E"] is None
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_non_finite_coupling_rejected(model_one, cp_one, ev_one, mu):
+    with pytest.raises(fr.InvalidInputError):
+        fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
+    with pytest.raises(fr.InvalidInputError):
+        fr.secular_root(model_one, P0, mu, 16)
+
+
+def test_solved_evaluator_freed_without_cycle_collection(model_one, cp_one,
+                                                         mu_one):
+    spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
+                             rel_tol=1e-4)
+    gc.collect()
+    gc.disable()
+    try:
+        ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
+        ref = weakref.ref(ev)
+        energy = fr.solve_eigenvalue(model_one, P0, cp_one, 2.0 * mu_one,
+                                     evaluator=ev)
+        assert energy is not None
+        del ev
+        assert ref() is None
+    finally:
+        gc.enable()
