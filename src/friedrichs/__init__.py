@@ -27,11 +27,6 @@ from .errors import (
 from .models import (
     DispersionModel,
     ModelConfig,
-    eval_grad_w,
-    eval_hess_w,
-    eval_phi,
-    eval_w,
-    model_from_config,
     two_particle_model,
 )
 from .oracle import (
@@ -48,8 +43,6 @@ from .quadrature import (
     OmegaEvaluator,
     OmegaValue,
     QuadratureSpec,
-    omega,
-    omega_threshold,
     state_norm_diagnostics,
 )
 from .solver import (
@@ -68,7 +61,7 @@ from .solver import (
     solve_eigenvalue,
     tau0_closed_form,
 )
-from .torus import TorusVector, torus_distance, wrap_torus
+from .torus import TorusVector, torus_distance
 
 __version__ = "0.1.0"
 
@@ -86,10 +79,8 @@ __all__ = [
     "analyze", "classify_threshold", "closed_form_check",
     "convergence_report", "coupling_threshold", "dense_spectrum",
     "discrete_omega", "eigenfunction", "eigenvalue_error_estimate",
-    "eval_grad_w", "eval_hess_w",
-    "eval_phi", "eval_w", "expansion_fit", "find_maximizer", "find_minimum",
-    "fredholm_det", "model_from_config", "omega", "omega_threshold",
+    "expansion_fit", "find_maximizer", "find_minimum", "fredholm_det",
     "richardson_omega_threshold", "secular_root", "solve_eigenvalue",
     "state_norm_diagnostics", "tau0_closed_form", "torus_distance",
-    "two_particle_model", "wrap_torus", "__version__",
+    "two_particle_model", "__version__",
 ]

@@ -9,6 +9,7 @@ FRIEDRICHS_THREADS environment variable caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .critical import find_maximizer
 from .errors import ConfigError, FriedrichsError, ModelValidityError
-from .models import ModelConfig, model_from_config
+from .models import DispersionModel, ModelConfig
 from .oracle import convergence_report, dense_spectrum, secular_root
 from .quadrature import OmegaEvaluator, QuadratureSpec
 from .solver import (
@@ -57,6 +58,14 @@ def _parse_point(text):
         raise ConfigError("cannot parse torus point: %r" % text)
 
 
+def _parse_list(text, kind, what):
+    """Comma list of numbers of one kind; empty items are skipped."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError("cannot parse %s: %r" % (what, text))
+
+
 def _parse_path(text):
     stops = [s for s in text.split(":") if s.strip()]
     if not stops:
@@ -86,7 +95,7 @@ def _load(args):
     """(config, model, quadrature spec) of one command."""
     cfg = (ModelConfig.load(args.config) if getattr(args, "config", None)
            else ModelConfig.from_dict(DEFAULT_CONFIG))
-    return cfg, model_from_config(cfg), _quadrature_spec(args)
+    return cfg, DispersionModel(cfg), _quadrature_spec(args)
 
 
 def _fiber(model, spec, p):
@@ -98,11 +107,11 @@ def _fiber(model, spec, p):
 
 def _quadrature_spec(args):
     kw = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         kw["n_grid"] = args.grid
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         kw["rel_tol"] = args.tol
-    if getattr(args, "rho", None):
+    if getattr(args, "rho", None) is not None:
         kw["rho"] = args.rho
     return QuadratureSpec(**kw)
 
@@ -117,12 +126,7 @@ def _metadata(cfg, spec):
     return {
         "config": d,
         "config_sha256": _config_hash(d),
-        "quadrature": {
-            "n_grid": spec.n_grid, "rho": spec.rho,
-            "n_radial": spec.n_radial, "n_angular": spec.n_angular,
-            "bump_order": spec.bump_order, "rel_tol": spec.rel_tol,
-            "max_refinements": spec.max_refinements,
-        },
+        "quadrature": dataclasses.asdict(spec),
         "version": __version__,
     }
 
@@ -200,10 +204,8 @@ def cmd_expansion(args):
     cfg, model, spec = _load(args)
     p = _parse_point(args.p)
     cp, ev, _ = _fiber(model, spec, p)
-    window = tuple(float(v) for v in args.window.split(","))
-    if len(window) != 2 or not 0 < window[0] < window[1]:
-        raise ConfigError("window must be 'lo,hi' with 0 < lo < hi")
-    fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
+    fit = expansion_fit(model, p, cp, evaluator=ev,
+                        window=_parse_list(args.window, float, "window"),
                         n_points=args.points)
     payload = {
         "p": list(p),
@@ -224,7 +226,7 @@ def cmd_expansion(args):
 def cmd_oracle(args):
     cfg, model, spec = _load(args)
     p = _parse_point(args.p)
-    n_list = [int(v) for v in args.N.split(",") if v.strip()]
+    n_list = _parse_list(args.N, int, "N list")
     if not n_list:
         raise ConfigError("empty N list")
     cp, ev, mu_p = _fiber(model, spec, p)

@@ -25,7 +25,7 @@ from .torus import (
     wrap_angles,
 )
 
-GRID_N_DEFAULT = 24
+GRID_N = 24              # coarse scan nodes per axis
 GRAD_TOL = 1e-12
 MAX_NEWTON_ITERS = 50
 NONDEG_TOL = 1e-8        # largest Hessian eigenvalue must be <= -tol*(M-m)
@@ -69,14 +69,14 @@ def _local_maxima_mask(vals):
     return mask
 
 
-def _polish(model, p, x0, sign, trust_radius, gtol=GRAD_TOL):
+def _polish(model, p, x0, sign, trust_radius):
     """Newton iteration for a critical point of sign*w_p, wrapped to the
     torus each step.  Returns (x, value, grad_norm)."""
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(MAX_NEWTON_ITERS):
         g = sign * np.asarray(model.grad_w(p, x), dtype=float)
         gn = float(np.linalg.norm(g))
-        if gn <= gtol:
+        if gn <= GRAD_TOL:
             break
         h = sign * np.asarray(model.hess_w(p, x), dtype=float)
         try:
@@ -91,22 +91,22 @@ def _polish(model, p, x0, sign, trust_radius, gtol=GRAD_TOL):
         x = wrap_angles(x + step)
     else:
         g = sign * np.asarray(model.grad_w(p, x), dtype=float)
-        if float(np.linalg.norm(g)) > gtol:
+        if float(np.linalg.norm(g)) > GRAD_TOL:
             raise NewtonConvergenceError(
                 "no convergence: Newton polish exceeded %d iterations"
                 % MAX_NEWTON_ITERS)
     return x, float(model.w(p, x)), float(np.linalg.norm(model.grad_w(p, x)))
 
 
-def find_minimum(model, p, grid_n=GRID_N_DEFAULT) -> float:
+def find_minimum(model, p) -> float:
     """Global minimum m(p) of w_p by grid scan plus Newton on -w_p.
 
     Degeneracy of the minimizer is tolerated; only the value is reported.
     """
-    ax, vals = _grid_values(model, p, grid_n)
+    ax, vals = _grid_values(model, p, GRID_N)
     i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
     x0 = np.array([ax[i], ax[j], ax[k]])
-    trust = 2.0 * np.pi / grid_n
+    trust = 2.0 * np.pi / GRID_N
     try:
         _, value, _ = _polish(model, p, x0, -1.0, trust)
     except NewtonConvergenceError:
@@ -114,23 +114,21 @@ def find_minimum(model, p, grid_n=GRID_N_DEFAULT) -> float:
     return min(value, float(vals.min()))
 
 
-def find_maximizer(model, p, seed=None, grid_n=GRID_N_DEFAULT,
-                   gtol=GRAD_TOL, nondeg_tol=NONDEG_TOL,
-                   uniqueness_gap=UNIQUENESS_GAP) -> CriticalPointInfo:
+def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
     """Locate and certify the unique non-degenerate maximizer of w_p.
 
     A coarse grid scan picks candidate basins (all grid-local maxima close
     to the grid maximum, plus the optional seed), each is polished by
     torus-wrapped Newton iteration, and the best is certified:
 
-    * gradient norm <= gtol at q0,
-    * Hessian negative definite (largest eigenvalue <= -nondeg_tol*(M-m)),
-    * no second polished maximizer within uniqueness_gap*(M-m) of M at a
+    * gradient norm <= GRAD_TOL at q0,
+    * Hessian negative definite (largest eigenvalue <= -NONDEG_TOL*(M-m)),
+    * no second polished maximizer within UNIQUENESS_GAP*(M-m) of M at a
       separated torus point.
 
     Raises DegenerateMaximumError / NonUniqueMaximumError otherwise.
     """
-    ax, vals = _grid_values(model, p, grid_n)
+    ax, vals = _grid_values(model, p, GRID_N)
     spread_grid = float(vals.max() - vals.min())
     window = _CANDIDATE_WINDOW * spread_grid
     mask = _local_maxima_mask(vals) & (vals >= vals.max() - window)
@@ -142,11 +140,11 @@ def find_maximizer(model, p, seed=None, grid_n=GRID_N_DEFAULT,
             seed, dtype=float)
         starts.append(wrap_angles(s))
 
-    trust = 2.0 * np.pi / grid_n
+    trust = 2.0 * np.pi / GRID_N
     polished = []
     for x0 in starts:
         try:
-            polished.append(_polish(model, p, x0, +1.0, trust, gtol))
+            polished.append(_polish(model, p, x0, +1.0, trust))
         except NewtonConvergenceError:
             if len(starts) == 1:
                 raise
@@ -155,21 +153,21 @@ def find_maximizer(model, p, seed=None, grid_n=GRID_N_DEFAULT,
 
     polished.sort(key=lambda t: t[1], reverse=True)
     x_best, M, grad_norm = polished[0]
-    m = find_minimum(model, p, grid_n)
+    m = find_minimum(model, p)
     spread = max(M - m, 0.0)
 
     hess = np.asarray(model.hess_w(p, x_best), dtype=float)
     hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
-    if not eigs[-1] <= -nondeg_tol * spread:
+    if not eigs[-1] <= -NONDEG_TOL * spread:
         raise DegenerateMaximumError(
             "degenerate maximum: largest Hessian eigenvalue %.3e exceeds "
-            "-%.1e*(M-m)" % (eigs[-1], nondeg_tol))
+            "-%.1e*(M-m)" % (eigs[-1], NONDEG_TOL))
 
     q0 = TorusVector(x_best)
     for x, value, _ in polished[1:]:
         if (torus_distance(x, x_best) > _DISTINCT_DIST
-                and M - value < uniqueness_gap * spread):
+                and M - value < UNIQUENESS_GAP * spread):
             raise NonUniqueMaximumError(
                 "non-unique maximum: second maximizer at torus distance "
                 "%.3e with value gap %.3e" % (torus_distance(x, x_best),
@@ -199,12 +197,12 @@ def two_particle_closed_forms(hopping, p):
     return TorusVector(q0), M, m, A
 
 
-def closed_form_check(model, p, grid_n=GRID_N_DEFAULT) -> ClosedFormCheck:
+def closed_form_check(model, p) -> ClosedFormCheck:
     """Regression guard: numeric maximizer vs. the builtin closed form."""
     if model.family != "two_particle":
         raise UnsupportedFamilyError(
             "closed_form_check requires the two_particle family")
-    info = find_maximizer(model, p, grid_n=grid_n)
+    info = find_maximizer(model, p)
     q0_cf, M_cf, _, _ = two_particle_closed_forms(model.hopping, p)
     return ClosedFormCheck(
         q0_delta=torus_distance(info.q0.as_array(), q0_cf.as_array()),

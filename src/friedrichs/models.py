@@ -344,31 +344,8 @@ class DispersionModel:
         return DispersionModel(cfg)
 
 
-def model_from_config(cfg: ModelConfig) -> DispersionModel:
-    """Build the evaluator bundle for a validated configuration."""
-    return DispersionModel(cfg)
-
-
 def two_particle_model(hopping=(1.0, 1.0, 1.0), phi=None) -> DispersionModel:
     """Convenience constructor for the builtin simple-cubic family."""
     return DispersionModel(ModelConfig(
         family="two_particle", hopping=tuple(hopping),
         phi=dict(phi) if phi else {"constant": 1.0}))
-
-
-# module-level operation aliases matching the public contract names
-
-def eval_w(model, p, q):
-    return model.w(p, q)
-
-
-def eval_grad_w(model, p, q):
-    return model.grad_w(p, q)
-
-
-def eval_hess_w(model, p, q):
-    return model.hess_w(p, q)
-
-
-def eval_phi(model, q):
-    return model.phi(q)

@@ -121,6 +121,8 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     above the top diagonal entry (0 or 1 by rank-one interlacing).
     """
     check_coupling(mu)
+    if N < 1:
+        raise InvalidInputError("dense_spectrum requires N >= 1, got %d" % N)
     if N > DENSE_N_MAX:
         raise InvalidInputError(
             "dense_spectrum limited to N <= %d (matrix size N^3)" % DENSE_N_MAX)

@@ -17,12 +17,15 @@ at q0 with support radius rho:
   to the removable-singularity value rho/k(nu) per ray, i.e. the r -> 0
   limit 2 phi^2(q0) / (nu.(-A)nu).
 
-An OmegaEvaluator caches node data per refinement level, so evaluating at
-many spectral parameters z (root finding, expansion fits) costs one
+An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
+owns the bump radius, the node data per refinement level and the threshold
+value Omega(p) = Omega(p; M(p)), computed once on first read.  Evaluating
+at many spectral parameters z (root finding, expansion fits) costs one
 vectorised reduction per z, and values at different z share identical
 node sets.  Omega and the second moment int phi^2 / (z - w_p)^2 (the
 power-2 integrand, -dOmega/dz) share that node cache and one refinement
-loop.
+loop.  The solver functions and state_norm_diagnostics take an evaluator
+and read p, M(p), the spec and Omega(p) from it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .errors import (
 )
 from .torus import TorusVector, grid_axis, tensor_grid, wrap_angles
 
-RHO_CAP = 1.0  # default ball radius cap (must stay below pi/2)
+RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
+N_SHELLS = 8   # nested annuli of state_norm_diagnostics
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,9 @@ class QuadratureSpec:
             raise QuadratureError("rho must lie in (0, pi/2)")
         if self.max_refinements < 1:
             raise QuadratureError("refinement doubling must be supported")
+        if not 0.0 < self.rel_tol < float("inf"):
+            raise QuadratureError("rel_tol must lie in (0, inf), got %r"
+                                  % (self.rel_tol,))
 
     def refined(self):
         """The spec with all node counts doubled."""
@@ -154,18 +161,18 @@ def _dist2_to(ax, q0):
     return d1[:, None, None] + d2[None, :, None] + d3[None, None, :]
 
 
-def auto_rho(model, p, cp, cap=RHO_CAP):
-    """Bump support radius: the largest r <= cap with M - w_p > 0 along a
-    sampled bundle of rays from q0 (halved at the first sign dip)."""
+def auto_rho(model, p, cp):
+    """Bump support radius: the largest r <= RHO_CAP with M - w_p > 0 along
+    a sampled bundle of rays from q0 (halved at the first sign dip)."""
     q0 = cp.q0.as_array()
     nu, _ = sphere_product_rule(8)
-    radii = np.linspace(0.02, cap, 50)
+    radii = np.linspace(0.02, RHO_CAP, 50)
     pts = q0[None, None, :] + radii[:, None, None] * nu[None, :, :]
     u = cp.M - model.w(p, pts)
     floor = 1e-12 * max(cp.spread, 1.0)
     bad = np.nonzero(np.min(u, axis=1) <= floor)[0]
     if bad.size == 0:
-        return float(cap)
+        return float(RHO_CAP)
     return float(max(0.5 * radii[bad[0]], 0.05))
 
 
@@ -175,8 +182,10 @@ class OmegaEvaluator:
     Levels of node data are built lazily; level L uses node counts scaled
     by 2^L relative to the base spec.  evaluate() runs the refinement loop
     of the spec; values at a fixed level are deterministic functions of z
-    (fixed-order reductions).  Lazy level construction is not synchronised:
-    share an evaluator across threads only after its levels are built.
+    (fixed-order reductions).  The threshold value Omega(p; M(p)) is
+    evaluated on the first read of `threshold` and kept.  Lazy level
+    construction is not synchronised: share an evaluator across threads
+    only after its levels are built.
     """
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
@@ -195,6 +204,14 @@ class OmegaEvaluator:
         self._negA = -cp.hessian
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
+        self._threshold = None
+
+    @property
+    def threshold(self) -> OmegaValue:
+        """Omega(p) = Omega(p; M(p)), evaluated once."""
+        if self._threshold is None:
+            self._threshold = self.evaluate(self.M)
+        return self._threshold
 
     # -- node data ------------------------------------------------------
 
@@ -282,12 +299,14 @@ class OmegaEvaluator:
             sums = sums_at_level(level)
             if prev is not None:
                 est = abs(sums[0] - prev)
-                if est <= self.spec.rel_tol * max(abs(sums[0]), 1e-300):
+                bound = self.spec.rel_tol * max(abs(sums[0]), 1e-300)
+                if est <= bound:
                     return level, est, sums
             prev = sums[0]
         raise QuadratureNotConvergedError(
-            "%s not converged: estimate %.3e above tolerance %.1e"
-            % (what, est, self.spec.rel_tol))
+            "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
+            "|value| %.3e)" % (what, est, bound, self.spec.rel_tol,
+                               abs(sums[0])))
 
     def evaluate(self, z) -> OmegaValue:
         """Omega(p; z) with one-step refinement error estimation.
@@ -311,16 +330,6 @@ class OmegaEvaluator:
         return total
 
 
-def omega(model, p, cp, z, spec: QuadratureSpec | None = None) -> OmegaValue:
-    """One-shot Omega(p; z) for z >= M(p)."""
-    return OmegaEvaluator(model, p, cp, spec).evaluate(z)
-
-
-def omega_threshold(model, p, cp, spec: QuadratureSpec | None = None) -> OmegaValue:
-    """Threshold value Omega(p) = Omega(p; M(p))."""
-    return OmegaEvaluator(model, p, cp, spec).evaluate(cp.M)
-
-
 @dataclass(frozen=True)
 class NormDiagnostics:
     """L1/L2 behaviour of f = phi / (z - w_p) near the maximizer.
@@ -337,21 +346,18 @@ class NormDiagnostics:
     l2_outside: np.ndarray
 
 
-def state_norm_diagnostics(model, p, cp, z, spec: QuadratureSpec | None = None,
-                           n_shells=8) -> NormDiagnostics:
+def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
     """Integrate |f| and |f|^2 outside balls of radius rho/2^k around q0.
 
-    The region outside the largest ball uses the masked torus grid; the
-    nested annuli use per-shell polar Gauss rules, which resolve radii far
-    below the torus grid spacing.
+    The region outside the largest ball uses the masked torus grid of the
+    evaluator's base spec; the nested annuli use per-shell polar Gauss
+    rules, which resolve radii far below the torus grid spacing.
     """
-    spec = spec if spec is not None else QuadratureSpec()
-    ev = OmegaEvaluator(model, p, cp, spec)
+    ev = evaluator
+    model, p, q0, rho0 = ev.model, ev.p, ev.q0, ev.rho
     delta = ev._delta(z)
-    rho0 = ev.rho
-    q0 = ev.q0
 
-    n_grid = spec.n_grid
+    n_grid = ev.spec.n_grid
     ax = grid_axis(n_grid)
     grid = tensor_grid(ax)
     dist2 = _dist2_to(ax, q0)
@@ -359,23 +365,23 @@ def state_norm_diagnostics(model, p, cp, z, spec: QuadratureSpec | None = None,
     w_vals = np.broadcast_to(model.w(p, grid), dist2.shape)[mask]
     phi_vals = np.broadcast_to(model.phi(grid), dist2.shape)[mask]
     h3 = (2.0 * np.pi / n_grid) ** 3
-    f = phi_vals / (delta + (cp.M - w_vals))
+    f = phi_vals / (delta + (ev.M - w_vals))
     l2_out = h3 * float(np.sum(f * f))
     l1_out = h3 * float(np.sum(np.abs(f)))
 
-    nu, wa = sphere_product_rule(max(spec.n_angular // 2, 10))
+    nu, wa = sphere_product_rule(max(ev.spec.n_angular // 2, 10))
     xr, wr = np.polynomial.legendre.leggauss(16)
-    radii = rho0 / 2.0 ** np.arange(n_shells + 1)
+    radii = rho0 / 2.0 ** np.arange(N_SHELLS + 1)
     l2_cum = [l2_out]
     l1_cum = l1_out
-    for kk in range(n_shells):
+    for kk in range(N_SHELLS):
         a, b = radii[kk + 1], radii[kk]
         r = 0.5 * (b - a) * (xr + 1.0) + a
         wrr = 0.5 * (b - a) * wr
         pts = q0[None, None, :] + r[:, None, None] * nu[None, :, :]
         w_sh = np.asarray(model.w(p, pts))
         phi_sh = np.asarray(model.phi(pts))
-        fsh = phi_sh / (delta + (cp.M - w_sh))
+        fsh = phi_sh / (delta + (ev.M - w_sh))
         r2 = (r * r)[:, None]
         l2_cum.append(l2_cum[-1]
                       + float(np.einsum("i,j,ij->", wrr, wa, fsh * fsh * r2)))

@@ -7,6 +7,12 @@ threshold mu(p) = 1 / Omega(p; M(p)) separates the no-eigenvalue regime
 from the bound-state regime; at mu = mu(p) the band edge is either an
 energy resonance or a threshold eigenvalue depending on whether the form
 factor vanishes at the maximizer.
+
+Every function takes the fibre as (model, p, cp) plus an optional
+OmegaEvaluator; without one it builds an evaluator with the default
+QuadratureSpec.  Pass `evaluator=OmegaEvaluator(model, p, cp, spec)` to
+use another spec and to share node levels and the cached Omega(p) between
+calls.  The functions read p, M(p) and the model from the evaluator.
 """
 
 from __future__ import annotations
@@ -24,20 +30,15 @@ from .errors import (
     InvalidInputError,
     check_coupling,
 )
-from .quadrature import (
-    NormDiagnostics,
-    OmegaEvaluator,
-    QuadratureSpec,
-    state_norm_diagnostics,
-)
+from .quadrature import NormDiagnostics, OmegaEvaluator, state_norm_diagnostics
 from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of max|phi| is zero
-DET_TOL = 1e-12          # target |determinant| at the eigenvalue
 MAX_BRACKET_EXPANSIONS = 200
 FIT_WINDOW = (1e-4, 1e-2)
 FIT_POINTS = 8
+FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
@@ -51,10 +52,10 @@ class Classification(str, enum.Enum):
     THRESHOLD_EIGENVALUE = "ThresholdEigenvalue"  # mu = mu(p), phi(q0) = 0
 
 
-def _evaluator(model, p, cp, spec, evaluator):
+def _evaluator(model, p, cp, evaluator):
     if evaluator is not None:
         return evaluator
-    return OmegaEvaluator(model, p, cp, spec)
+    return OmegaEvaluator(model, p, cp)
 
 
 def _det(z, ev, mu):
@@ -64,56 +65,50 @@ def _det(z, ev, mu):
 
 
 def coupling_threshold(model, p, cp: CriticalPointInfo,
-                       spec: QuadratureSpec | None = None,
                        evaluator: OmegaEvaluator | None = None) -> float:
     """mu(p) = 1 / Omega(p; M(p)); strictly positive."""
-    ev = _evaluator(model, p, cp, spec, evaluator)
-    return 1.0 / ev.evaluate(cp.M).value
+    return 1.0 / _evaluator(model, p, cp, evaluator).threshold.value
 
 
 def fredholm_det(model, p, cp: CriticalPointInfo, mu, z,
-                 spec: QuadratureSpec | None = None,
                  evaluator: OmegaEvaluator | None = None) -> float:
     """Determinant 1 - mu * Omega(p; z) for z >= M(p)."""
     check_coupling(mu)
-    return _det(z, _evaluator(model, p, cp, spec, evaluator), mu)
+    return _det(z, _evaluator(model, p, cp, evaluator), mu)
 
 
 def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
-                     spec: QuadratureSpec | None = None,
-                     evaluator: OmegaEvaluator | None = None,
-                     mu_rel_tol=MU_REL_TOL):
+                     evaluator: OmegaEvaluator | None = None):
     """The unique root E of the determinant above M(p), or None.
 
-    Returns None for mu <= mu(p) (1 + mu_rel_tol).  Otherwise the root is
+    Returns None for mu <= mu(p) (1 + MU_REL_TOL).  Otherwise the root is
     bracketed on (M(p), z_hi] - z_hi grown geometrically from
     M(p) + mu * ||phi||^2, above which the determinant is provably
     positive - and polished by Brent's method (bisection with secant /
     inverse-quadratic acceleration).
     """
     check_coupling(mu)
-    ev = _evaluator(model, p, cp, spec, evaluator)
+    ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
-    if mu <= mu_p * (1.0 + mu_rel_tol):
+    if mu <= mu_p * (1.0 + MU_REL_TOL):
         return None
 
-    gap = mu * model.phi_l2_norm_sq()
-    z_hi = cp.M + gap
+    gap = mu * ev.model.phi_l2_norm_sq()
+    z_hi = ev.M + gap
     for _ in range(MAX_BRACKET_EXPANSIONS):
         if _det(z_hi, ev, mu) > 0.0:
             break
         gap *= 2.0
-        z_hi = cp.M + gap
+        z_hi = ev.M + gap
     else:
         raise BracketingError(
             "failed to bracket the determinant root above the band edge")
-    root = brentq(_det, cp.M, z_hi, args=(ev, mu), xtol=1e-14,
+    root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=1e-14,
                   rtol=4.0 * np.finfo(float).eps, maxiter=200)
     return float(root)
 
 
 def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
-                              spec: QuadratureSpec | None = None,
                               evaluator: OmegaEvaluator | None = None) -> float:
     """A-posteriori accuracy estimate for a solved eigenvalue.
 
@@ -122,7 +117,7 @@ def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
     int phi^2/(E - w)^2.  Used as the comparison floor when grading
     finite-lattice convergence against the continuum value.
     """
-    ev = _evaluator(model, p, cp, spec, evaluator)
+    ev = _evaluator(model, p, cp, evaluator)
     return ev.evaluate(energy).estimated_error / ev.second_moment(energy)
 
 
@@ -165,12 +160,11 @@ class EigenfunctionEval:
 
 
 def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
-                  spec: QuadratureSpec | None = None,
                   evaluator: OmegaEvaluator | None = None) -> EigenfunctionEval:
     """Normalize the eigenfunction at a solved energy E > M(p)."""
-    if not energy > cp.M:
+    ev = _evaluator(model, p, cp, evaluator)
+    if not energy > ev.M:
         raise InvalidInputError("eigenfunction requires E > M(p)")
-    ev = _evaluator(model, p, cp, spec, evaluator)
     det = _det(energy, ev, mu)
     if abs(det) > 1e-8:
         raise InvalidInputError(
@@ -178,7 +172,7 @@ def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
     norm_sq = ev.second_moment(energy)  # int phi^2/(E-w)^2
     c = 1.0 / (mu * np.sqrt(norm_sq))
     return EigenfunctionEval(normalization=float(c), mu=float(mu),
-                             energy=float(energy), model=model, p=ev.p)
+                             energy=float(energy), model=ev.model, p=ev.p)
 
 
 @dataclass(frozen=True)
@@ -193,9 +187,7 @@ class ClassificationResult:
 
 
 def classify_threshold(model, p, cp: CriticalPointInfo, mu,
-                       spec: QuadratureSpec | None = None,
                        evaluator: OmegaEvaluator | None = None,
-                       tol_mu=MU_REL_TOL, tol_phi=PHI_REL_TOL,
                        with_diagnostics=True) -> ClassificationResult:
     """Classify (mu, p): Regular / BoundState off the threshold coupling,
     Resonance / ThresholdEigenvalue at it (by phi(q0) = 0 or not).
@@ -203,21 +195,20 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
     For the two at-threshold classes the measured L2 divergence exponent
     of the threshold state is attached as corroboration.
     """
-    ev = _evaluator(model, p, cp, spec, evaluator)
+    ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
-    phi_q0 = float(model.phi(cp.q0.as_array()))
-    phi_scale = model.phi_max_abs()
-    if abs(mu - mu_p) > tol_mu * mu_p:
+    phi_q0 = float(ev.model.phi(ev.q0))
+    phi_scale = ev.model.phi_max_abs()
+    if abs(mu - mu_p) > MU_REL_TOL * mu_p:
         label = (Classification.BOUND_STATE if mu > mu_p
                  else Classification.REGULAR)
         diag = None
     else:
-        if abs(phi_q0) > tol_phi * phi_scale:
+        if abs(phi_q0) > PHI_REL_TOL * phi_scale:
             label = Classification.RESONANCE
         else:
             label = Classification.THRESHOLD_EIGENVALUE
-        diag = (state_norm_diagnostics(model, p, cp, cp.M, ev.spec)
-                if with_diagnostics else None)
+        diag = state_norm_diagnostics(ev, ev.M) if with_diagnostics else None
     return ClassificationResult(
         label=label, mu=float(mu), mu_threshold=mu_p, phi_at_q0=phi_q0,
         phi_scale=phi_scale,
@@ -260,19 +251,28 @@ def tau0_closed_form(model, cp: CriticalPointInfo) -> float:
 
 
 def expansion_fit(model, p, cp: CriticalPointInfo,
-                  spec: QuadratureSpec | None = None,
                   evaluator: OmegaEvaluator | None = None,
                   window=FIT_WINDOW, n_points=FIT_POINTS) -> ExpansionFit:
     """Least-squares fit of the square-root edge expansion of Omega.
 
-    Samples Omega(p) - Omega(p; M + d_k) at log-spaced offsets d_k in the
-    window, all on identical quadrature nodes so systematic errors cancel
-    in the differences.
+    Samples Omega(p) - Omega(p; M + d_k) at n_points >= 4 log-spaced
+    offsets d_k in the window (lo, hi), 0 < lo < hi < inf, all on identical
+    quadrature nodes so systematic errors cancel in the differences.  Fewer
+    points would determine the three coefficients exactly and leave the
+    residual gate nothing to test.
     """
-    ev = _evaluator(model, p, cp, spec, evaluator)
+    if len(window) != 2 or not 0.0 < window[0] < window[1] < float("inf"):
+        raise InvalidInputError(
+            "expansion window must be lo,hi with 0 < lo < hi < inf: %r"
+            % (window,))
+    if not n_points >= FIT_MIN_POINTS:
+        raise InvalidInputError(
+            "expansion fit needs at least %d points, got %r"
+            % (FIT_MIN_POINTS, n_points))
+    ev = _evaluator(model, p, cp, evaluator)
     deltas = np.logspace(np.log10(window[0]), np.log10(window[1]), n_points)
-    omega0 = ev.evaluate(cp.M).value
-    data = np.array([omega0 - ev.evaluate(cp.M + d).value for d in deltas])
+    omega0 = ev.threshold.value
+    data = np.array([omega0 - ev.evaluate(ev.M + d).value for d in deltas])
     design = np.column_stack([np.sqrt(deltas), deltas, deltas ** 1.5])
     coeffs, *_ = np.linalg.lstsq(design, data, rcond=None)
     resid = data - design @ coeffs
@@ -280,7 +280,7 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
                                                      1e-300))
     fit = ExpansionFit(
         tau0_fit=float(coeffs[0] / TWO_PI_SQ),
-        tau0_closed=tau0_closed_form(model, cp),
+        tau0_closed=tau0_closed_form(ev.model, ev.cp),
         rel_residual=rel_residual,
         sqrt_coeff=float(coeffs[0]), linear_coeff=float(coeffs[1]),
         threehalf_coeff=float(coeffs[2]), deltas=deltas, data=data)
@@ -319,11 +319,10 @@ class SpectralReport:
 
 
 def analyze(model, p, cp: CriticalPointInfo, mu,
-            spec: QuadratureSpec | None = None,
             evaluator: OmegaEvaluator | None = None,
             with_expansion=False, with_diagnostics=True) -> SpectralReport:
     """Full single-point analysis: threshold, eigenvalue, classification."""
-    ev = _evaluator(model, p, cp, spec, evaluator)
+    ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     energy = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
     norm_const = None

@@ -100,8 +100,3 @@ class TorusVector:
 
     def __repr__(self):
         return "TorusVector(%r, %r, %r)" % self._c
-
-
-def wrap_torus(x) -> TorusVector:
-    """Wrap three real numbers onto the torus (-pi, pi]^3."""
-    return TorusVector(x)

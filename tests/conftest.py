@@ -73,3 +73,18 @@ def cp_vanishing(model_vanishing):
 @pytest.fixture(scope="session")
 def ev_vanishing(model_vanishing, cp_vanishing):
     return fr.OmegaEvaluator(model_vanishing, P0, cp_vanishing)
+
+
+@pytest.fixture
+def threshold_evaluations(monkeypatch):
+    """List that gains one entry per OmegaEvaluator.evaluate at z = M(p)."""
+    calls = []
+    evaluate = fr.OmegaEvaluator.evaluate
+
+    def counting(self, z):
+        if z == self.M:
+            calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(fr.OmegaEvaluator, "evaluate", counting)
+    return calls

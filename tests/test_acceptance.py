@@ -40,7 +40,7 @@ def _random_trig_poly(rng):
     phi_table = [{"index": [0, 0, 0], "value": float(rng.uniform(0.6, 1.4))},
                  {"index": [1, 0, 0], "value": float(rng.uniform(-0.2, 0.2)),
                   "sin": float(rng.uniform(-0.2, 0.2))}]
-    return fr.model_from_config(fr.ModelConfig(
+    return fr.DispersionModel(fr.ModelConfig(
         family="trig_poly", w_table=w_table, phi_table=phi_table))
 
 
@@ -48,7 +48,7 @@ def test_criterion_1_threshold_value(model_one, cp_one):
     t0 = time.perf_counter()
     _, _, rich = fr.richardson_omega_threshold(model_one, P0, cp_one.M,
                                                (64, 128))
-    value = fr.omega_threshold(model_one, P0, cp_one).value
+    value = fr.OmegaEvaluator(model_one, P0, cp_one).threshold.value
     elapsed = time.perf_counter() - t0
     rel = abs(value - rich) / rich
     _report(1, "threshold value", rel <= 1e-4 and elapsed < 30.0,

@@ -220,3 +220,34 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == fr.__version__
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["expansion", "--window", "abc"], "window"),
+    (["expansion", "--window", "1e-4,inf"], "window"),
+    (["expansion", "--points", "0"], "at least 4 points"),
+    (["expansion", "--points", "3"], "at least 4 points"),
+    (["oracle", "--N", "16,abc"], "N list"),
+    (["oracle", "--N", "16", "--dense", "-1"], "N >= 1"),
+    (["threshold", "--grid", "0"], "n_grid"),
+    (["threshold", "--tol", "0"], "rel_tol"),
+    (["threshold", "--tol", "-1"], "rel_tol"),
+    (["threshold", "--tol", "nan"], "rel_tol"),
+    (["threshold", "--rho", "0"], "rho"),
+])
+def test_bad_argument_exit_1(capsys, argv, fragment):
+    code, _, err = _run(capsys, argv)
+    assert code == 1
+    assert err.startswith("friedrichs: ") and fragment in err
+
+
+def test_sweep_point_evaluates_the_threshold_at_most_twice(
+        threshold_evaluations):
+    from friedrichs import cli
+
+    mu_specs = [cli._parse_mu_spec(s) for s in ("x0.5", "x1", "x2")]
+    rows = cli._sweep_point(fr.two_particle_model(), fr.QuadratureSpec(),
+                            np.array([0.7, -0.3, 1.1]), mu_specs,
+                            ["threshold", "eigenvalue", "classify"], 64)
+    assert [r["error"] for r in rows] == ["", "", ""]
+    assert len(threshold_evaluations) <= 2

@@ -68,7 +68,7 @@ def test_closed_form_check(model_one):
 
 
 def test_closed_form_check_family_mismatch():
-    tp = fr.model_from_config(fr.ModelConfig(
+    tp = fr.DispersionModel(fr.ModelConfig(
         family="trig_poly",
         w_table=[{"index": [0, 0, 0], "value": 3.0},
                  {"index": [1, 0, 0], "value": -1.0},
@@ -108,7 +108,7 @@ def test_maximizer_continuity_along_path(model_one):
 def test_non_unique_maximum_detected():
     # T(x) = 1 - cos(2 x_1) + (1 - cos x_2) + (1 - cos x_3): at p = 0 the
     # doubled first harmonic produces two separated maximizer points in q_1
-    m = fr.model_from_config(fr.ModelConfig(
+    m = fr.DispersionModel(fr.ModelConfig(
         family="trig_poly",
         w_table=[{"index": [0, 0, 0], "value": 3.0},
                  {"index": [2, 0, 0], "value": -1.0},
@@ -128,4 +128,4 @@ def test_closed_forms_match_direct_formulas():
     assert m == pytest.approx(float(np.sum(c * (2 - 2 * np.cos(half)))))
     assert np.allclose(np.diag(A), -2 * c * np.cos(half))
     assert np.allclose(q0.as_array(),
-                       fr.wrap_torus(half + np.pi).as_array())
+                       fr.TorusVector(half + np.pi).as_array())

@@ -10,8 +10,8 @@ QPI = np.array([np.pi, np.pi, np.pi])
 
 
 def test_w_trivial_values(model_one):
-    assert fr.eval_w(model_one, P0, P0) == pytest.approx(0.0, abs=1e-14)
-    assert fr.eval_w(model_one, P0, QPI) == pytest.approx(12.0, abs=1e-12)
+    assert model_one.w(P0, P0) == pytest.approx(0.0, abs=1e-14)
+    assert model_one.w(P0, QPI) == pytest.approx(12.0, abs=1e-12)
 
 
 def test_w_cross_checked_against_symbolic_sum(model_one):
@@ -23,18 +23,18 @@ def test_w_cross_checked_against_symbolic_sum(model_one):
     eps = lambda v: sum(1 - sp.cos(x) for x in v)
     expected = float(eps(q) + eps([a - b for a, b in zip(p, q)]))
     assert expected == pytest.approx(1.0, abs=1e-15)
-    got = fr.eval_w(model_one, np.array([np.pi / 2, 0, 0]),
-                    np.array([np.pi / 2, 0, 0]))
+    got = model_one.w(np.array([np.pi / 2, 0, 0]),
+                      np.array([np.pi / 2, 0, 0]))
     assert got == pytest.approx(expected, abs=1e-13)
 
 
 def test_gradient_vanishes_at_symmetric_point(model_one):
-    g = fr.eval_grad_w(model_one, P0, QPI)
+    g = model_one.grad_w(P0, QPI)
     assert np.allclose(g, 0.0, atol=1e-13)
 
 
 def test_hessian_at_maximizer(model_one):
-    h = fr.eval_hess_w(model_one, P0, QPI)
+    h = model_one.hess_w(P0, QPI)
     assert np.allclose(h, np.diag([-2.0, -2.0, -2.0]), atol=1e-12)
     # central finite differences of w, step 1e-4
     fd = np.zeros((3, 3))
@@ -44,10 +44,10 @@ def test_hessian_at_maximizer(model_one):
             ei = np.eye(3)[i] * step
             ej = np.eye(3)[j] * step
             fd[i, j] = (
-                fr.eval_w(model_one, P0, QPI + ei + ej)
-                - fr.eval_w(model_one, P0, QPI + ei - ej)
-                - fr.eval_w(model_one, P0, QPI - ei + ej)
-                + fr.eval_w(model_one, P0, QPI - ei - ej)
+                model_one.w(P0, QPI + ei + ej)
+                - model_one.w(P0, QPI + ei - ej)
+                - model_one.w(P0, QPI - ei + ej)
+                + model_one.w(P0, QPI - ei - ej)
             ) / (4.0 * step * step)
     assert np.allclose(h, fd, atol=1e-6)
 
@@ -65,7 +65,7 @@ def test_derivatives_match_finite_differences_with_order(model_one):
     for _ in range(5):
         p = rng.uniform(-np.pi, np.pi, 3)
         q = rng.uniform(-np.pi, np.pi, 3)
-        g = fr.eval_grad_w(model_one, p, q)
+        g = model_one.grad_w(p, q)
         errs = []
         for h in (1e-3, 1e-4):
             errs.append(np.linalg.norm(_fd_gradient(model_one, p, q, h) - g))
@@ -73,13 +73,13 @@ def test_derivatives_match_finite_differences_with_order(model_one):
             order = np.log10(errs[0] / max(errs[1], 1e-300))
             assert order >= 1.9
         # Hessian against finite differences of the gradient
-        hess = fr.eval_hess_w(model_one, p, q)
+        hess = model_one.hess_w(p, q)
         fd = np.zeros((3, 3))
         h = 1e-4
         for i in range(3):
             e = np.eye(3)[i] * h
-            fd[:, i] = (fr.eval_grad_w(model_one, p, q + e)
-                        - fr.eval_grad_w(model_one, p, q - e)) / (2.0 * h)
+            fd[:, i] = (model_one.grad_w(p, q + e)
+                        - model_one.grad_w(p, q - e)) / (2.0 * h)
         scale = max(np.abs(hess).max(), 1.0)
         assert np.abs(hess - fd).max() <= 1e-6 * scale
         assert np.allclose(hess, hess.T, atol=1e-13)
@@ -97,9 +97,9 @@ def test_grad_phi_matches_finite_differences(model_vanishing):
 
 
 def test_phi_values(model_one, model_vanishing):
-    assert fr.eval_phi(model_one, np.array([0.3, -1.0, 2.0])) == pytest.approx(1.0)
-    assert fr.eval_phi(model_vanishing, QPI) == pytest.approx(0.0, abs=1e-14)
-    assert fr.eval_phi(model_vanishing, P0) == pytest.approx(6.0, abs=1e-14)
+    assert model_one.phi(np.array([0.3, -1.0, 2.0])) == pytest.approx(1.0)
+    assert model_vanishing.phi(QPI) == pytest.approx(0.0, abs=1e-14)
+    assert model_vanishing.phi(P0) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_periodicity(model_one):
@@ -108,7 +108,7 @@ def test_periodicity(model_one):
         p = rng.uniform(-np.pi, np.pi, 3)
         q = rng.uniform(-np.pi, np.pi, 3)
         k = rng.integers(-3, 4, 3)
-        shifted = fr.wrap_torus(q + 2.0 * np.pi * k).as_array()
+        shifted = fr.TorusVector(q + 2.0 * np.pi * k).as_array()
         assert model_one.w(p, q) == pytest.approx(model_one.w(p, shifted),
                                                   abs=1e-11)
 
@@ -126,7 +126,7 @@ def test_zero_phi_rejected():
     with pytest.raises(fr.TrivialFormFactorError):
         fr.two_particle_model(phi={"constant": 0.0})
     with pytest.raises(fr.TrivialFormFactorError):
-        fr.model_from_config(fr.ModelConfig(
+        fr.DispersionModel(fr.ModelConfig(
             family="trig_poly",
             w_table=[{"index": [0, 0, 0], "value": 3.0},
                      {"index": [1, 0, 0], "value": -1.0}],
@@ -146,7 +146,7 @@ def test_trig_poly_matches_two_particle(model_one):
              {"index": [1, 0, 0], "value": -1.0},
              {"index": [0, 1, 0], "value": -1.0},
              {"index": [0, 0, 1], "value": -1.0}]
-    tp = fr.model_from_config(fr.ModelConfig(
+    tp = fr.DispersionModel(fr.ModelConfig(
         family="trig_poly", w_table=table,
         phi_table=[{"index": [0, 0, 0], "value": 1.0}]))
     rng = np.random.default_rng(23)
@@ -164,7 +164,7 @@ def test_config_round_trip(tmp_path, model_vanishing):
     loaded = fr.ModelConfig.load(path)
     assert loaded.to_dict() == cfg.to_dict()
     # identical evaluations after the round trip
-    m2 = fr.model_from_config(loaded)
+    m2 = fr.DispersionModel(loaded)
     rng = np.random.default_rng(29)
     for _ in range(20):
         p = rng.uniform(-np.pi, np.pi, 3)
@@ -199,5 +199,5 @@ def test_determinism(model_one):
     q = np.array([1.2, 0.1, -2.0])
     assert model_one.w(p, q) == model_one.w(p, q)
     cfg = fr.ModelConfig.from_dict(model_one.config.to_dict())
-    m2 = fr.model_from_config(cfg)
+    m2 = fr.DispersionModel(cfg)
     assert m2.w(p, q) == model_one.w(p, q)

@@ -142,3 +142,9 @@ def test_secular_root_exceeds_max_diag(model_one, mu_one):
     root = fr.secular_root(model_one, P0, 2.0 * mu_one, 32)
     w, _ = grid_values(model_one, P0, 32)
     assert root > w.max()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_dense_rejects_empty_lattice(model_one, n):
+    with pytest.raises(fr.InvalidInputError):
+        fr.dense_spectrum(model_one, P0, 0.03, n)

@@ -45,13 +45,13 @@ def test_omega_monotone_decreasing_in_z(ev_one, cp_one):
 def test_scaling_in_phi(model_one, cp_one, ev_one):
     doubled = model_one.scaled_phi(2.0)
     cp2 = fr.find_maximizer(doubled, P0)
-    v1 = fr.omega_threshold(model_one, P0, cp_one)
-    v2 = fr.omega_threshold(doubled, P0, cp2)
+    v1 = fr.OmegaEvaluator(model_one, P0, cp_one).threshold
+    v2 = fr.OmegaEvaluator(doubled, P0, cp2).threshold
     assert v2.value == pytest.approx(4.0 * v1.value, rel=1e-13)
 
 
 def test_positivity(model_vanishing, cp_vanishing):
-    v = fr.omega_threshold(model_vanishing, P0, cp_vanishing)
+    v = fr.OmegaEvaluator(model_vanishing, P0, cp_vanishing).threshold
     assert v.value > 0.0
 
 
@@ -63,10 +63,10 @@ def test_below_threshold_rejected(model_one, cp_one, ev_one):
 def test_split_radius_robustness(model_one, cp_one):
     # changing rho by x1.5 moves the value by less than 5x the reported
     # refinement estimate
-    a = fr.omega_threshold(model_one, P0, cp_one,
-                           fr.QuadratureSpec(rho=0.6))
-    b = fr.omega_threshold(model_one, P0, cp_one,
-                           fr.QuadratureSpec(rho=0.9))
+    a = fr.OmegaEvaluator(model_one, P0, cp_one,
+                          fr.QuadratureSpec(rho=0.6)).threshold
+    b = fr.OmegaEvaluator(model_one, P0, cp_one,
+                          fr.QuadratureSpec(rho=0.9)).threshold
     assert abs(a.value - b.value) <= 5.0 * max(a.estimated_error,
                                                b.estimated_error)
 
@@ -94,20 +94,22 @@ def test_not_converged_raises(model_one, cp_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=6, n_angular=6,
                              rel_tol=1e-15, max_refinements=1)
     with pytest.raises(fr.QuadratureNotConvergedError):
-        fr.omega_threshold(model_one, P0, cp_one, spec)
+        fr.OmegaEvaluator(model_one, P0, cp_one, spec).threshold
 
 
 def test_momentum_reflection_symmetry(model_one):
     p = np.array([0.4, -0.3, 0.8])
-    va = fr.omega_threshold(model_one, p, fr.find_maximizer(model_one, p))
-    vb = fr.omega_threshold(model_one, -p, fr.find_maximizer(model_one, -p))
+    va = fr.OmegaEvaluator(model_one, p,
+                           fr.find_maximizer(model_one, p)).threshold
+    vb = fr.OmegaEvaluator(model_one, -p,
+                           fr.find_maximizer(model_one, -p)).threshold
     assert va.value == pytest.approx(vb.value, rel=1e-10)
 
 
 def test_omega_at_nonzero_momentum_against_bessel(model_one, bessel_ref):
     p = np.array([0.9, 0.2, -0.5])
     cp = fr.find_maximizer(model_one, p)
-    got = fr.omega_threshold(model_one, p, cp).value
+    got = fr.OmegaEvaluator(model_one, p, cp).threshold.value
     assert got == pytest.approx(bessel_ref(0.0, p=p), rel=1e-6)
 
 
@@ -123,32 +125,31 @@ def test_bump_profile_shape():
 def test_bump_family_independence(model_one, cp_one):
     # the split is a partition of unity: the value must not depend on the
     # transition profile beyond quadrature error
-    a = fr.omega_threshold(model_one, P0, cp_one, fr.QuadratureSpec())
-    b = fr.omega_threshold(model_one, P0, cp_one,
-                           fr.QuadratureSpec(bump_order=6))
+    a = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec()).threshold
+    b = fr.OmegaEvaluator(model_one, P0, cp_one,
+                          fr.QuadratureSpec(bump_order=6)).threshold
     assert abs(a.value - b.value) <= 10.0 * max(a.estimated_error,
                                                 b.estimated_error,
                                                 1e-12 * a.value)
 
 
-def test_state_norm_diagnostics_off_threshold(model_one, cp_one):
-    d = fr.state_norm_diagnostics(model_one, P0, cp_one, cp_one.M + 1.0)
+def test_state_norm_diagnostics_off_threshold(cp_one, ev_one):
+    d = fr.state_norm_diagnostics(ev_one, cp_one.M + 1.0)
     assert d.l2_growth_rate <= 0.1
     assert np.isfinite(d.l1) and np.isfinite(d.l2)
 
 
-def test_state_norm_diagnostics_resonance(model_one, cp_one):
-    d = fr.state_norm_diagnostics(model_one, P0, cp_one, cp_one.M)
+def test_state_norm_diagnostics_resonance(cp_one, ev_one):
+    d = fr.state_norm_diagnostics(ev_one, cp_one.M)
     # |f|^2 ~ 1/r^4 near q0: excluded-ball L2 mass grows like 1/rho
     assert 0.8 <= d.l2_growth_rate <= 1.2
     assert np.isfinite(d.l1)
     assert np.all(np.diff(d.l2_outside) > 0.0)
 
 
-def test_state_norm_diagnostics_square_integrable(model_vanishing,
-                                                  cp_vanishing):
-    d = fr.state_norm_diagnostics(model_vanishing, P0, cp_vanishing,
-                                  cp_vanishing.M)
+def test_state_norm_diagnostics_square_integrable(cp_vanishing,
+                                                  ev_vanishing):
+    d = fr.state_norm_diagnostics(ev_vanishing, cp_vanishing.M)
     assert d.l2_growth_rate <= 0.1
     assert np.isfinite(d.l2)
 
@@ -177,3 +178,31 @@ def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
         with pytest.raises(fr.QuadratureNotConvergedError,
                            match=re.escape("estimate %.3e above" % est)):
             call(z)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_rel_tol_outside_open_interval_rejected(rel_tol):
+    with pytest.raises(fr.QuadratureError, match="rel_tol"):
+        fr.QuadratureSpec(rel_tol=rel_tol)
+
+
+def test_not_converged_message_states_the_absolute_bound(model_one, cp_one):
+    spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
+                             rel_tol=1e-15, max_refinements=1)
+    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
+    z = cp_one.M + 0.1
+    value = abs(ev.value_at_level(z, 1)[0])
+    bound = "above %.3e (rel_tol 1.0e-15 x |value| %.3e)" % (1e-15 * value,
+                                                             value)
+    with pytest.raises(fr.QuadratureNotConvergedError,
+                       match=re.escape(bound)):
+        ev.evaluate(z)
+
+
+def test_threshold_is_evaluated_once(model_one, cp_one,
+                                     threshold_evaluations):
+    ev = fr.OmegaEvaluator(model_one, P0, cp_one)
+    first = ev.threshold
+    assert ev.threshold is first
+    assert first == ev.evaluate(cp_one.M)
+    assert len(threshold_evaluations) == 2  # the fill and the direct call

@@ -151,11 +151,12 @@ def test_eigenfunction_normalized_with_small_residual(model_one, cp_one,
 def test_eigenfunction_norm_stable_under_grid_doubling(model_one, cp_one,
                                                        mu_one):
     mu = 2.0 * mu_one
-    spec_a = fr.QuadratureSpec()
-    spec_b = fr.QuadratureSpec(n_grid=128, n_radial=96, n_angular=52)
-    e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, spec=spec_a)
-    ca = fr.eigenfunction(model_one, P0, cp_one, mu, e, spec=spec_a)
-    cb = fr.eigenfunction(model_one, P0, cp_one, mu, e, spec=spec_b)
+    ev_a = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec())
+    ev_b = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec(
+        n_grid=128, n_radial=96, n_angular=52))
+    e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_a)
+    ca = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_a)
+    cb = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_b)
     assert abs(ca.normalization - cb.normalization) <= 1e-8 * ca.normalization
 
 
@@ -305,3 +306,32 @@ def test_solved_evaluator_freed_without_cycle_collection(model_one, cp_one,
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 3])
+def test_expansion_fit_needs_more_points_than_coefficients(model_one, cp_one,
+                                                           ev_one, n_points):
+    with pytest.raises(fr.InvalidInputError, match="at least 4 points"):
+        fr.expansion_fit(model_one, P0, cp_one, evaluator=ev_one,
+                         n_points=n_points)
+
+
+@pytest.mark.parametrize("window", [(1e-4, float("inf")), (-1.0, 1e-2),
+                                    (1e-2, 1e-4), (1e-4,)])
+def test_expansion_window_must_be_positive_finite_and_increasing(
+        model_one, cp_one, ev_one, window):
+    with pytest.raises(fr.InvalidInputError, match="window"):
+        fr.expansion_fit(model_one, P0, cp_one, evaluator=ev_one,
+                         window=window)
+
+
+def test_analyze_evaluates_the_threshold_at_most_twice(model_one,
+                                                       threshold_evaluations):
+    # the cache fill, plus brentq's call at the bracket end z = M(p)
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model_one, p)
+    ev = fr.OmegaEvaluator(model_one, p, cp)
+    mu = 2.0 * fr.coupling_threshold(model_one, p, cp, evaluator=ev)
+    rep = fr.analyze(model_one, p, cp, mu, evaluator=ev, with_expansion=True)
+    assert rep.classification is fr.Classification.BOUND_STATE
+    assert len(threshold_evaluations) <= 2

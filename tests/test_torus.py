@@ -6,20 +6,20 @@ from friedrichs.torus import wrap_angles
 
 
 def test_wrap_identity():
-    v = fr.wrap_torus((0.0, 0.0, 0.0))
+    v = fr.TorusVector((0.0, 0.0, 0.0))
     assert v.components == (0.0, 0.0, 0.0)
 
 
 def test_wrap_single_period_shift():
-    v = fr.wrap_torus((1.5 * np.pi, 0.0, 0.0))
+    v = fr.TorusVector((1.5 * np.pi, 0.0, 0.0))
     assert np.allclose(v.as_array(), [-0.5 * np.pi, 0.0, 0.0], atol=1e-15)
 
 
 def test_wrap_boundary_convention():
     # -pi is identified with +pi; the representative is +pi
-    v = fr.wrap_torus((-np.pi, -np.pi, -np.pi))
+    v = fr.TorusVector((-np.pi, -np.pi, -np.pi))
     assert np.allclose(v.as_array(), [np.pi, np.pi, np.pi], atol=0)
-    assert fr.wrap_torus((np.pi, np.pi, np.pi)).components == v.components
+    assert fr.TorusVector((np.pi, np.pi, np.pi)).components == v.components
 
 
 def test_wrap_periodicity_random():
@@ -47,9 +47,9 @@ def test_wrap_range_after_arithmetic():
 
 def test_non_finite_rejected():
     with pytest.raises(fr.InvalidInputError):
-        fr.wrap_torus((np.nan, 0.0, 0.0))
+        fr.TorusVector((np.nan, 0.0, 0.0))
     with pytest.raises(fr.InvalidInputError):
-        fr.wrap_torus((np.inf, 0.0, 0.0))
+        fr.TorusVector((np.inf, 0.0, 0.0))
 
 
 def test_torus_distance_uses_wrapping():
