@@ -61,7 +61,7 @@ from .solver import (
     solve_eigenvalue,
     tau0_closed_form,
 )
-from .torus import TorusVector, torus_distance
+from .torus import torus_distance
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,7 @@ __all__ = [
     "NewtonConvergenceError", "NonUniqueMaximumError", "NormDiagnostics",
     "OmegaEvaluator", "OmegaValue", "OracleResult", "QuadratureError",
     "QuadratureNotConvergedError", "QuadratureSpec", "SpectralReport",
-    "TorusVector", "TrivialFormFactorError", "UnsupportedFamilyError",
+    "TrivialFormFactorError", "UnsupportedFamilyError",
     "analyze", "classify_threshold", "closed_form_check",
     "convergence_report", "coupling_threshold", "dense_spectrum",
     "discrete_omega", "eigenfunction", "eigenvalue_error_estimate",

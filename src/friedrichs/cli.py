@@ -22,7 +22,12 @@ from . import __version__
 from .critical import find_maximizer
 from .errors import ConfigError, FriedrichsError, ModelValidityError
 from .models import DispersionModel, ModelConfig
-from .oracle import convergence_report, dense_spectrum, secular_root
+from .oracle import (
+    check_lattice_size,
+    convergence_report,
+    dense_spectrum,
+    secular_root,
+)
 from .quadrature import OmegaEvaluator, QuadratureSpec
 from .solver import (
     analyze,
@@ -153,7 +158,7 @@ def cmd_threshold(args):
     cp, _, mu_p = _fiber(model, spec, p)
     payload = {
         "p": list(p),
-        "q0": list(cp.q0.as_array()),
+        "q0": list(cp.q0),
         "M": cp.M,
         "m": cp.m,
         "mu_threshold": mu_p,
@@ -172,7 +177,7 @@ def cmd_eigenvalue(args):
                       evaluator=ev).to_json_dict()
     payload.update({
         "p": list(p),
-        "q0": list(cp.q0.as_array()),
+        "q0": list(cp.q0),
         "M": cp.M,
         "m": cp.m,
         "metadata": _metadata(cfg, spec),
@@ -229,6 +234,10 @@ def cmd_oracle(args):
     n_list = _parse_list(args.N, int, "N list")
     if not n_list:
         raise ConfigError("empty N list")
+    for n in n_list:
+        check_lattice_size(n)
+    if args.dense:
+        check_lattice_size(args.dense, dense=True)
     cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(_parse_mu_spec(args.mu), mu_p)
     payload = {
@@ -327,6 +336,17 @@ def _sample_path(waypoints, samples):
     return pts
 
 
+def _threads():
+    """Sweep worker count: FRIEDRICHS_THREADS, else min(4, CPU count)."""
+    text = os.environ.get("FRIEDRICHS_THREADS")
+    if not text:
+        return min(4, os.cpu_count() or 1)
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ConfigError("FRIEDRICHS_THREADS must be an integer >= 1, got %r"
+                          % text)
+    return int(text)
+
+
 def cmd_sweep(args):
     cfg, model, spec = _load(args)
     if not args.out:
@@ -338,11 +358,15 @@ def cmd_sweep(args):
         if o not in SWEEP_OUTPUTS:
             raise ConfigError("unknown output %r (choose from %s)"
                               % (o, ", ".join(SWEEP_OUTPUTS)))
+    if "oracle" in outputs:
+        check_lattice_size(args.oracle_n)
     mu_specs = [_parse_mu_spec(s) for s in args.mu.split(",") if s.strip()]
     if not mu_specs:
         raise ConfigError("at least one mu value must be requested")
 
     if args.p_grid:
+        if args.p_grid < 1:
+            raise ConfigError("p-grid size must be >= 1, got %d" % args.p_grid)
         ax = grid_axis(args.p_grid)
         points = [np.array([a, b, c]) for a in ax for b in ax for c in ax]
         path_desc = {"p_grid": args.p_grid}
@@ -356,8 +380,7 @@ def cmd_sweep(args):
         path_desc = {"path": [list(w) for w in waypoints],
                      "samples": args.samples}
 
-    workers = os.environ.get("FRIEDRICHS_THREADS")
-    workers = int(workers) if workers else min(4, os.cpu_count() or 1)
+    workers = _threads()
     task = lambda p: _sweep_point(model, spec, p, mu_specs, outputs,
                                   args.oracle_n)
     if workers > 1:

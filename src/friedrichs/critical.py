@@ -17,13 +17,7 @@ from .errors import (
     NonUniqueMaximumError,
     UnsupportedFamilyError,
 )
-from .torus import (
-    TorusVector,
-    grid_axis,
-    tensor_grid,
-    torus_distance,
-    wrap_angles,
-)
+from .torus import grid_axis, tensor_grid, torus_distance, wrap_angles
 
 GRID_N = 24              # coarse scan nodes per axis
 GRAD_TOL = 1e-12
@@ -38,7 +32,7 @@ _CANDIDATE_WINDOW = 0.05  # grid local maxima within window*(M-m) get polished
 class CriticalPointInfo:
     """Certified band-edge data at a fixed quasi-momentum p."""
 
-    q0: TorusVector
+    q0: np.ndarray               # wrapped into (-pi, pi]^3
     M: float
     m: float
     hessian: np.ndarray          # q-Hessian A(p) at q0, symmetric 3x3
@@ -136,9 +130,7 @@ def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
     order = np.argsort(vals[ii, jj, kk])[::-1][:16]
     starts = [np.array([ax[ii[t]], ax[jj[t]], ax[kk[t]]]) for t in order]
     if seed is not None:
-        s = seed.as_array() if isinstance(seed, TorusVector) else np.asarray(
-            seed, dtype=float)
-        starts.append(wrap_angles(s))
+        starts.append(wrap_angles(seed))
 
     trust = 2.0 * np.pi / GRID_N
     polished = []
@@ -164,7 +156,6 @@ def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
             "degenerate maximum: largest Hessian eigenvalue %.3e exceeds "
             "-%.1e*(M-m)" % (eigs[-1], NONDEG_TOL))
 
-    q0 = TorusVector(x_best)
     for x, value, _ in polished[1:]:
         if (torus_distance(x, x_best) > _DISTINCT_DIST
                 and M - value < UNIQUENESS_GAP * spread):
@@ -174,8 +165,9 @@ def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
                                               M - value))
 
     return CriticalPointInfo(
-        q0=q0, M=M, m=m, hessian=hess, det_negA=float(np.linalg.det(-hess)),
-        nondegenerate=True, grad_norm=grad_norm, hessian_eigenvalues=eigs)
+        q0=wrap_angles(x_best), M=M, m=m, hessian=hess,
+        det_negA=float(np.linalg.det(-hess)), nondegenerate=True,
+        grad_norm=grad_norm, hessian_eigenvalues=eigs)
 
 
 @dataclass(frozen=True)
@@ -188,13 +180,12 @@ def two_particle_closed_forms(hopping, p):
     """Closed forms for the builtin family: maximizer p/2 + pi, band edge
     and Hessian diag(-2 c_i cos(p_i/2))."""
     c = np.asarray(hopping, dtype=float)
-    p = wrap_angles(np.asarray(p, dtype=float))
-    half = 0.5 * p
+    half = 0.5 * wrap_angles(p)
     q0 = wrap_angles(half + np.pi)
     M = float(np.sum(c * (2.0 + 2.0 * np.abs(np.cos(half)))))
     m = float(np.sum(c * (2.0 - 2.0 * np.abs(np.cos(half)))))
     A = np.diag(-2.0 * c * np.abs(np.cos(half)))
-    return TorusVector(q0), M, m, A
+    return q0, M, m, A
 
 
 def closed_form_check(model, p) -> ClosedFormCheck:
@@ -205,5 +196,5 @@ def closed_form_check(model, p) -> ClosedFormCheck:
     info = find_maximizer(model, p)
     q0_cf, M_cf, _, _ = two_particle_closed_forms(model.hopping, p)
     return ClosedFormCheck(
-        q0_delta=torus_distance(info.q0.as_array(), q0_cf.as_array()),
+        q0_delta=torus_distance(info.q0, q0_cf),
         M_delta=abs(info.M - M_cf))

@@ -30,7 +30,7 @@ from .errors import (
     InvalidInputError,
     TrivialFormFactorError,
 )
-from .torus import TorusVector, grid_axis, tensor_grid
+from .torus import grid_axis, tensor_grid
 
 _PHI_SCALE_GRID = 24  # grid used for max|phi| normalisation
 
@@ -38,12 +38,9 @@ _PHI_SCALE_GRID = 24  # grid used for max|phi| normalisation
 def _components(q):
     """Split a point/batch of torus points into coordinate arrays.
 
-    Accepts a TorusVector, an array of shape (..., 3), or a tuple/list of
-    three broadcastable coordinate arrays (used for tensor grids).
+    Accepts an array of shape (..., 3) or a tuple/list of three
+    broadcastable coordinate arrays (used for tensor grids).
     """
-    if isinstance(q, TorusVector):
-        a = q.as_array()
-        return a[0], a[1], a[2]
     if isinstance(q, (tuple, list)) and len(q) == 3 and any(
         np.ndim(c) > 0 for c in q
     ):

@@ -25,6 +25,19 @@ from .torus import grid_axis, tensor_grid
 DENSE_N_MAX = 12
 
 
+def check_lattice_size(N, dense=False):
+    """Raise InvalidInputError unless secular_root (even N >= 8) or, with
+    dense=True, dense_spectrum (1 <= N <= DENSE_N_MAX) accepts N."""
+    if not dense:
+        if N < 8 or N % 2:
+            raise InvalidInputError("secular_root requires even N >= 8")
+    elif N < 1:
+        raise InvalidInputError("dense_spectrum requires N >= 1, got %d" % N)
+    elif N > DENSE_N_MAX:
+        raise InvalidInputError(
+            "dense_spectrum limited to N <= %d (matrix size N^3)" % DENSE_N_MAX)
+
+
 def grid_values(model, p, N, offset=0.5):
     """(w_p values, phi values) flattened over the N^3 grid."""
     grid = tensor_grid(grid_axis(N, offset))
@@ -81,8 +94,7 @@ def secular_root(model, p, mu, N, offset=0.5):
     fraction of the spacing), large enough to reject the artifacts.
     """
     check_coupling(mu)
-    if N < 8 or N % 2:
-        raise InvalidInputError("secular_root requires even N >= 8")
+    check_lattice_size(N)
     w, phi = grid_values(model, p, N, offset)
     phi2 = phi * phi
     h3 = (2.0 * np.pi / N) ** 3
@@ -121,11 +133,7 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     above the top diagonal entry (0 or 1 by rank-one interlacing).
     """
     check_coupling(mu)
-    if N < 1:
-        raise InvalidInputError("dense_spectrum requires N >= 1, got %d" % N)
-    if N > DENSE_N_MAX:
-        raise InvalidInputError(
-            "dense_spectrum limited to N <= %d (matrix size N^3)" % DENSE_N_MAX)
+    check_lattice_size(N, dense=True)
     w, phi = grid_values(model, p, N)
     h3 = (2.0 * np.pi / N) ** 3
     H = np.diag(w) + mu * h3 * np.outer(phi, phi)

@@ -30,7 +30,7 @@ and read p, M(p), the spec and Omega(p) from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     QuadratureError,
     QuadratureNotConvergedError,
 )
-from .torus import TorusVector, grid_axis, tensor_grid, wrap_angles
+from .torus import grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 N_SHELLS = 8   # nested annuli of state_norm_diagnostics
@@ -79,12 +79,6 @@ class QuadratureSpec:
         if not 0.0 < self.rel_tol < float("inf"):
             raise QuadratureError("rel_tol must lie in (0, inf), got %r"
                                   % (self.rel_tol,))
-
-    def refined(self):
-        """The spec with all node counts doubled."""
-        return replace(self, n_grid=2 * self.n_grid,
-                       n_radial=2 * self.n_radial,
-                       n_angular=2 * self.n_angular)
 
 
 @dataclass(frozen=True)
@@ -164,10 +158,9 @@ def _dist2_to(ax, q0):
 def auto_rho(model, p, cp):
     """Bump support radius: the largest r <= RHO_CAP with M - w_p > 0 along
     a sampled bundle of rays from q0 (halved at the first sign dip)."""
-    q0 = cp.q0.as_array()
     nu, _ = sphere_product_rule(8)
     radii = np.linspace(0.02, RHO_CAP, 50)
-    pts = q0[None, None, :] + radii[:, None, None] * nu[None, :, :]
+    pts = cp.q0[None, None, :] + radii[:, None, None] * nu[None, :, :]
     u = cp.M - model.w(p, pts)
     floor = 1e-12 * max(cp.spread, 1.0)
     bad = np.nonzero(np.min(u, axis=1) <= floor)[0]
@@ -190,15 +183,14 @@ class OmegaEvaluator:
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
         self.model = model
-        self.p = np.asarray(
-            p.as_array() if isinstance(p, TorusVector) else p, dtype=float)
+        self.p = np.asarray(p, dtype=float)
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
         if not cp.nondegenerate:
             raise QuadratureError("critical point is not certified")
         self.rho = (self.spec.rho if self.spec.rho is not None
                     else auto_rho(model, self.p, cp))
-        self.q0 = cp.q0.as_array()
+        self.q0 = cp.q0
         self.M = cp.M
         self._phi0_sq = float(model.phi(self.q0)) ** 2
         self._negA = -cp.hessian

@@ -60,8 +60,9 @@ def _evaluator(model, p, cp, evaluator):
 
 def _det(z, ev, mu):
     # module level, not a closure: brentq holds a closure in a reference
-    # cycle, which keeps the evaluator's node levels alive until a full GC
-    return 1.0 - mu * ev.evaluate(z).value
+    # cycle, which keeps the evaluator's node levels alive until a full GC;
+    # brentq starts at the bracket end z = M(p), where Omega(p) is cached
+    return 1.0 - mu * (ev.threshold if z == ev.M else ev.evaluate(z)).value
 
 
 def coupling_threshold(model, p, cp: CriticalPointInfo,
@@ -246,7 +247,7 @@ class ExpansionFit:
 
 def tau0_closed_form(model, cp: CriticalPointInfo) -> float:
     """tau0 = phi^2(q0) * 2^{3/2} / sqrt(det(-A)) (Morse-chart Jacobian)."""
-    phi_q0 = float(model.phi(cp.q0.as_array()))
+    phi_q0 = float(model.phi(cp.q0))
     return phi_q0 ** 2 * 2.0 ** 1.5 / np.sqrt(cp.det_negA)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
+from friedrichs import cli
 from friedrichs.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -251,3 +252,33 @@ def test_sweep_point_evaluates_the_threshold_at_most_twice(
                             ["threshold", "eigenvalue", "classify"], 64)
     assert [r["error"] for r in rows] == ["", "", ""]
     assert len(threshold_evaluations) <= 2
+
+
+def _no_fiber(model, spec, p):
+    raise AssertionError("fibre built before the arguments were checked")
+
+
+@pytest.mark.parametrize("argv, threads, fragment", [
+    (["oracle", "--N", "16,7"], None, "even N >= 8"),
+    (["oracle", "--N", "6"], None, "even N >= 8"),
+    (["oracle", "--N", "16", "--dense", "13"], None, "N <= 12"),
+    (["oracle", "--N", "16", "--dense", "-1"], None, "N >= 1"),
+    (["sweep", "--path", "0,0,0", "--outputs", "threshold,oracle",
+      "--oracle-n", "7"], None, "even N >= 8"),
+    (["sweep", "--p-grid", "-1"], None, "p-grid size must be >= 1"),
+    (["sweep", "--path", "0,0,0"], "abc", "FRIEDRICHS_THREADS"),
+    (["sweep", "--path", "0,0,0"], "0", "FRIEDRICHS_THREADS"),
+    (["sweep", "--path", "0,0,0"], "-2", "FRIEDRICHS_THREADS"),
+])
+def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
+                                          threads, fragment):
+    monkeypatch.setattr(cli, "_fiber", _no_fiber)
+    if threads is None:
+        monkeypatch.delenv("FRIEDRICHS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRIEDRICHS_THREADS", threads)
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert code == 1
+    assert err.startswith("friedrichs: ") and fragment in err
+    assert not out.exists()

@@ -3,12 +3,13 @@ import pytest
 
 import friedrichs as fr
 from friedrichs.critical import two_particle_closed_forms
+from friedrichs.torus import wrap_angles
 
 P0 = np.zeros(3)
 
 
 def test_maximizer_at_p_zero(cp_one):
-    assert np.allclose(cp_one.q0.as_array(), [np.pi, np.pi, np.pi], atol=1e-10)
+    assert np.allclose(cp_one.q0, [np.pi, np.pi, np.pi], atol=1e-10)
     assert cp_one.M == pytest.approx(12.0, abs=1e-10)
     assert cp_one.m == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(cp_one.hessian, np.diag([-2.0, -2.0, -2.0]), atol=1e-9)
@@ -31,7 +32,7 @@ def test_maximizer_verified_by_dense_scan(model_one):
     assert info.M - vals.max() <= 0.02
     i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
     assert fr.torus_distance([ax[i], ax[j], ax[k]],
-                             info.q0.as_array()) <= 2.0 * np.pi / n * 2.0
+                             info.q0) <= 2.0 * np.pi / n * 2.0
 
 
 def test_degenerate_momentum_rejected(model_one):
@@ -86,8 +87,7 @@ def test_seed_independence(model_one):
     for _ in range(10):
         seed = rng.uniform(-np.pi, np.pi, 3)
         info = fr.find_maximizer(model_one, p, seed=seed)
-        assert fr.torus_distance(info.q0.as_array(),
-                                 base.q0.as_array()) <= 1e-10
+        assert fr.torus_distance(info.q0, base.q0) <= 1e-10
         assert info.M == pytest.approx(base.M, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_maximizer_continuity_along_path(model_one):
     infos = [fr.find_maximizer(model_one, t * direction) for t in ts]
     step = np.linalg.norm(direction) * (ts[1] - ts[0])
     for a, b in zip(infos, infos[1:]):
-        d = fr.torus_distance(a.q0.as_array(), b.q0.as_array())
+        d = fr.torus_distance(a.q0, b.q0)
         assert d <= 1.0 * step + 1e-9
     for info in infos:
         assert info.M >= info.m
@@ -127,5 +127,4 @@ def test_closed_forms_match_direct_formulas():
     assert M == pytest.approx(float(np.sum(c * (2 + 2 * np.cos(half)))))
     assert m == pytest.approx(float(np.sum(c * (2 - 2 * np.cos(half)))))
     assert np.allclose(np.diag(A), -2 * c * np.cos(half))
-    assert np.allclose(q0.as_array(),
-                       fr.TorusVector(half + np.pi).as_array())
+    assert np.allclose(q0, wrap_angles(half + np.pi))

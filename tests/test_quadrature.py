@@ -161,8 +161,6 @@ def test_spec_validation():
         fr.QuadratureSpec(rho=2.0)
     with pytest.raises(fr.QuadratureError):
         fr.QuadratureSpec(max_refinements=0)
-    refined = fr.QuadratureSpec().refined()
-    assert refined.n_grid == 128 and refined.n_radial == 96
 
 
 def test_not_converged_message_states_the_last_estimate(model_one, cp_one):

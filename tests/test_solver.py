@@ -335,3 +335,15 @@ def test_analyze_evaluates_the_threshold_at_most_twice(model_one,
     rep = fr.analyze(model_one, p, cp, mu, evaluator=ev, with_expansion=True)
     assert rep.classification is fr.Classification.BOUND_STATE
     assert len(threshold_evaluations) <= 2
+
+
+def test_root_reads_the_cached_threshold_at_the_bracket_end(
+        model_one, threshold_evaluations):
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model_one, p)
+    ev = fr.OmegaEvaluator(model_one, p, cp)
+    mu_p = 1.0 / ev.threshold.value
+    threshold_evaluations.clear()
+    energy = fr.solve_eigenvalue(model_one, p, cp, 2.0 * mu_p, evaluator=ev)
+    assert energy > cp.M
+    assert threshold_evaluations == []
