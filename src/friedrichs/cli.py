@@ -98,9 +98,12 @@ def _resolve_mu(mu_spec, mu_threshold):
 
 def _load(args):
     """(config, model, quadrature spec) of one command."""
-    cfg = (ModelConfig.load(args.config) if getattr(args, "config", None)
+    cfg = (ModelConfig.load(args.config) if args.config
            else ModelConfig.from_dict(DEFAULT_CONFIG))
-    return cfg, DispersionModel(cfg), _quadrature_spec(args)
+    kw = {name: value for name, value in (
+        ("n_grid", args.grid), ("rel_tol", args.tol), ("rho", args.rho))
+        if value is not None}
+    return cfg, DispersionModel(cfg), QuadratureSpec(**kw)
 
 
 def _fiber(model, spec, p):
@@ -110,27 +113,12 @@ def _fiber(model, spec, p):
     return cp, ev, coupling_threshold(model, p, cp, evaluator=ev)
 
 
-def _quadrature_spec(args):
-    kw = {}
-    if getattr(args, "grid", None) is not None:
-        kw["n_grid"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        kw["rel_tol"] = args.tol
-    if getattr(args, "rho", None) is not None:
-        kw["rho"] = args.rho
-    return QuadratureSpec(**kw)
-
-
-def _config_hash(cfg_dict):
-    blob = json.dumps(cfg_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _metadata(cfg, spec):
     d = cfg.to_dict()
+    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return {
         "config": d,
-        "config_sha256": _config_hash(d),
+        "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
         "quadrature": dataclasses.asdict(spec),
         "version": __version__,
     }
@@ -139,7 +127,7 @@ def _metadata(cfg, spec):
 def _emit(payload, args, filename):
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, filename), "w") as fh:
             fh.write(text + "\n")
@@ -149,88 +137,51 @@ def _fmt(x):
     return "" if x is None else "%.17g" % x
 
 
-# -- subcommands --------------------------------------------------------
+# -- point subcommands ----------------------------------------------------
+#
+# Each takes (args, model, spec, p), checks its own arguments before it
+# builds the fibre, and returns its JSON payload; main adds the metadata.
 
 
-def cmd_threshold(args):
-    cfg, model, spec = _load(args)
-    p = _parse_point(args.p)
+def cmd_threshold(args, model, spec, p):
     cp, _, mu_p = _fiber(model, spec, p)
-    payload = {
-        "p": list(p),
-        "q0": list(cp.q0),
-        "M": cp.M,
-        "m": cp.m,
-        "mu_threshold": mu_p,
-        "metadata": _metadata(cfg, spec),
-    }
-    _emit(payload, args, "threshold.json")
-    return 0
+    return {"p": list(p), "q0": list(cp.q0), "M": cp.M, "m": cp.m,
+            "mu_threshold": mu_p}
 
 
-def cmd_eigenvalue(args):
-    cfg, model, spec = _load(args)
-    p = _parse_point(args.p)
+def cmd_eigenvalue(args, model, spec, p):
     mu_spec = _parse_mu_spec(args.mu)
     cp, ev, mu_p = _fiber(model, spec, p)
     payload = analyze(model, p, cp, _resolve_mu(mu_spec, mu_p),
                       evaluator=ev).to_json_dict()
-    payload.update({
-        "p": list(p),
-        "q0": list(cp.q0),
-        "M": cp.M,
-        "m": cp.m,
-        "metadata": _metadata(cfg, spec),
-    })
-    _emit(payload, args, "eigenvalue.json")
-    return 0
+    payload.update({"p": list(p), "q0": list(cp.q0), "M": cp.M, "m": cp.m})
+    return payload
 
 
-def cmd_classify(args):
-    cfg, model, spec = _load(args)
-    p = _parse_point(args.p)
+def cmd_classify(args, model, spec, p):
+    mu_spec = _parse_mu_spec(args.mu)
     cp, ev, mu_p = _fiber(model, spec, p)
-    mu = _resolve_mu(_parse_mu_spec(args.mu), mu_p)
+    mu = _resolve_mu(mu_spec, mu_p)
     result = classify_threshold(model, p, cp, mu, evaluator=ev)
-    payload = {
-        "p": list(p),
-        "mu": mu,
-        "mu_threshold": mu_p,
-        "classification": result.label.value,
-        "phi_at_q0": result.phi_at_q0,
-        "l2_growth_rate": result.l2_growth_rate,
-        "metadata": _metadata(cfg, spec),
-    }
-    _emit(payload, args, "classify.json")
-    return 0
+    return {"p": list(p), "mu": mu, "mu_threshold": mu_p,
+            "classification": result.label.value,
+            "phi_at_q0": result.phi_at_q0,
+            "l2_growth_rate": result.l2_growth_rate}
 
 
-def cmd_expansion(args):
-    cfg, model, spec = _load(args)
-    p = _parse_point(args.p)
+def cmd_expansion(args, model, spec, p):
+    window = _parse_list(args.window, float, "window")
     cp, ev, _ = _fiber(model, spec, p)
-    fit = expansion_fit(model, p, cp, evaluator=ev,
-                        window=_parse_list(args.window, float, "window"),
+    fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
                         n_points=args.points)
-    payload = {
-        "p": list(p),
-        "tau0_fit": fit.tau0_fit,
-        "tau0_closed": fit.tau0_closed,
-        "rel_residual": fit.rel_residual,
-        "sqrt_coeff": fit.sqrt_coeff,
-        "linear_coeff": fit.linear_coeff,
-        "threehalf_coeff": fit.threehalf_coeff,
-        "deltas": list(fit.deltas),
-        "data": list(fit.data),
-        "metadata": _metadata(cfg, spec),
-    }
-    _emit(payload, args, "expansion.json")
-    return 0
+    return {"p": list(p), "tau0_fit": fit.tau0_fit,
+            "tau0_closed": fit.tau0_closed, "rel_residual": fit.rel_residual,
+            "sqrt_coeff": fit.sqrt_coeff, "linear_coeff": fit.linear_coeff,
+            "threehalf_coeff": fit.threehalf_coeff,
+            "deltas": list(fit.deltas), "data": list(fit.data)}
 
 
-def cmd_oracle(args):
-    cfg, model, spec = _load(args)
-    p = _parse_point(args.p)
+def cmd_oracle(args, model, spec, p):
     n_list = _parse_list(args.N, int, "N list")
     if not n_list:
         raise ConfigError("empty N list")
@@ -238,13 +189,13 @@ def cmd_oracle(args):
         check_lattice_size(n)
     if args.dense:
         check_lattice_size(args.dense, dense=True)
+    mu_spec = _parse_mu_spec(args.mu)
     cp, ev, mu_p = _fiber(model, spec, p)
-    mu = _resolve_mu(_parse_mu_spec(args.mu), mu_p)
+    mu = _resolve_mu(mu_spec, mu_p)
     payload = {
         "p": list(p), "mu": mu, "mu_threshold": mu_p,
         "roots": [{"N": n, "root": secular_root(model, p, mu, n)}
                   for n in n_list],
-        "metadata": _metadata(cfg, spec),
     }
     energy = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
     payload["E_continuum"] = energy
@@ -263,11 +214,9 @@ def cmd_oracle(args):
     if args.dense:
         res = dense_spectrum(model, p, mu, args.dense)
         payload["dense"] = {"N": res.N, "max_diag": res.max_diag,
-                            "min_eig": res.min_eig,
                             "secular_root": res.secular_root,
                             **res.spectrum_summary}
-    _emit(payload, args, "oracle.json")
-    return 0
+    return payload
 
 
 # -- sweep ---------------------------------------------------------------
@@ -347,8 +296,7 @@ def _threads():
     return int(text)
 
 
-def cmd_sweep(args):
-    cfg, model, spec = _load(args)
+def cmd_sweep(args, model, spec, metadata):
     if not args.out:
         raise ConfigError("sweep requires --out DIR")
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
@@ -380,14 +328,10 @@ def cmd_sweep(args):
         path_desc = {"path": [list(w) for w in waypoints],
                      "samples": args.samples}
 
-    workers = _threads()
-    task = lambda p: _sweep_point(model, spec, p, mu_specs, outputs,
-                                  args.oracle_n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(task, points))
-    else:
-        groups = [task(p) for p in points]
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        groups = list(pool.map(
+            lambda p: _sweep_point(model, spec, p, mu_specs, outputs,
+                                   args.oracle_n), points))
 
     columns = _sweep_columns(outputs)
     os.makedirs(args.out, exist_ok=True)
@@ -416,7 +360,7 @@ def cmd_sweep(args):
         "rows": sum(len(g) for g in groups),
         "rows_succeeded": n_ok,
         **path_desc,
-        **_metadata(cfg, spec),
+        **metadata,
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -429,15 +373,6 @@ def cmd_sweep(args):
 # -- entry point ----------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="model config JSON path "
-                     "(default: builtin two_particle, phi = 1)")
-    sub.add_argument("--out", help="output directory for artifacts")
-    sub.add_argument("--grid", type=int, help="torus grid size per axis")
-    sub.add_argument("--tol", type=float, help="quadrature relative tolerance")
-    sub.add_argument("--rho", type=float, help="near-field ball radius")
-
-
 def build_parser():
     parser = _Parser(prog="friedrichs",
                      description="Band-edge thresholds, bound states and "
@@ -445,42 +380,49 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("threshold", help="q0, band edges and mu(p)")
-    sp.add_argument("--p", default="0,0,0")
-    _add_common(sp)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="model config JSON path "
+                        "(default: builtin two_particle, phi = 1)")
+    common.add_argument("--out", help="output directory for artifacts")
+    common.add_argument("--grid", type=int, help="torus grid size per axis")
+    common.add_argument("--tol", type=float,
+                        help="quadrature relative tolerance")
+    common.add_argument("--rho", type=float, help="near-field ball radius")
+    point = argparse.ArgumentParser(add_help=False, parents=[common])
+    point.add_argument("--p", default="0,0,0")
+
+    sp = subs.add_parser("threshold", parents=[point],
+                         help="q0, band edges and mu(p)")
     sp.set_defaults(func=cmd_threshold)
 
-    sp = subs.add_parser("eigenvalue", help="bound-state report at (mu, p)")
-    sp.add_argument("--p", default="0,0,0")
+    sp = subs.add_parser("eigenvalue", parents=[point],
+                         help="bound-state report at (mu, p)")
     sp.add_argument("--mu", default="x2",
                     help="coupling: absolute value or xR for R*mu(p)")
-    _add_common(sp)
     sp.set_defaults(func=cmd_eigenvalue)
 
-    sp = subs.add_parser("classify", help="threshold classification")
-    sp.add_argument("--p", default="0,0,0")
+    sp = subs.add_parser("classify", parents=[point],
+                         help="threshold classification")
     sp.add_argument("--mu", default="x1",
                     help="default x1 means exactly the computed mu(p)")
-    _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 
-    sp = subs.add_parser("expansion", help="square-root edge expansion fit")
-    sp.add_argument("--p", default="0,0,0")
+    sp = subs.add_parser("expansion", parents=[point],
+                         help="square-root edge expansion fit")
     sp.add_argument("--window", default="1e-4,1e-2")
     sp.add_argument("--points", type=int, default=8)
-    _add_common(sp)
     sp.set_defaults(func=cmd_expansion)
 
-    sp = subs.add_parser("oracle", help="finite-lattice cross-checks")
-    sp.add_argument("--p", default="0,0,0")
+    sp = subs.add_parser("oracle", parents=[point],
+                         help="finite-lattice cross-checks")
     sp.add_argument("--mu", default="x2")
     sp.add_argument("--N", default="16,32,64")
     sp.add_argument("--dense", type=int, default=0,
                     help="also run the dense eigensolver at this N (<= 12)")
-    _add_common(sp)
     sp.set_defaults(func=cmd_oracle)
 
-    sp = subs.add_parser("sweep", help="(p, mu) sweep to CSV + manifest")
+    sp = subs.add_parser("sweep", parents=[common],
+                         help="(p, mu) sweep to CSV + manifest")
     sp.add_argument("--path", default="",
                     help="waypoints 'x,y,z:x,y,z[:...]'")
     sp.add_argument("--samples", type=int, default=9,
@@ -491,7 +433,6 @@ def build_parser():
                     help="comma list of couplings (absolute or multiples)")
     sp.add_argument("--outputs", default="threshold,eigenvalue,classify")
     sp.add_argument("--oracle-n", dest="oracle_n", type=int, default=64)
-    _add_common(sp)
     sp.set_defaults(func=cmd_sweep)
     return parser
 
@@ -503,14 +444,18 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        cfg, model, spec = _load(args)
+        metadata = _metadata(cfg, spec)
+        if args.func is cmd_sweep:
+            return cmd_sweep(args, model, spec, metadata)
+        payload = args.func(args, model, spec, _parse_point(args.p))
+        _emit(dict(payload, metadata=metadata), args,
+              args.command + ".json")
+        return 0
     except ModelValidityError as exc:
         print("friedrichs: %s" % exc, file=sys.stderr)
         return 2
-    except (ConfigError, OSError) as exc:
-        print("friedrichs: %s" % exc, file=sys.stderr)
-        return 1
-    except FriedrichsError as exc:
+    except (FriedrichsError, OSError) as exc:
         print("friedrichs: %s" % exc, file=sys.stderr)
         return 1
 

@@ -108,12 +108,12 @@ def find_minimum(model, p) -> float:
     return min(value, float(vals.min()))
 
 
-def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
+def find_maximizer(model, p) -> CriticalPointInfo:
     """Locate and certify the unique non-degenerate maximizer of w_p.
 
     A coarse grid scan picks candidate basins (all grid-local maxima close
-    to the grid maximum, plus the optional seed), each is polished by
-    torus-wrapped Newton iteration, and the best is certified:
+    to the grid maximum), each is polished by torus-wrapped Newton
+    iteration, and the best is certified:
 
     * gradient norm <= GRAD_TOL at q0,
     * Hessian negative definite (largest eigenvalue <= -NONDEG_TOL*(M-m)),
@@ -129,8 +129,6 @@ def find_maximizer(model, p, seed=None) -> CriticalPointInfo:
     ii, jj, kk = np.nonzero(mask)
     order = np.argsort(vals[ii, jj, kk])[::-1][:16]
     starts = [np.array([ax[ii[t]], ax[jj[t]], ax[kk[t]]]) for t in order]
-    if seed is not None:
-        starts.append(wrap_angles(seed))
 
     trust = 2.0 * np.pi / GRID_N
     polished = []

@@ -136,12 +136,6 @@ class HarmonicTable:
                 total += 0.5 * (c * c + s * s)
         return (2.0 * np.pi) ** 3 * total
 
-    def entries(self):
-        return [
-            {"index": [int(v) for v in k], "value": float(c), "sin": float(s)}
-            for k, c, s in zip(self.indices, self.cos, self.sin)
-        ]
-
 
 def _real(value, name):
     if isinstance(value, numbers.Real):
@@ -308,10 +302,6 @@ class DispersionModel:
     def phi(self, q):
         x1, x2, x3 = _components(q)
         return self._phi.value(x1, x2, x3)
-
-    def grad_phi(self, q):
-        x1, x2, x3 = _components(q)
-        return self._phi.gradient(x1, x2, x3)
 
     def phi_l2_norm_sq(self):
         """Exact L2(T^3) norm squared of phi."""

@@ -25,11 +25,15 @@ from .torus import grid_axis, tensor_grid
 DENSE_N_MAX = 12
 
 
+def _secular_size(N):
+    return N >= 8 and N % 2 == 0
+
+
 def check_lattice_size(N, dense=False):
     """Raise InvalidInputError unless secular_root (even N >= 8) or, with
     dense=True, dense_spectrum (1 <= N <= DENSE_N_MAX) accepts N."""
     if not dense:
-        if N < 8 or N % 2:
+        if not _secular_size(N):
             raise InvalidInputError("secular_root requires even N >= 8")
     elif N < 1:
         raise InvalidInputError("dense_spectrum requires N >= 1, got %d" % N)
@@ -108,9 +112,9 @@ def secular_root(model, p, mu, N, offset=0.5):
     args = (mu * h3, phi2, w)
     if _secular_det(z_lo, *args) >= 0.0:
         return None
+    # every z_hi - w_j exceeds mu h^3 sum phi^2, so the sum is below 1 and
+    # the determinant is positive at z_hi
     z_hi = z_lo + mu * h3 * float(np.sum(phi2)) + max(spread, 1.0)
-    while _secular_det(z_hi, *args) <= 0.0:
-        z_hi = w_max + 2.0 * (z_hi - w_max)
     return float(brentq(_secular_det, z_lo, z_hi, args=args, xtol=1e-13,
                         rtol=4.0 * np.finfo(float).eps, maxiter=200))
 
@@ -122,7 +126,6 @@ class OracleResult:
     N: int
     secular_root: float | None
     max_diag: float
-    min_eig: float | None
     spectrum_summary: dict = field(default_factory=dict)
 
 
@@ -130,7 +133,8 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     """Full symmetric eigendecomposition of H_N for N <= 12.
 
     Reports the extremal eigenvalues and the number of eigenvalues strictly
-    above the top diagonal entry (0 or 1 by rank-one interlacing).
+    above the top diagonal entry (0 or 1 by rank-one interlacing), and the
+    secular root for the N that secular_root accepts (None otherwise).
     """
     check_coupling(mu)
     check_lattice_size(N, dense=True)
@@ -141,11 +145,11 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     max_diag = float(np.max(w))
     tol = 1e-12 * max(1.0, abs(max_diag))
     count_above = int(np.sum(eigs > max_diag + tol))
+    root = secular_root(model, p, mu, N) if _secular_size(N) else None
     return OracleResult(
         N=N,
-        secular_root=secular_root(model, p, mu, N) if N >= 8 else None,
+        secular_root=root,
         max_diag=max_diag,
-        min_eig=float(eigs[0]),
         spectrum_summary={
             "min_eig": float(eigs[0]),
             "max_eig": float(eigs[-1]),
@@ -170,17 +174,11 @@ class ConvergenceReport:
     floor: float
     trend_ok: bool
 
-    def to_csv(self, path_or_file):
-        def _write(fh):
+    def to_csv(self, path):
+        with open(path, "w") as fh:
             fh.write("N,root,abs_dev,rel_dev\n")
             for N, root, adev, rdev in self.rows:
                 fh.write("%d,%.17g,%.17g,%.17g\n" % (N, root, adev, rdev))
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file,
-                                                             "__fspath__"):
-            with open(path_or_file, "w") as fh:
-                _write(fh)
-        else:
-            _write(path_or_file)
 
 
 def convergence_report(model, p, mu, N_list, E_continuum,

@@ -31,7 +31,6 @@ and read p, M(p), the spec and Omega(p) from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -43,29 +42,27 @@ from .errors import (
 from .torus import grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
+MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 N_SHELLS = 8   # nested annuli of state_norm_diagnostics
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and tolerances for the split quadrature.
+    """Base node counts and the tolerance of the split quadrature.
 
     n_grid     torus trapezoid nodes per axis (far field)
     rho        bump support radius; None selects it automatically
     n_radial   Gauss-Legendre nodes on [0, rho]
     n_angular  polar nodes in cos(theta); 2*n_angular azimuthal nodes
-    bump_order C^k polynomial bump transition; None = C-infinity bump
-    rel_tol    target relative tolerance for the refinement loop
-    max_refinements  number of node-count doublings allowed
+    rel_tol    target relative tolerance for the refinement loop, which
+               doubles every node count up to MAX_REFINEMENTS times
     """
 
     n_grid: int = 64
     rho: float | None = None
     n_radial: int = 48
     n_angular: int = 26
-    bump_order: int | None = None
     rel_tol: float = 1e-6
-    max_refinements: int = 2
 
     def __post_init__(self):
         if self.n_grid < 16:
@@ -74,8 +71,6 @@ class QuadratureSpec:
             raise QuadratureError("too few radial/angular nodes")
         if self.rho is not None and not 0.0 < self.rho < 0.5 * np.pi:
             raise QuadratureError("rho must lie in (0, pi/2)")
-        if self.max_refinements < 1:
-            raise QuadratureError("refinement doubling must be supported")
         if not 0.0 < self.rel_tol < float("inf"):
             raise QuadratureError("rel_tol must lie in (0, inf), got %r"
                                   % (self.rel_tol,))
@@ -93,26 +88,16 @@ class OmegaValue:
     rho: float
 
 
-def bump_profile(t, order=None):
-    """Radial bump: 1 on t <= 1/2, 0 on t >= 1, smooth in between.
-
-    order=None gives the C-infinity exp(-1/s) transition; an integer k
-    gives the C^k polynomial smoothstep.
-    """
+def bump_profile(t):
+    """Radial C-infinity bump: 1 on t <= 1/2, 0 on t >= 1, with the
+    exp(-1/s) transition in between."""
     t = np.asarray(t, dtype=float)
     s = np.clip(2.0 * (t - 0.5), 0.0, 1.0)
-    if order is None:
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            fa = np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
-            fb = np.where(s < 1.0,
-                          np.exp(-1.0 / np.where(s < 1.0, 1.0 - s, 1.0)), 0.0)
-        return fb / (fa + fb)
-    k = int(order)
-    rise = np.zeros_like(s)
-    for n in range(k + 1):
-        rise += comb(k + n, n) * comb(2 * k + 1, k - n) * (-s) ** n
-    rise *= s ** (k + 1)
-    return 1.0 - rise
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        fa = np.where(s > 0.0, np.exp(-1.0 / np.where(s > 0.0, s, 1.0)), 0.0)
+        fb = np.where(s < 1.0,
+                      np.exp(-1.0 / np.where(s < 1.0, 1.0 - s, 1.0)), 0.0)
+    return fb / (fa + fb)
 
 
 def sphere_product_rule(n):
@@ -219,7 +204,7 @@ class OmegaEvaluator:
         grid = tensor_grid(ax)
         dist = np.sqrt(_dist2_to(ax, self.q0))
         weight = (2.0 * np.pi / n_grid) ** 3 * (
-            1.0 - bump_profile(dist / rho, s.bump_order))
+            1.0 - bump_profile(dist / rho))
         phi2 = np.broadcast_to(np.asarray(self.model.phi(grid)) ** 2,
                                dist.shape)
         weight = weight * phi2
@@ -241,7 +226,7 @@ class OmegaEvaluator:
                 "near-field ball of radius %.3f contains points at or above "
                 "the band edge; decrease rho" % rho)
         phi2_near = np.asarray(self.model.phi(pts)) ** 2
-        chi = bump_profile(r / rho, s.bump_order)
+        chi = bump_profile(r / rho)
         P = (wr * chi * r * r)[:, None] * wa[None, :] * phi2_near
         R2 = wr * r * r
         k = 0.5 * np.einsum("ij,jk,ik->i", nu, self._negA, nu)
@@ -284,17 +269,23 @@ class OmegaEvaluator:
         return self._sums(z, level, 1)
 
     def _refine(self, sums_at_level, what):
-        """Double all node counts until consecutive level totals agree to
-        the spec's relative tolerance.  Returns (level, estimate, sums)."""
+        """Double all node counts until the estimate |dnear| + |dfar|
+        between consecutive levels is within the spec's relative tolerance
+        of the total.  Returns (level, estimate, sums).
+
+        The far field is not monotone across levels, so the change of the
+        total can cancel between the two fields and understate the error;
+        the per-field sum cannot.
+        """
         prev = None
-        for level in range(self.spec.max_refinements + 1):
+        for level in range(MAX_REFINEMENTS + 1):
             sums = sums_at_level(level)
             if prev is not None:
-                est = abs(sums[0] - prev)
+                est = abs(sums[1] - prev[1]) + abs(sums[2] - prev[2])
                 bound = self.spec.rel_tol * max(abs(sums[0]), 1e-300)
                 if est <= bound:
                     return level, est, sums
-            prev = sums[0]
+            prev = sums
         raise QuadratureNotConvergedError(
             "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
             "|value| %.3e)" % (what, est, bound, self.spec.rel_tol,
@@ -303,7 +294,7 @@ class OmegaEvaluator:
     def evaluate(self, z) -> OmegaValue:
         """Omega(p; z) with one-step refinement error estimation.
 
-        Raises QuadratureNotConvergedError if max_refinements doublings do
+        Raises QuadratureNotConvergedError if MAX_REFINEMENTS doublings do
         not reach the spec's relative tolerance.
         """
         level, est, (total, near, far) = self._refine(

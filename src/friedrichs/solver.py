@@ -12,7 +12,9 @@ Every function takes the fibre as (model, p, cp) plus an optional
 OmegaEvaluator; without one it builds an evaluator with the default
 QuadratureSpec.  Pass `evaluator=OmegaEvaluator(model, p, cp, spec)` to
 use another spec and to share node levels and the cached Omega(p) between
-calls.  The functions read p, M(p) and the model from the evaluator.
+calls; an evaluator built from another model, cp or p raises
+InvalidInputError.  The functions read p, M(p) and the model from the
+evaluator.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ FIT_WINDOW = (1e-4, 1e-2)
 FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
+CHECK_GRID = 64          # midpoint nodes per axis of the eigenfunction checks
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
@@ -53,9 +56,17 @@ class Classification(str, enum.Enum):
 
 
 def _evaluator(model, p, cp, evaluator):
-    if evaluator is not None:
-        return evaluator
-    return OmegaEvaluator(model, p, cp)
+    if evaluator is None:
+        return OmegaEvaluator(model, p, cp)
+    for name, same in (
+            ("model", evaluator.model is model),
+            ("cp", evaluator.cp is cp),
+            ("p", np.array_equal(evaluator.p, np.asarray(p, dtype=float)))):
+        if not same:
+            raise InvalidInputError(
+                "evaluator belongs to another fibre: its %s is not the %s "
+                "passed" % (name, name))
+    return evaluator
 
 
 def _det(z, ev, mu):
@@ -139,23 +150,24 @@ class EigenfunctionEval:
         return (self.normalization * self.mu * self.model.phi(q)
                 / (self.energy - self.model.w(self.p, q)))
 
-    def norm_on_grid(self, n_grid=64):
+    def norm_on_grid(self):
         """L2 norm via the plain midpoint rule (smooth integrand)."""
-        vals = self(tensor_grid(grid_axis(n_grid)))
-        return float(np.sqrt((2.0 * np.pi / n_grid) ** 3 * np.sum(vals * vals)))
+        vals = self(tensor_grid(grid_axis(CHECK_GRID)))
+        return float(np.sqrt((2.0 * np.pi / CHECK_GRID) ** 3
+                             * np.sum(vals * vals)))
 
-    def residual_sup(self, n_grid=64):
+    def residual_sup(self):
         """sup |(H_mu(p) - E) psi| with H applied on a midpoint grid.
 
         The rank-one term uses the grid inner product, so this is an
         independent discrete application of the operator, not a replay of
         the quadrature that produced E.
         """
-        grid = tensor_grid(grid_axis(n_grid))
+        grid = tensor_grid(grid_axis(CHECK_GRID))
         w = np.asarray(self.model.w(self.p, grid))
         phi = np.broadcast_to(np.asarray(self.model.phi(grid)), w.shape)
         psi = self.normalization * self.mu * phi / (self.energy - w)
-        inner = (2.0 * np.pi / n_grid) ** 3 * np.sum(phi * psi)
+        inner = (2.0 * np.pi / CHECK_GRID) ** 3 * np.sum(phi * psi)
         resid = (w - self.energy) * psi + self.mu * phi * inner
         return float(np.max(np.abs(resid)))
 
@@ -321,7 +333,7 @@ class SpectralReport:
 
 def analyze(model, p, cp: CriticalPointInfo, mu,
             evaluator: OmegaEvaluator | None = None,
-            with_expansion=False, with_diagnostics=True) -> SpectralReport:
+            with_expansion=False) -> SpectralReport:
     """Full single-point analysis: threshold, eigenvalue, classification."""
     ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
@@ -330,8 +342,7 @@ def analyze(model, p, cp: CriticalPointInfo, mu,
     if energy is not None:
         norm_const = eigenfunction(model, p, cp, mu, energy,
                                    evaluator=ev).normalization
-    cls = classify_threshold(model, p, cp, mu, evaluator=ev,
-                             with_diagnostics=with_diagnostics)
+    cls = classify_threshold(model, p, cp, mu, evaluator=ev)
     tau_fit = tau_closed = None
     if with_expansion:
         fit = expansion_fit(model, p, cp, evaluator=ev)

@@ -177,7 +177,8 @@ def test_criterion_7_positivity_shadow(model_one):
         p = rng.uniform(-np.pi, np.pi, 3)
         mu = float(10.0 ** rng.uniform(-2.5, -0.5))
         res = fr.dense_spectrum(model_one, p, mu, 10)
-        below = res.min_eig < res.spectrum_summary["min_diag"] - 1e-10
+        below = (res.spectrum_summary["min_eig"]
+                 < res.spectrum_summary["min_diag"] - 1e-10)
         multi = res.spectrum_summary["count_above_max_diag"] not in (0, 1)
         bad += int(below or multi)
     _report(7, "positivity shadow", bad == 0,
@@ -194,7 +195,7 @@ def test_criterion_8_eigenfunction_residual(model_one):
             mu = ratio * mu_p
             e = fr.solve_eigenvalue(model_one, p, cp, mu, evaluator=ev)
             psi = fr.eigenfunction(model_one, p, cp, mu, e, evaluator=ev)
-            worst = max(worst, psi.residual_sup(64))
+            worst = max(worst, psi.residual_sup())
     _report(8, "eigenfunction residual", worst <= 1e-8,
             "max sup-norm %.2e over 10 (mu, p) pairs" % worst)
 

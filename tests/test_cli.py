@@ -269,6 +269,9 @@ def _no_fiber(model, spec, p):
     (["sweep", "--path", "0,0,0"], "abc", "FRIEDRICHS_THREADS"),
     (["sweep", "--path", "0,0,0"], "0", "FRIEDRICHS_THREADS"),
     (["sweep", "--path", "0,0,0"], "-2", "FRIEDRICHS_THREADS"),
+    (["classify", "--mu", "abc"], None, "mu spec"),
+    (["oracle", "--mu", "abc"], None, "mu spec"),
+    (["expansion", "--window", "abc"], None, "window"),
 ])
 def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
                                           threads, fragment):

@@ -80,17 +80,6 @@ def test_closed_form_check_family_mismatch():
         fr.closed_form_check(tp, P0)
 
 
-def test_seed_independence(model_one):
-    p = np.array([0.4, -0.2, 0.9])
-    base = fr.find_maximizer(model_one, p)
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        seed = rng.uniform(-np.pi, np.pi, 3)
-        info = fr.find_maximizer(model_one, p, seed=seed)
-        assert fr.torus_distance(info.q0, base.q0) <= 1e-10
-        assert info.M == pytest.approx(base.M, abs=1e-12)
-
-
 def test_maximizer_continuity_along_path(model_one):
     # numerical shadow of the analytic maximizer map: Lipschitz along a
     # sweep (the closed-form slope is 1/2)

@@ -86,17 +86,6 @@ def test_derivatives_match_finite_differences_with_order(model_one):
         assert np.allclose(hess, hess.T, atol=1e-13)
 
 
-def test_grad_phi_matches_finite_differences(model_vanishing):
-    rng = np.random.default_rng(5)
-    q = rng.uniform(-np.pi, np.pi, 3)
-    g = model_vanishing.grad_phi(q)
-    h = 1e-5
-    for i in range(3):
-        e = np.eye(3)[i] * h
-        fd = (model_vanishing.phi(q + e) - model_vanishing.phi(q - e)) / (2 * h)
-        assert g[i] == pytest.approx(fd, abs=1e-8)
-
-
 def test_phi_values(model_one, model_vanishing):
     assert model_one.phi(np.array([0.3, -1.0, 2.0])) == pytest.approx(1.0)
     assert model_vanishing.phi(QPI) == pytest.approx(0.0, abs=1e-14)

@@ -93,7 +93,8 @@ def test_dense_interlacing_and_positivity(model_one, mu_one):
         mu = float(10.0 ** rng.uniform(-2.5, -0.5))
         res = fr.dense_spectrum(model_one, p, mu, 10)
         assert res.spectrum_summary["count_above_max_diag"] in (0, 1)
-        assert res.min_eig >= res.spectrum_summary["min_diag"] - 1e-10
+        assert (res.spectrum_summary["min_eig"]
+                >= res.spectrum_summary["min_diag"] - 1e-10)
 
 
 def test_dense_size_limit(model_one):
@@ -148,3 +149,11 @@ def test_secular_root_exceeds_max_diag(model_one, mu_one):
 def test_dense_rejects_empty_lattice(model_one, n):
     with pytest.raises(fr.InvalidInputError):
         fr.dense_spectrum(model_one, P0, 0.03, n)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_dense_at_odd_n_skips_the_secular_root(model_one, n):
+    res = fr.dense_spectrum(model_one, P0, 0.05, n)
+    assert res.N == n
+    assert res.secular_root is None
+    assert res.spectrum_summary["matrix_size"] == n ** 3

@@ -92,7 +92,7 @@ def test_refinement_convergence_order(model_one, cp_one):
 
 def test_not_converged_raises(model_one, cp_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=6, n_angular=6,
-                             rel_tol=1e-15, max_refinements=1)
+                             rel_tol=1e-15)
     with pytest.raises(fr.QuadratureNotConvergedError):
         fr.OmegaEvaluator(model_one, P0, cp_one, spec).threshold
 
@@ -115,22 +115,10 @@ def test_omega_at_nonzero_momentum_against_bessel(model_one, bessel_ref):
 
 def test_bump_profile_shape():
     t = np.linspace(0.0, 1.3, 200)
-    for order in (None, 3, 5):
-        b = bump_profile(t, order)
-        assert np.all(b[t <= 0.5] == 1.0)
-        assert np.all(b[t >= 1.0] == 0.0)
-        assert np.all(np.diff(b) <= 1e-12)
-
-
-def test_bump_family_independence(model_one, cp_one):
-    # the split is a partition of unity: the value must not depend on the
-    # transition profile beyond quadrature error
-    a = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec()).threshold
-    b = fr.OmegaEvaluator(model_one, P0, cp_one,
-                          fr.QuadratureSpec(bump_order=6)).threshold
-    assert abs(a.value - b.value) <= 10.0 * max(a.estimated_error,
-                                                b.estimated_error,
-                                                1e-12 * a.value)
+    b = bump_profile(t)
+    assert np.all(b[t <= 0.5] == 1.0)
+    assert np.all(b[t >= 1.0] == 0.0)
+    assert np.all(np.diff(b) <= 1e-12)
 
 
 def test_state_norm_diagnostics_off_threshold(cp_one, ev_one):
@@ -159,19 +147,19 @@ def test_spec_validation():
         fr.QuadratureSpec(n_grid=8)
     with pytest.raises(fr.QuadratureError):
         fr.QuadratureSpec(rho=2.0)
-    with pytest.raises(fr.QuadratureError):
-        fr.QuadratureSpec(max_refinements=0)
 
 
 def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
-                             rel_tol=1e-15, max_refinements=1)
+                             rel_tol=1e-15)
     ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
     z = cp_one.M + 0.1
     cases = ((ev.evaluate, ev.value_at_level),
              (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
     for call, at_level in cases:
-        est = abs(at_level(z, 1)[0] - at_level(z, 0)[0])
+        _, near1, far1 = at_level(z, 1)
+        _, near2, far2 = at_level(z, 2)
+        est = abs(near2 - near1) + abs(far2 - far1)
         assert est > 0.0
         with pytest.raises(fr.QuadratureNotConvergedError,
                            match=re.escape("estimate %.3e above" % est)):
@@ -186,10 +174,10 @@ def test_rel_tol_outside_open_interval_rejected(rel_tol):
 
 def test_not_converged_message_states_the_absolute_bound(model_one, cp_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
-                             rel_tol=1e-15, max_refinements=1)
+                             rel_tol=1e-15)
     ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
     z = cp_one.M + 0.1
-    value = abs(ev.value_at_level(z, 1)[0])
+    value = abs(ev.value_at_level(z, 2)[0])
     bound = "above %.3e (rel_tol 1.0e-15 x |value| %.3e)" % (1e-15 * value,
                                                              value)
     with pytest.raises(fr.QuadratureNotConvergedError,
@@ -204,3 +192,14 @@ def test_threshold_is_evaluated_once(model_one, cp_one,
     assert ev.threshold is first
     assert first == ev.evaluate(cp_one.M)
     assert len(threshold_evaluations) == 2  # the fill and the direct call
+
+
+@pytest.mark.parametrize("p", [(-0.488, -2.665, -0.192),
+                               (0.798, -1.117, -2.749)])
+def test_error_bar_bounds_the_error(model_one, bessel_ref, p):
+    # the level-1 far field overshoots while the totals of levels 0 and 1
+    # agree by chance: the change of the total alone understates the error
+    p = np.array(p)
+    got = fr.OmegaEvaluator(model_one, p,
+                            fr.find_maximizer(model_one, p)).threshold
+    assert abs(got.value - bessel_ref(0.0, p=p)) <= got.estimated_error

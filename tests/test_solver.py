@@ -140,8 +140,8 @@ def test_eigenfunction_normalized_with_small_residual(model_one, cp_one,
     e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
     psi = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_one)
     assert psi.normalization > 0.0
-    assert psi.norm_on_grid(64) == pytest.approx(1.0, abs=1e-7)
-    assert psi.residual_sup(64) <= 1e-8
+    assert psi.norm_on_grid() == pytest.approx(1.0, abs=1e-7)
+    assert psi.residual_sup() <= 1e-8
     # pointwise: finite everywhere, peak near q0
     vals = psi(np.array([[np.pi, np.pi, np.pi], [0.0, 0.0, 0.0]]))
     assert np.all(np.isfinite(vals))
@@ -276,7 +276,7 @@ def test_analyze_report_fields(model_one, cp_one, ev_one, mu_one):
     assert d["eigenfunction_norm"] > 0.0
 
     rep_low = fr.analyze(model_one, P0, cp_one, 0.5 * mu_one,
-                         evaluator=ev_one, with_diagnostics=False)
+                         evaluator=ev_one)
     assert rep_low.E is None
     assert rep_low.classification is fr.Classification.REGULAR
     assert rep_low.to_json_dict()["E"] is None
@@ -347,3 +347,16 @@ def test_root_reads_the_cached_threshold_at_the_bracket_end(
     energy = fr.solve_eigenvalue(model_one, p, cp, 2.0 * mu_p, evaluator=ev)
     assert energy > cp.M
     assert threshold_evaluations == []
+
+
+def test_evaluator_of_another_fibre_rejected(model_one, model_vanishing,
+                                             cp_one, ev_one, mu_one):
+    p = np.array([0.7, -0.3, 1.1])
+    fibres = {
+        "model": (model_vanishing, P0, cp_one),
+        "cp": (model_one, P0, fr.find_maximizer(model_one, P0)),
+        "p": (model_one, p, cp_one),
+    }
+    for name, (model, p, cp) in fibres.items():
+        with pytest.raises(fr.InvalidInputError, match="its %s is" % name):
+            fr.solve_eigenvalue(model, p, cp, 2.0 * mu_one, evaluator=ev_one)
