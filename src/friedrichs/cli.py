@@ -24,13 +24,14 @@ from .errors import ConfigError, FriedrichsError, ModelValidityError
 from .models import DispersionModel, ModelConfig
 from .oracle import (
     check_lattice_size,
-    convergence_report,
     dense_spectrum,
+    report_from_roots,
     secular_root,
 )
 from .quadrature import OmegaEvaluator, QuadratureSpec
 from .solver import (
     analyze,
+    check_expansion_args,
     classify_threshold,
     coupling_threshold,
     eigenvalue_error_estimate,
@@ -171,6 +172,7 @@ def cmd_classify(args, model, spec, p):
 
 def cmd_expansion(args, model, spec, p):
     window = _parse_list(args.window, float, "window")
+    check_expansion_args(window, args.points)
     cp, ev, _ = _fiber(model, spec, p)
     fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
                         n_points=args.points)
@@ -192,18 +194,17 @@ def cmd_oracle(args, model, spec, p):
     mu_spec = _parse_mu_spec(args.mu)
     cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(mu_spec, mu_p)
+    roots = [(n, secular_root(model, p, mu, n)) for n in n_list]
     payload = {
         "p": list(p), "mu": mu, "mu_threshold": mu_p,
-        "roots": [{"N": n, "root": secular_root(model, p, mu, n)}
-                  for n in n_list],
+        "roots": [{"N": n, "root": root} for n, root in roots],
     }
     energy = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
     payload["E_continuum"] = energy
-    if energy is not None and all(r["root"] is not None
-                                  for r in payload["roots"]):
+    if energy is not None and all(root is not None for _, root in roots):
         floor = eigenvalue_error_estimate(model, p, cp, mu, energy,
                                           evaluator=ev)
-        rep = convergence_report(model, p, mu, n_list, energy, floor=floor)
+        rep = report_from_roots(mu, roots, energy, floor=floor)
         payload["convergence"] = [
             {"N": n, "root": r, "abs_dev": a, "rel_dev": d}
             for n, r, a, d in rep.rows]

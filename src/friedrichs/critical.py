@@ -48,7 +48,7 @@ class CriticalPointInfo:
 
 def _grid_values(model, p, n):
     ax = grid_axis(n, offset=0)
-    return ax, model.w(p, tensor_grid(ax))
+    return ax, np.broadcast_to(model.w(p, tensor_grid(ax)), (n, n, n))
 
 
 def _local_maxima_mask(vals):

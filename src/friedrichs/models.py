@@ -52,6 +52,14 @@ def _components(q):
     return arr[..., 0], arr[..., 1], arr[..., 2]
 
 
+def _phase(k, x1, x2, x3):
+    """k.x summed over the nonzero components of k only: an axis harmonic
+    on a tensor grid costs one axis, and the exact zeros left out change
+    no rounding.  0.0 for k = 0."""
+    terms = [ki * xi for ki, xi in zip(k, (x1, x2, x3)) if ki != 0]
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
 class HarmonicTable:
     """Real trigonometric polynomial sum_k [c_k cos(k.x) + s_k sin(k.x)].
 
@@ -89,7 +97,7 @@ class HarmonicTable:
     def value(self, x1, x2, x3):
         out = 0.0
         for k, c, s in zip(self.indices, self.cos, self.sin):
-            phase = k[0] * x1 + k[1] * x2 + k[2] * x3
+            phase = _phase(k, x1, x2, x3)
             term = 0.0
             if c != 0.0:
                 term = c * np.cos(phase)
@@ -104,7 +112,7 @@ class HarmonicTable:
         for k, c, s in zip(self.indices, self.cos, self.sin):
             if k[0] == 0 and k[1] == 0 and k[2] == 0:
                 continue
-            phase = k[0] * x1 + k[1] * x2 + k[2] * x3
+            phase = _phase(k, x1, x2, x3)
             radial = -c * np.sin(phase) + s * np.cos(phase)
             for i in range(3):
                 if k[i] != 0:
@@ -117,7 +125,7 @@ class HarmonicTable:
         for k, c, s in zip(self.indices, self.cos, self.sin):
             if k[0] == 0 and k[1] == 0 and k[2] == 0:
                 continue
-            phase = k[0] * x1 + k[1] * x2 + k[2] * x3
+            phase = _phase(k, x1, x2, x3)
             radial = -c * np.cos(phase) - s * np.sin(phase)
             for i in range(3):
                 for j in range(3):
@@ -277,7 +285,8 @@ class DispersionModel:
 
     def w(self, p, q):
         """w_p(q); q may be a single point, an (..., 3) array or a
-        3-tuple of broadcastable coordinate arrays."""
+        3-tuple of broadcastable coordinate arrays.  The result broadcasts
+        against q (on a tensor grid it spans the axes the table reads)."""
         p1, p2, p3 = _components(p)
         x1, x2, x3 = _components(q)
         return (self._w_block.value(x1, x2, x3)
@@ -300,6 +309,7 @@ class DispersionModel:
     # -- form factor --------------------------------------------------
 
     def phi(self, q):
+        """phi(q); broadcasts like w, so a constant phi is 0-d."""
         x1, x2, x3 = _components(q)
         return self._phi.value(x1, x2, x3)
 

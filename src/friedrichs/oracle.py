@@ -45,8 +45,8 @@ def check_lattice_size(N, dense=False):
 def grid_values(model, p, N, offset=0.5):
     """(w_p values, phi values) flattened over the N^3 grid."""
     grid = tensor_grid(grid_axis(N, offset))
-    w = np.asarray(model.w(p, grid))
-    phi = np.broadcast_to(np.asarray(model.phi(grid)), w.shape)
+    w = np.broadcast_to(model.w(p, grid), (N, N, N))
+    phi = np.broadcast_to(model.phi(grid), w.shape)
     return w.ravel(), phi.ravel()
 
 
@@ -81,7 +81,8 @@ EDGE_RESOLUTION_FRACTION = 0.01
 def _secular_det(z, mu_h3, phi2, w):
     # module level, not a closure: brentq keeps a closure alive in a
     # reference cycle, and with it the lattice arrays, until a full GC
-    return 1.0 - mu_h3 * np.sum(phi2 / (z - w))
+    d = z - w
+    return 1.0 - mu_h3 * np.divide(phi2, d, out=d).sum()
 
 
 def secular_root(model, p, mu, N, offset=0.5):
@@ -189,9 +190,14 @@ def convergence_report(model, p, mu, N_list, E_continuum,
     the quadrature error estimate); deviations at or below it are treated
     as converged rather than required to keep shrinking.
     """
+    return report_from_roots(mu, [(N, secular_root(model, p, mu, N))
+                                  for N in N_list], E_continuum, floor)
+
+
+def report_from_roots(mu, roots, E_continuum, floor=0.0) -> ConvergenceReport:
+    """convergence_report from (N, secular root) pairs already solved."""
     rows = []
-    for N in N_list:
-        root = secular_root(model, p, mu, N)
+    for N, root in roots:
         if root is None:
             raise InvalidInputError(
                 "no secular root at N=%d; convergence study needs mu above "

@@ -26,6 +26,10 @@ node sets.  Omega and the second moment int phi^2 / (z - w_p)^2 (the
 power-2 integrand, -dOmega/dz) share that node cache and one refinement
 loop.  The solver functions and state_norm_diagnostics take an evaluator
 and read p, M(p), the spec and Omega(p) from it.
+
+A level build evaluates the bump only on its shell dist < rho (it is 0
+beyond); each per-z node reduction allocates one temporary, the
+denominator, divided in place.
 """
 
 from __future__ import annotations
@@ -130,8 +134,12 @@ def _radial_closed_form(delta, k, rho, power):
             - rho / (2.0 * (a * a + rho * rho))) / (k * k)
 
 
-def _power(x, power):
-    return x if power == 1 else x * x
+def _sum_over(num, d, power):
+    """sum(num / d**power), computed in the buffer of the fresh temporary
+    d, which it overwrites: one temporary per reduction."""
+    if power == 2:
+        np.multiply(d, d, out=d)
+    return float(np.divide(num, d, out=d).sum())
 
 
 def _dist2_to(ax, q0):
@@ -203,15 +211,18 @@ class OmegaEvaluator:
         ax = grid_axis(n_grid)
         grid = tensor_grid(ax)
         dist = np.sqrt(_dist2_to(ax, self.q0))
-        weight = (2.0 * np.pi / n_grid) ** 3 * (
-            1.0 - bump_profile(dist / rho))
+        # the bump is exactly 0.0 at dist >= rho: evaluate it on its shell
+        shell = dist < rho
+        chi = np.zeros(dist.shape)
+        chi[shell] = bump_profile(dist[shell] / rho)
+        weight = (2.0 * np.pi / n_grid) ** 3 * (1.0 - chi)
         phi2 = np.broadcast_to(np.asarray(self.model.phi(grid)) ** 2,
                                dist.shape)
         weight = weight * phi2
         keep = weight > 0.0
         far_weight = weight[keep]
         far_w = np.broadcast_to(self.model.w(self.p, grid), dist.shape)[keep]
-        del weight, phi2, dist, keep
+        del weight, phi2, dist, keep, shell, chi
 
         # near field: polar nodes about q0
         xr, wr = np.polynomial.legendre.leggauss(n_rad)
@@ -232,7 +243,9 @@ class OmegaEvaluator:
         k = 0.5 * np.einsum("ij,jk,ik->i", nu, self._negA, nu)
         return {
             "n_grid": n_grid, "far_weight": far_weight, "far_w": far_w,
-            "P": P, "w_near": w_near, "r": r, "R2": R2, "k": k, "wa": wa,
+            "P": P, "u": u, "k": k, "wa": wa,
+            "kr2": k[None, :] * (r ** 2)[:, None],
+            "R2wa": R2[:, None] * wa[None, :],
         }
 
     def _level(self, level):
@@ -252,13 +265,10 @@ class OmegaEvaluator:
         """(total, near, far) of int phi^2 / (z - w_p)^power at one level."""
         delta = self._delta(z)
         L = self._level(level)
-        far = float(np.sum(L["far_weight"]
-                           / _power(z - L["far_w"], power)))
-        direct = float(np.sum(
-            L["P"] / _power(delta + (self.M - L["w_near"]), power)))
-        denom = delta + L["k"][None, :] * (L["r"] ** 2)[:, None]
-        model_part = float(self._phi0_sq * np.sum(
-            L["R2"][:, None] * L["wa"][None, :] / _power(denom, power)))
+        far = _sum_over(L["far_weight"], z - L["far_w"], power)
+        direct = _sum_over(L["P"], delta + L["u"], power)
+        model_part = self._phi0_sq * _sum_over(L["R2wa"], delta + L["kr2"],
+                                               power)
         closed = float(self._phi0_sq * np.sum(
             L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
         near = direct - model_part + closed

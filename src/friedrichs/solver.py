@@ -263,6 +263,19 @@ def tau0_closed_form(model, cp: CriticalPointInfo) -> float:
     return phi_q0 ** 2 * 2.0 ** 1.5 / np.sqrt(cp.det_negA)
 
 
+def check_expansion_args(window, n_points):
+    """Raise InvalidInputError unless expansion_fit accepts the window
+    (lo, hi) and the point count."""
+    if len(window) != 2 or not 0.0 < window[0] < window[1] < float("inf"):
+        raise InvalidInputError(
+            "expansion window must be lo,hi with 0 < lo < hi < inf: %r"
+            % (window,))
+    if not n_points >= FIT_MIN_POINTS:
+        raise InvalidInputError(
+            "expansion fit needs at least %d points, got %r"
+            % (FIT_MIN_POINTS, n_points))
+
+
 def expansion_fit(model, p, cp: CriticalPointInfo,
                   evaluator: OmegaEvaluator | None = None,
                   window=FIT_WINDOW, n_points=FIT_POINTS) -> ExpansionFit:
@@ -274,14 +287,7 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     points would determine the three coefficients exactly and leave the
     residual gate nothing to test.
     """
-    if len(window) != 2 or not 0.0 < window[0] < window[1] < float("inf"):
-        raise InvalidInputError(
-            "expansion window must be lo,hi with 0 < lo < hi < inf: %r"
-            % (window,))
-    if not n_points >= FIT_MIN_POINTS:
-        raise InvalidInputError(
-            "expansion fit needs at least %d points, got %r"
-            % (FIT_MIN_POINTS, n_points))
+    check_expansion_args(window, n_points)
     ev = _evaluator(model, p, cp, evaluator)
     deltas = np.logspace(np.log10(window[0]), np.log10(window[1]), n_points)
     omega0 = ev.threshold.value

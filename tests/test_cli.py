@@ -143,6 +143,25 @@ def test_oracle_command(capsys, tmp_path):
     assert len(csv) == 3
 
 
+def test_oracle_solves_each_secular_root_once(capsys, monkeypatch, tmp_path):
+    from friedrichs import oracle
+
+    calls = []
+    solve = oracle.secular_root
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "secular_root", counted)
+    monkeypatch.setattr(cli, "secular_root", counted)
+    code, out, _ = _run(capsys, ["oracle", "--p", "0.7,-0.3,1.1",
+                                 "--out", str(tmp_path)])
+    assert code == 0
+    assert len(json.loads(out)["convergence"]) == 3
+    assert sorted(calls) == [16, 32, 64]
+
+
 def test_sweep_dichotomy_continuity_determinism(capsys, tmp_path,
                                                 monkeypatch):
     half_pi = "%.17g" % (np.pi / 2)
@@ -272,6 +291,8 @@ def _no_fiber(model, spec, p):
     (["classify", "--mu", "abc"], None, "mu spec"),
     (["oracle", "--mu", "abc"], None, "mu spec"),
     (["expansion", "--window", "abc"], None, "window"),
+    (["expansion", "--window", "1e-4,inf"], None, "window"),
+    (["expansion", "--points", "3"], None, "at least 4 points"),
 ])
 def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
                                           threads, fragment):

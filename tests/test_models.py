@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs.torus import wrap_angles
+from friedrichs.models import HarmonicTable
+from friedrichs.torus import grid_axis, tensor_grid, wrap_angles
 
 P0 = np.zeros(3)
 QPI = np.array([np.pi, np.pi, np.pi])
@@ -191,3 +192,105 @@ def test_determinism(model_one):
     cfg = fr.ModelConfig.from_dict(model_one.config.to_dict())
     m2 = fr.DispersionModel(cfg)
     assert m2.w(p, q) == model_one.w(p, q)
+
+
+# -- sparse phases ---------------------------------------------------------
+
+PERFBENCH_CONFIGS = (
+    {"family": "two_particle", "phi": {"constant": 1.0}},
+    {"family": "two_particle", "phi": {"constant": 3.0, "cos1": [1, 1, 1]}},
+    {"family": "trig_poly",
+     "w_table": [{"index": [0, 0, 0], "value": 3.0},
+                 {"index": [1, 0, 0], "value": -1.0},
+                 {"index": [0, 1, 0], "value": -1.0},
+                 {"index": [0, 0, 1], "value": -1.0},
+                 {"index": [1, 1, 0], "value": 0.08},
+                 {"index": [0, 1, 1], "value": -0.06}],
+     "phi_table": [{"index": [0, 0, 0], "value": 1.0},
+                   {"index": [1, 0, 1], "value": 0.2, "sin": 0.1}]},
+)
+MIXED_TABLE = HarmonicTable(
+    [(0, 0, 0), (-1, 2, 0), (0, -1, 1), (1, 0, -3), (0, 0, 2), (2, 0, 0)],
+    [0.5, -0.3, 0.0, 0.7, 0.25, 0.0], [0.0, 0.4, -0.2, 0.1, 0.0, 0.6])
+
+
+def _dense_terms(table, x):
+    """(k, c, s, phase) with the phase summed over every entry of k."""
+    for k, c, s in zip(table.indices, table.cos, table.sin):
+        yield k, c, s, k[0] * x[0] + k[1] * x[1] + k[2] * x[2]
+
+
+def _dense_value(table, x):
+    out = 0.0
+    for _, c, s, phase in _dense_terms(table, x):
+        term = c * np.cos(phase) if c != 0.0 else 0.0
+        if s != 0.0:
+            term = term + s * np.sin(phase)
+        out = out + term
+    return out
+
+
+def _dense_derivatives(table, x):
+    shape = np.broadcast(*x).shape
+    grad, hess = np.zeros(shape + (3,)), np.zeros(shape + (3, 3))
+    for k, c, s, phase in _dense_terms(table, x):
+        if not k.any():
+            continue
+        radial = -c * np.sin(phase) + s * np.cos(phase)
+        curv = -c * np.cos(phase) - s * np.sin(phase)
+        for i in range(3):
+            if k[i] != 0:
+                grad[..., i] += k[i] * radial
+            for j in range(3):
+                if k[i] * k[j] != 0:
+                    hess[..., i, j] += k[i] * k[j] * curv
+    return grad, hess
+
+
+def _inputs():
+    rng = np.random.default_rng(41)
+    yield tensor_grid(grid_axis(8))
+    yield tuple(np.moveaxis(rng.uniform(-np.pi, np.pi, (5, 4, 3)), -1, 0))
+    yield tuple(rng.uniform(-np.pi, np.pi, 3))
+
+
+def _tables():
+    for cfg in PERFBENCH_CONFIGS:
+        model = fr.DispersionModel(fr.ModelConfig.from_dict(cfg))
+        yield model._w_block
+        yield model._phi
+    yield MIXED_TABLE
+
+
+@pytest.mark.parametrize("table", list(_tables()))
+def test_sparse_phases_equal_the_dense_sum(table):
+    for x in _inputs():
+        shape = np.broadcast(*x).shape
+        ref = np.broadcast_to(_dense_value(table, x), shape)
+        assert np.all(np.broadcast_to(table.value(*x), shape) == ref)
+        grad, hess = _dense_derivatives(table, x)
+        assert np.all(table.gradient(*x) == grad)
+        assert np.all(table.hessian(*x) == hess)
+
+
+@pytest.mark.parametrize("table", list(_tables()))
+def test_table_on_a_tensor_grid_spans_only_the_axes_it_reads(table):
+    used = np.any(table.indices != 0, axis=0)
+    expected = () if not used.any() else tuple(8 if u else 1 for u in used)
+    assert np.shape(table.value(*tensor_grid(grid_axis(8)))) == expected
+
+
+@pytest.mark.parametrize("cfg", PERFBENCH_CONFIGS)
+def test_model_results_broadcast_to_the_reference(cfg):
+    model = fr.DispersionModel(fr.ModelConfig.from_dict(cfg))
+    p = np.array([0.7, -0.3, 1.1])
+    rng = np.random.default_rng(43)
+    for q in (tensor_grid(grid_axis(8)), rng.uniform(-np.pi, np.pi, (6, 3))):
+        x = q if isinstance(q, tuple) else tuple(np.moveaxis(q, -1, 0))
+        shape = np.broadcast(*x).shape
+        phi_ref = _dense_value(model._phi, x)
+        w_ref = (_dense_value(model._w_block, x)
+                 + _dense_value(model._w_block, tuple(pi - xi for pi, xi
+                                                      in zip(p, x))))
+        assert np.all(np.broadcast_to(model.phi(q), shape) == phi_ref)
+        assert np.all(np.broadcast_to(model.w(p, q), shape) == w_ref)
