@@ -9,6 +9,7 @@ FRIEDRICHS_THREADS environment variable caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -134,10 +135,6 @@ def _emit(payload, args, filename):
             fh.write(text + "\n")
 
 
-def _fmt(x):
-    return "" if x is None else "%.17g" % x
-
-
 # -- point subcommands ----------------------------------------------------
 #
 # Each takes (args, model, spec, p), checks its own arguments before it
@@ -176,11 +173,8 @@ def cmd_expansion(args, model, spec, p):
     cp, ev, _ = _fiber(model, spec, p)
     fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
                         n_points=args.points)
-    return {"p": list(p), "tau0_fit": fit.tau0_fit,
-            "tau0_closed": fit.tau0_closed, "rel_residual": fit.rel_residual,
-            "sqrt_coeff": fit.sqrt_coeff, "linear_coeff": fit.linear_coeff,
-            "threehalf_coeff": fit.threehalf_coeff,
-            "deltas": list(fit.deltas), "data": list(fit.data)}
+    return dict(dataclasses.asdict(fit), p=list(p), deltas=list(fit.deltas),
+                data=list(fit.data))
 
 
 def cmd_oracle(args, model, spec, p):
@@ -213,10 +207,8 @@ def cmd_oracle(args, model, spec, p):
             os.makedirs(args.out, exist_ok=True)
             rep.to_csv(os.path.join(args.out, "oracle_convergence.csv"))
     if args.dense:
-        res = dense_spectrum(model, p, mu, args.dense)
-        payload["dense"] = {"N": res.N, "max_diag": res.max_diag,
-                            "secular_root": res.secular_root,
-                            **res.spectrum_summary}
+        dense = dataclasses.asdict(dense_spectrum(model, p, mu, args.dense))
+        payload["dense"] = {**dense.pop("spectrum_summary"), **dense}
     return payload
 
 
@@ -273,6 +265,11 @@ def _sweep_point(model, spec, p, mu_specs, outputs, oracle_n):
             row["error"] = str(exc)
         rows.append(row)
     return rows
+
+
+def _cell(v):
+    """A sweep.csv number at %.17g; csv writes None as "" and text as is."""
+    return v if v is None or isinstance(v, str) else "%.17g" % v
 
 
 def _sample_path(waypoints, samples):
@@ -335,30 +332,22 @@ def cmd_sweep(args, model, spec, metadata):
                                    args.oracle_n), points))
 
     columns = _sweep_columns(outputs)
+    rows = [row for group in groups for row in group]
+    n_ok = sum(not row["error"] for row in rows)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
-    n_ok = 0
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for rows in groups:
-            for row in rows:
-                cells = []
-                for col in columns:
-                    v = row.get(col)
-                    if col in ("classification", "error"):
-                        cells.append("" if v is None else str(v))
-                    else:
-                        cells.append(_fmt(v))
-                fh.write(",".join(cells) + "\n")
-                if not row.get("error"):
-                    n_ok += 1
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row.get(col)) for col in columns]
+                         for row in rows)
     manifest = {
         "csv": "sweep.csv",
         "columns": columns,
         "outputs": outputs,
         "mu_specs": [("x%g" % v) if k == "multiple" else ("%.17g" % v)
                      for k, v in mu_specs],
-        "rows": sum(len(g) for g in groups),
+        "rows": len(rows),
         "rows_succeeded": n_ok,
         **path_desc,
         **metadata,

@@ -30,14 +30,14 @@ _CANDIDATE_WINDOW = 0.05  # grid local maxima within window*(M-m) get polished
 
 @dataclass(frozen=True, eq=False)
 class CriticalPointInfo:
-    """Certified band-edge data at a fixed quasi-momentum p."""
+    """Band-edge data at a fixed quasi-momentum p.  find_maximizer builds
+    it only for a certified unique non-degenerate maximum."""
 
     q0: np.ndarray               # wrapped into (-pi, pi]^3
     M: float
     m: float
     hessian: np.ndarray          # q-Hessian A(p) at q0, symmetric 3x3
     det_negA: float
-    nondegenerate: bool
     grad_norm: float
     hessian_eigenvalues: np.ndarray
 
@@ -67,29 +67,26 @@ def _polish(model, p, x0, sign, trust_radius):
     """Newton iteration for a critical point of sign*w_p, wrapped to the
     torus each step.  Returns (x, value, grad_norm)."""
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(MAX_NEWTON_ITERS):
+    for it in range(MAX_NEWTON_ITERS + 1):
         g = sign * np.asarray(model.grad_w(p, x), dtype=float)
         gn = float(np.linalg.norm(g))
         if gn <= GRAD_TOL:
-            break
+            return x, float(model.w(p, x)), gn
+        if it == MAX_NEWTON_ITERS:
+            raise NewtonConvergenceError(
+                "no convergence: Newton polish exceeded %d iterations"
+                % MAX_NEWTON_ITERS)
         h = sign * np.asarray(model.hess_w(p, x), dtype=float)
         try:
             step = np.linalg.solve(h, -g)
+            if not np.all(np.isfinite(step)):
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            step = -np.linalg.pinv(h) @ g
-        if not np.all(np.isfinite(step)):
             step = -np.linalg.pinv(h) @ g
         sn = float(np.linalg.norm(step))
         if sn > trust_radius:
             step *= trust_radius / sn
         x = wrap_angles(x + step)
-    else:
-        g = sign * np.asarray(model.grad_w(p, x), dtype=float)
-        if float(np.linalg.norm(g)) > GRAD_TOL:
-            raise NewtonConvergenceError(
-                "no convergence: Newton polish exceeded %d iterations"
-                % MAX_NEWTON_ITERS)
-    return x, float(model.w(p, x)), float(np.linalg.norm(model.grad_w(p, x)))
 
 
 def find_minimum(model, p) -> float:
@@ -164,8 +161,8 @@ def find_maximizer(model, p) -> CriticalPointInfo:
 
     return CriticalPointInfo(
         q0=wrap_angles(x_best), M=M, m=m, hessian=hess,
-        det_negA=float(np.linalg.det(-hess)), nondegenerate=True,
-        grad_norm=grad_norm, hessian_eigenvalues=eigs)
+        det_negA=float(np.linalg.det(-hess)), grad_norm=grad_norm,
+        hessian_eigenvalues=eigs)
 
 
 @dataclass(frozen=True)

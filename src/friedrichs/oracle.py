@@ -23,6 +23,7 @@ from .errors import InvalidInputError, check_coupling
 from .torus import grid_axis, tensor_grid
 
 DENSE_N_MAX = 12
+SECULAR_N_MAX = 256      # secular_root holds about five float64 N^3 arrays
 
 
 def _secular_size(N):
@@ -30,11 +31,15 @@ def _secular_size(N):
 
 
 def check_lattice_size(N, dense=False):
-    """Raise InvalidInputError unless secular_root (even N >= 8) or, with
-    dense=True, dense_spectrum (1 <= N <= DENSE_N_MAX) accepts N."""
+    """Raise InvalidInputError unless secular_root (even 8 <= N <=
+    SECULAR_N_MAX) or, with dense=True, dense_spectrum
+    (1 <= N <= DENSE_N_MAX) accepts N."""
     if not dense:
         if not _secular_size(N):
             raise InvalidInputError("secular_root requires even N >= 8")
+        if N > SECULAR_N_MAX:
+            raise InvalidInputError(
+                "secular_root limited to N <= %d (N^3 grid)" % SECULAR_N_MAX)
     elif N < 1:
         raise InvalidInputError("dense_spectrum requires N >= 1, got %d" % N)
     elif N > DENSE_N_MAX:

@@ -179,8 +179,6 @@ class OmegaEvaluator:
         self.p = np.asarray(p, dtype=float)
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
-        if not cp.nondegenerate:
-            raise QuadratureError("critical point is not certified")
         self.rho = (self.spec.rho if self.spec.rho is not None
                     else auto_rho(model, self.p, cp))
         self.q0 = cp.q0
@@ -242,7 +240,7 @@ class OmegaEvaluator:
         R2 = wr * r * r
         k = 0.5 * np.einsum("ij,jk,ik->i", nu, self._negA, nu)
         return {
-            "n_grid": n_grid, "far_weight": far_weight, "far_w": far_w,
+            "far_weight": far_weight, "far_w": far_w,
             "P": P, "u": u, "k": k, "wa": wa,
             "kr2": k[None, :] * (r ** 2)[:, None],
             "R2wa": R2[:, None] * wa[None, :],

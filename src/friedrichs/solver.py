@@ -20,7 +20,7 @@ evaluator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -37,7 +37,6 @@ from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of max|phi| is zero
-MAX_BRACKET_EXPANSIONS = 200
 FIT_WINDOW = (1e-4, 1e-2)
 FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
@@ -94,10 +93,13 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
     """The unique root E of the determinant above M(p), or None.
 
     Returns None for mu <= mu(p) (1 + MU_REL_TOL).  Otherwise the root is
-    bracketed on (M(p), z_hi] - z_hi grown geometrically from
-    M(p) + mu * ||phi||^2, above which the determinant is provably
-    positive - and polished by Brent's method (bisection with secant /
-    inverse-quadratic acceleration).
+    bracketed on (M(p), z_hi] and polished by Brent's method (bisection
+    with secant / inverse-quadratic acceleration).  Since w_p <= M(p),
+    Omega(p; z) < ||phi||^2 / (z - M(p)), so the determinant is positive
+    at z_hi = M(p) + mu ||phi||^2 and above 1/2 at M(p) + 2 mu ||phi||^2.
+    The first bound can fail by the quadrature error when mu is many
+    orders above mu(p); then the gap is doubled once, and if the
+    determinant is still not positive BracketingError is raised.
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
@@ -107,14 +109,11 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
 
     gap = mu * ev.model.phi_l2_norm_sq()
     z_hi = ev.M + gap
-    for _ in range(MAX_BRACKET_EXPANSIONS):
-        if _det(z_hi, ev, mu) > 0.0:
-            break
-        gap *= 2.0
-        z_hi = ev.M + gap
-    else:
-        raise BracketingError(
-            "failed to bracket the determinant root above the band edge")
+    if not _det(z_hi, ev, mu) > 0.0:
+        z_hi = ev.M + 2.0 * gap
+        if not _det(z_hi, ev, mu) > 0.0:
+            raise BracketingError(
+                "failed to bracket the determinant root above the band edge")
     root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=1e-14,
                   rtol=4.0 * np.finfo(float).eps, maxiter=200)
     return float(root)
@@ -324,17 +323,7 @@ class SpectralReport:
     l2_growth_rate: float | None = None
 
     def to_json_dict(self):
-        return {
-            "mu_threshold": self.mu_threshold,
-            "mu": self.mu,
-            "E": self.E,
-            "delta_at_threshold": self.delta_at_threshold,
-            "classification": self.classification.value,
-            "eigenfunction_norm": self.eigenfunction_norm,
-            "tau0_fit": self.tau0_fit,
-            "tau0_closed": self.tau0_closed,
-            "l2_growth_rate": self.l2_growth_rate,
-        }
+        return dict(asdict(self), classification=self.classification.value)
 
 
 def analyze(model, p, cp: CriticalPointInfo, mu,

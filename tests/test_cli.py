@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -234,6 +235,23 @@ def test_sweep_degenerate_rows_get_error_column(capsys, tmp_path):
     assert "degenerate" in rows[1][i_err]
 
 
+def test_sweep_csv_quotes_an_error_text_with_a_comma(capsys, tmp_path,
+                                                    monkeypatch):
+    def fail(*args, **kwargs):
+        raise fr.FriedrichsError("a, b")
+
+    monkeypatch.setattr(cli, "solve_eigenvalue", fail)
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "0,0,0", "--samples", "1", "--mu", "x0.5,x2",
+        "--outputs", "threshold,eigenvalue", "--out", str(tmp_path)])
+    assert code == 2  # every row failed
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 2
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[header.index("error")] for row in rows] == ["a, b", "a, b"]
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "friedrichs", "--version"],
@@ -293,6 +311,9 @@ def _no_fiber(model, spec, p):
     (["expansion", "--window", "abc"], None, "window"),
     (["expansion", "--window", "1e-4,inf"], None, "window"),
     (["expansion", "--points", "3"], None, "at least 4 points"),
+    (["oracle", "--N", "16,258"], None, "N <= 256"),
+    (["sweep", "--path", "0,0,0", "--outputs", "threshold,oracle",
+      "--oracle-n", "258"], None, "N <= 256"),
 ])
 def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
                                           threads, fragment):

@@ -14,7 +14,6 @@ def test_maximizer_at_p_zero(cp_one):
     assert cp_one.m == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(cp_one.hessian, np.diag([-2.0, -2.0, -2.0]), atol=1e-9)
     assert cp_one.det_negA == pytest.approx(8.0, rel=1e-9)
-    assert cp_one.nondegenerate
     assert cp_one.grad_norm <= 1e-12
 
 

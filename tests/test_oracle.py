@@ -97,6 +97,14 @@ def test_dense_interlacing_and_positivity(model_one, mu_one):
                 >= res.spectrum_summary["min_diag"] - 1e-10)
 
 
+def test_secular_size_limit():
+    from friedrichs.oracle import SECULAR_N_MAX, check_lattice_size
+
+    check_lattice_size(SECULAR_N_MAX)
+    with pytest.raises(fr.InvalidInputError, match="N <= 256"):
+        check_lattice_size(258)
+
+
 def test_dense_size_limit(model_one):
     with pytest.raises(fr.InvalidInputError):
         fr.dense_spectrum(model_one, P0, 0.03, 14)

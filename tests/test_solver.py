@@ -124,6 +124,21 @@ def test_eigenvalue_strong_coupling_asymptote(model_one, cp_one, ev_one):
                                evaluator=ev_one)) <= 1e-10
 
 
+def test_bracket_safeguard_doubling(model_one):
+    # at mu = 1e11 mu(p) the quadrature error exceeds the margin
+    # 1 - mu Omega(z_hi) of the bound z_hi = M + mu ||phi||^2, so the
+    # first bracket end fails and the one doubling brackets the root
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model_one, p)
+    ev = fr.OmegaEvaluator(model_one, p, cp)
+    mu = 1e11 * fr.coupling_threshold(model_one, p, cp, evaluator=ev)
+    gap = mu * model_one.phi_l2_norm_sq()
+    assert fr.fredholm_det(model_one, p, cp, mu, cp.M + gap,
+                           evaluator=ev) <= 0.0
+    e = fr.solve_eigenvalue(model_one, p, cp, mu, evaluator=ev)
+    assert abs(e - (cp.M + gap)) <= 1e-6 * gap
+
+
 def test_eigenvalue_monotone_in_mu(model_one, cp_one, ev_one, mu_one):
     es = [fr.solve_eigenvalue(model_one, P0, cp_one, r * mu_one,
                               evaluator=ev_one)
