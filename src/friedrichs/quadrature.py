@@ -27,9 +27,13 @@ power-2 integrand, -dOmega/dz) share that node cache and one refinement
 loop.  The solver functions and state_norm_diagnostics take an evaluator
 and read p, M(p), the spec and Omega(p) from it.
 
-A level build evaluates the bump only on its shell dist < rho (it is 0
-beyond); each per-z node reduction allocates one temporary, the
-denominator, divided in place.
+Memory: a level keeps its node arrays and nothing else.  The build
+streams the far field through slabs of torus planes and the near field
+through blocks of radii, about BLOCK nodes each, writing the kept nodes
+straight into the level's arrays; the bump is evaluated only on its shell
+dist < rho (it is 0 beyond).  A per-z reduction forms and sums its
+integrand one block at a time, along NumPy's pairwise-summation split, so
+every node array and every sum is bitwise the one of a full-grid pass.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .torus import grid_axis, tensor_grid, wrap_angles
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 N_SHELLS = 8   # nested annuli of state_norm_diagnostics
+BLOCK = 1 << 16  # elements per streamed block of a level build or reduction
+SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 
 
 @dataclass(frozen=True)
@@ -124,28 +130,62 @@ def sphere_product_rule(n):
 
 def _radial_closed_form(delta, k, rho, power):
     """int_0^rho r^2 / (delta + k r^2)^power dr, vectorised over k > 0;
-    power 2 needs delta > 0."""
+    power 2 needs delta > 0.
+
+    With a = sqrt(delta / k) and x = rho / a the closed forms subtract
+    nearly equal terms once x is small (relative loss about 3 eps / x^2),
+    so rays with x < SERIES_X take the odd series of x - arctan(x)
+    (power 1) or arctan(x) - x / (1 + x^2) (power 2) instead.
+    """
     if power == 1 and delta == 0.0:
         return rho / k
     a = np.sqrt(delta / k)
+    x = rho / a
     if power == 1:
-        return (rho - a * np.arctan(rho / a)) / k
-    return (np.arctan(rho / a) / (2.0 * a)
-            - rho / (2.0 * (a * a + rho * rho))) / (k * k)
+        out = (rho - a * np.arctan(x)) / k
+    else:
+        out = (np.arctan(x) / (2.0 * a)
+               - rho / (2.0 * (a * a + rho * rho))) / (k * k)
+    small = x < SERIES_X
+    if np.any(small):
+        # coefficients of x^3, x^5, ...: (-1)^(j+1) / (2j+1) for power 1,
+        # times 2j for power 2; 8 terms reach 1e-20 relative at SERIES_X
+        j = np.arange(1, 9)
+        coeffs = (-1.0) ** (j + 1) / (2 * j + 1) * (1 if power == 1 else 2 * j)
+        xs, a_s, ks = x[small], a[small], k[small]
+        series = xs ** 3 * np.polynomial.polynomial.polyval(xs * xs, coeffs)
+        out[small] = (a_s * series / ks if power == 1
+                      else series / (2.0 * a_s * ks * ks))
+    return out
 
 
-def _sum_over(num, d, power):
-    """sum(num / d**power), computed in the buffer of the fresh temporary
-    d, which it overwrites: one temporary per reduction."""
-    if power == 2:
-        np.multiply(d, d, out=d)
-    return float(np.divide(num, d, out=d).sum())
+def _sum_over(num, c, op, b, power):
+    """sum(num / op(c, b)**power) over all elements, bitwise equal to
+    summing the full temporary: the blocks follow NumPy's pairwise
+    summation split down to BLOCK elements, and each block is formed and
+    summed in one scratch buffer allocated per call."""
+    num, b = num.reshape(-1), b.reshape(-1)
+    buf = np.empty(min(num.size, BLOCK))
+    return float(_pairwise_sum(num, c, op, b, power, buf))
 
 
-def _dist2_to(ax, q0):
-    """Squared wrapped distance from the tensor grid over ax to q0."""
-    d1, d2, d3 = (wrap_angles(ax - c) ** 2 for c in q0)
-    return d1[:, None, None] + d2[None, :, None] + d3[None, None, :]
+def _pairwise_sum(num, c, op, b, power, buf):
+    n = num.size
+    if n <= BLOCK:
+        d = op(c, b, out=buf[:n])
+        if power == 2:
+            np.multiply(d, d, out=d)
+        return np.divide(num, d, out=d).sum()
+    half = n // 2 - (n // 2) % 8  # numpy's pairwise_sum split
+    return (_pairwise_sum(num[:half], c, op, b[:half], power, buf)
+            + _pairwise_sum(num[half:], c, op, b[half:], power, buf))
+
+
+def _dist2_to(grid, q0):
+    """Squared wrapped distance from the broadcastable coordinate arrays
+    grid (a tensor grid or a slab of one) to q0."""
+    d1, d2, d3 = (wrap_angles(x - c) ** 2 for x, c in zip(grid, q0))
+    return d1 + d2 + d3
 
 
 def auto_rho(model, p, cp):
@@ -171,7 +211,9 @@ class OmegaEvaluator:
     (fixed-order reductions).  The threshold value Omega(p; M(p)) is
     evaluated on the first read of `threshold` and kept.  Lazy level
     construction is not synchronised: share an evaluator across threads
-    only after its levels are built.
+    only after its levels are built.  A reduction's scratch block is
+    allocated per call and not stored on the evaluator, so threads that
+    share a built evaluator never share a buffer.
     """
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
@@ -205,38 +247,51 @@ class OmegaEvaluator:
         n_ang = s.n_angular * 2 ** level
         rho = self.rho
 
-        # far field: midpoint torus grid, weight h^3 (1-chi) phi^2
+        # far field: midpoint torus grid, weight h^3 (1-chi) phi^2, built in
+        # slabs of i-planes straight into n^3 arrays; the nodes kept
+        # (weight > 0) are their leading slice, a view of the n^3 buffers
         ax = grid_axis(n_grid)
         grid = tensor_grid(ax)
-        dist = np.sqrt(_dist2_to(ax, self.q0))
-        # the bump is exactly 0.0 at dist >= rho: evaluate it on its shell
-        shell = dist < rho
-        chi = np.zeros(dist.shape)
-        chi[shell] = bump_profile(dist[shell] / rho)
-        weight = (2.0 * np.pi / n_grid) ** 3 * (1.0 - chi)
-        phi2 = np.broadcast_to(np.asarray(self.model.phi(grid)) ** 2,
-                               dist.shape)
-        weight = weight * phi2
-        keep = weight > 0.0
-        far_weight = weight[keep]
-        far_w = np.broadcast_to(self.model.w(self.p, grid), dist.shape)[keep]
-        del weight, phi2, dist, keep, shell, chi
+        h3 = (2.0 * np.pi / n_grid) ** 3
+        far_weight = np.empty(n_grid ** 3)
+        far_w = np.empty(n_grid ** 3)
+        kept = 0
+        planes = max(1, BLOCK // n_grid ** 2)
+        for i in range(0, n_grid, planes):
+            slab = (grid[0][i:i + planes],) + grid[1:]
+            dist = np.sqrt(_dist2_to(slab, self.q0))
+            # the bump is exactly 0.0 at dist >= rho: evaluate it on its shell
+            shell = dist < rho
+            chi = np.zeros(dist.shape)
+            chi[shell] = bump_profile(dist[shell] / rho)
+            weight = h3 * (1.0 - chi) * np.asarray(self.model.phi(slab)) ** 2
+            keep = weight > 0.0
+            n_keep = np.count_nonzero(keep)
+            far_weight[kept:kept + n_keep] = weight[keep]
+            far_w[kept:kept + n_keep] = np.broadcast_to(
+                self.model.w(self.p, slab), dist.shape)[keep]
+            kept += n_keep
+        far_weight, far_w = far_weight[:kept], far_w[:kept]
 
-        # near field: polar nodes about q0
+        # near field: polar nodes about q0, built in blocks of radii
         xr, wr = np.polynomial.legendre.leggauss(n_rad)
         r = 0.5 * rho * (xr + 1.0)
         wr = 0.5 * rho * wr
         nu, wa = sphere_product_rule(n_ang)
-        pts = self.q0[None, None, :] + r[:, None, None] * nu[None, :, :]
-        w_near = np.asarray(self.model.w(self.p, pts))
-        u = self.M - w_near
+        radial = wr * bump_profile(r / rho) * r * r
+        u = np.empty((n_rad, nu.shape[0]))
+        P = np.empty(u.shape)
+        rows = max(1, BLOCK // nu.shape[0])
+        for i in range(0, n_rad, rows):
+            pts = (self.q0[None, None, :]
+                   + r[i:i + rows, None, None] * nu[None, :, :])
+            u[i:i + rows] = self.M - np.asarray(self.model.w(self.p, pts))
+            P[i:i + rows] = (radial[i:i + rows, None] * wa[None, :]
+                             * np.asarray(self.model.phi(pts)) ** 2)
         if np.min(u) <= 0.0:
             raise QuadratureError(
                 "near-field ball of radius %.3f contains points at or above "
                 "the band edge; decrease rho" % rho)
-        phi2_near = np.asarray(self.model.phi(pts)) ** 2
-        chi = bump_profile(r / rho)
-        P = (wr * chi * r * r)[:, None] * wa[None, :] * phi2_near
         R2 = wr * r * r
         k = 0.5 * np.einsum("ij,jk,ik->i", nu, self._negA, nu)
         return {
@@ -263,10 +318,10 @@ class OmegaEvaluator:
         """(total, near, far) of int phi^2 / (z - w_p)^power at one level."""
         delta = self._delta(z)
         L = self._level(level)
-        far = _sum_over(L["far_weight"], z - L["far_w"], power)
-        direct = _sum_over(L["P"], delta + L["u"], power)
-        model_part = self._phi0_sq * _sum_over(L["R2wa"], delta + L["kr2"],
-                                               power)
+        far = _sum_over(L["far_weight"], z, np.subtract, L["far_w"], power)
+        direct = _sum_over(L["P"], delta, np.add, L["u"], power)
+        model_part = self._phi0_sq * _sum_over(L["R2wa"], delta, np.add,
+                                               L["kr2"], power)
         closed = float(self._phi0_sq * np.sum(
             L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
         near = direct - model_part + closed
@@ -351,7 +406,7 @@ def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
     n_grid = ev.spec.n_grid
     ax = grid_axis(n_grid)
     grid = tensor_grid(ax)
-    dist2 = _dist2_to(ax, q0)
+    dist2 = _dist2_to(grid, q0)
     mask = dist2 > rho0 * rho0
     w_vals = np.broadcast_to(model.w(p, grid), dist2.shape)[mask]
     phi_vals = np.broadcast_to(model.phi(grid), dist2.shape)[mask]

@@ -32,6 +32,31 @@ def bessel_omega(delta, hopping=(1.0, 1.0, 1.0), p=(0.0, 0.0, 0.0)):
     return (2.0 * np.pi) ** 3 * (v1 + v2)
 
 
+# the off-axis trig_poly model of the fresh_fibers benchmark workload
+OFF_AXIS_CONFIG = {
+    "family": "trig_poly",
+    "w_table": [{"index": [0, 0, 0], "value": 3.0},
+                {"index": [1, 0, 0], "value": -1.0},
+                {"index": [0, 1, 0], "value": -1.0},
+                {"index": [0, 0, 1], "value": -1.0},
+                {"index": [1, 1, 0], "value": 0.08},
+                {"index": [0, 1, 1], "value": -0.06}],
+    "phi_table": [{"index": [0, 0, 0], "value": 1.0},
+                  {"index": [1, 0, 1], "value": 0.2, "sin": 0.1}],
+}
+
+
+def model_kinds():
+    """phi = 1, the vanishing phi and the off-axis trig_poly, by name."""
+    return {
+        "one": fr.two_particle_model(),
+        "vanishing": fr.two_particle_model(
+            phi={"constant": 3.0, "cos1": [1.0, 1.0, 1.0]}),
+        "off_axis": fr.DispersionModel(
+            fr.ModelConfig.from_dict(OFF_AXIS_CONFIG)),
+    }
+
+
 @pytest.fixture(scope="session")
 def bessel_ref():
     return bessel_omega

@@ -1,10 +1,12 @@
-"""Property tests: certification of random tables and symmetries of Omega."""
+"""Property tests: certification of random tables, and symmetries,
+monotonicity in z and phi-scaling of Omega."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
+from conftest import model_kinds
 from friedrichs.critical import GRAD_TOL
 from friedrichs.torus import grid_axis, tensor_grid
 
@@ -19,6 +21,7 @@ _momentum = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
 # keep the fibres off the zone boundary, where the maximum degenerates
 _inner_momentum = st.lists(st.floats(-2.5, 2.5), min_size=3, max_size=3)
 _axis_coeffs = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
+_kind = st.sampled_from(["one", "vanishing", "off_axis"])
 
 
 @_settings
@@ -74,3 +77,31 @@ def test_omega_is_invariant_under_axis_permutation(hopping, constant, cos1,
         thresholds.append(fr.OmegaEvaluator(model, q, cp).threshold)
     a, b = thresholds
     assert abs(a.value - b.value) <= a.estimated_error + b.estimated_error
+
+
+def _fibre(kind, p):
+    model = model_kinds()[kind]
+    p = np.array(p)
+    cp = fr.find_maximizer(model, p)
+    return model, p, cp, fr.OmegaEvaluator(model, p, cp)
+
+
+@settings(_settings, max_examples=12)
+@given(kind=_kind, p=_inner_momentum)
+def test_omega_is_strictly_decreasing_in_z(kind, p):
+    # delta doubles from 1e-6 to about 1e12, through the series branch of
+    # the radial closed form
+    _, _, cp, ev = _fibre(kind, p)
+    deltas = np.concatenate([[0.0], 1e-6 * 2.0 ** np.arange(61)])
+    values = [ev.value_at_level(cp.M + d, 0)[0] for d in deltas]
+    assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@settings(_settings, max_examples=12)
+@given(kind=_kind, p=_inner_momentum, a=st.floats(0.05, 20.0))
+def test_scaled_phi_scales_omega_by_its_square(kind, p, a):
+    model, p, cp, ev = _fibre(kind, p)
+    scaled = fr.OmegaEvaluator(model.scaled_phi(a), p, cp)
+    want = a * a * ev.value_at_level(cp.M, 0)[0]
+    got = scaled.value_at_level(cp.M, 0)[0]
+    assert abs(got - want) <= 1e-13 * abs(want)

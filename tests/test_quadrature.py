@@ -1,10 +1,11 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs.quadrature import bump_profile
+from friedrichs.quadrature import _radial_closed_form, bump_profile
 
 P0 = np.zeros(3)
 
@@ -111,6 +112,27 @@ def test_omega_at_nonzero_momentum_against_bessel(model_one, bessel_ref):
     cp = fr.find_maximizer(model_one, p)
     got = fr.OmegaEvaluator(model_one, p, cp).threshold.value
     assert got == pytest.approx(bessel_ref(0.0, p=p), rel=1e-6)
+
+
+def _radial_integral(delta, k, rho, power):
+    """int_0^rho r^2 / (delta + k r^2)^power dr at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.quad(
+            lambda r: r * r / (delta + k * r * r) ** power, [0, rho]))
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_radial_closed_form_far_above_the_band(power):
+    # delta >> k rho^2: the closed forms lose about 3 eps delta / (k rho^2)
+    # relative (1.6e-3 at 4e12), the series taken below SERIES_X does not
+    rho = 0.9
+    k = np.array([1e-3, 0.37, 1.0, 2.5])
+    for ratio in 10.0 ** np.arange(2, 15):
+        for kk in k:
+            delta = ratio * kk * rho * rho
+            got = _radial_closed_form(delta, k, rho, power)[k == kk][0]
+            ref = _radial_integral(delta, kk, rho, power)
+            assert abs(got - ref) <= 1e-13 * ref, (ratio, kk)
 
 
 def test_bump_profile_shape():

@@ -139,6 +139,17 @@ def test_bracket_safeguard_doubling(model_one):
     assert abs(e - (cp.M + gap)) <= 1e-6 * gap
 
 
+@pytest.mark.parametrize("ratio", [1e12, 1e14])
+def test_eigenvalue_far_above_the_band(model_one, cp_one, ev_one, mu_one,
+                                       ratio):
+    # Omega(z) ~ 1e-11 there: the near-field closed form must not cancel,
+    # or the level differences never meet the relative tolerance
+    mu = ratio * mu_one
+    gap = mu * model_one.phi_l2_norm_sq()
+    e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
+    assert abs(e - (cp_one.M + gap)) <= 1e-6 * gap
+
+
 def test_eigenvalue_monotone_in_mu(model_one, cp_one, ev_one, mu_one):
     es = [fr.solve_eigenvalue(model_one, P0, cp_one, r * mu_one,
                               evaluator=ev_one)
