@@ -34,11 +34,27 @@ straight into the level's arrays; the bump is evaluated only on its shell
 dist < rho (it is 0 beyond).  A per-z reduction forms and sums its
 integrand one block at a time, along NumPy's pairwise-summation split, so
 every node array and every sum is bitwise the one of a full-grid pass.
+The Gauss-Legendre and sphere rules are cached per node count and
+returned read-only.
+
+Refinement: the loop doubles every node count up to MAX_REFINEMENTS times
+and stops once the estimate |dnear| + |dfar| between the last two levels
+is within rel_tol of the value.  One doubling is assumed to shrink the
+estimate by at most MAX_CONTRACTION (converging fibres shrank it at
+most about 650x), so an estimate at level L above rel_tol |value|
+MAX_CONTRACTION^(MAX_REFINEMENTS - L) is refused before level L + 1 is
+built: near a degenerate maximum (p_i -> pi) the estimate at level 1 is
+of the order of the value itself and no level can meet the tolerance.
+The rule reads only the estimate, never which levels are already built,
+so a value does not depend on call history.  The evaluator keeps its last
+two (z, OmegaValue) pairs, so brentq's last iterate, re-read by the
+callers of the root, is not evaluated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +70,7 @@ MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 N_SHELLS = 8   # nested annuli of state_norm_diagnostics
 BLOCK = 1 << 16  # elements per streamed block of a level build or reduction
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
+MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
 
 
 @dataclass(frozen=True)
@@ -110,13 +127,27 @@ def bump_profile(t):
     return fb / (fa + fb)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre (nodes, weights) on [-1, 1], cached and
+    read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+@lru_cache(maxsize=32)
 def sphere_product_rule(n):
     """Gauss-Legendre x trapezoid product rule on the unit sphere.
 
     n nodes in cos(theta), 2n equispaced azimuthal nodes; weights sum to
-    4*pi.  Returns (directions (m, 3), weights (m,)).
+    4*pi.  Returns (directions (m, 3), weights (m,)), cached and read-only.
     """
-    xu, wu = np.polynomial.legendre.leggauss(n)
+    xu, wu = _gauss_legendre(n)
     nphi = 2 * n
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     wphi = 2.0 * np.pi / nphi
@@ -125,7 +156,7 @@ def sphere_product_rule(n):
     nu[:, 0] = np.outer(st, np.cos(phi)).ravel()
     nu[:, 1] = np.outer(st, np.sin(phi)).ravel()
     nu[:, 2] = np.outer(xu, np.ones(nphi)).ravel()
-    return nu, np.outer(wu, np.full(nphi, wphi)).ravel()
+    return _read_only(nu, np.outer(wu, np.full(nphi, wphi)).ravel())
 
 
 def _radial_closed_form(delta, k, rho, power):
@@ -209,11 +240,14 @@ class OmegaEvaluator:
     by 2^L relative to the base spec.  evaluate() runs the refinement loop
     of the spec; values at a fixed level are deterministic functions of z
     (fixed-order reductions).  The threshold value Omega(p; M(p)) is
-    evaluated on the first read of `threshold` and kept.  Lazy level
+    evaluated on the first read of `threshold` and kept; evaluate(M(p))
+    returns it, and at either of the last two z it reduced, evaluate(z)
+    returns the kept value without reducing again.  Lazy level
     construction is not synchronised: share an evaluator across threads
     only after its levels are built.  A reduction's scratch block is
-    allocated per call and not stored on the evaluator, so threads that
-    share a built evaluator never share a buffer.
+    allocated per call and not stored on the evaluator, and the two recent
+    values are one tuple replaced in a single assignment, so threads that
+    share a built evaluator never share a buffer or see half an update.
     """
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
@@ -230,6 +264,7 @@ class OmegaEvaluator:
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
         self._threshold = None
+        self._recent = ()  # the last two (z, OmegaValue), newest first
 
     @property
     def threshold(self) -> OmegaValue:
@@ -274,7 +309,7 @@ class OmegaEvaluator:
         far_weight, far_w = far_weight[:kept], far_w[:kept]
 
         # near field: polar nodes about q0, built in blocks of radii
-        xr, wr = np.polynomial.legendre.leggauss(n_rad)
+        xr, wr = _gauss_legendre(n_rad)
         r = 0.5 * rho * (xr + 1.0)
         wr = 0.5 * rho * wr
         nu, wa = sphere_product_rule(n_ang)
@@ -319,12 +354,16 @@ class OmegaEvaluator:
         delta = self._delta(z)
         L = self._level(level)
         far = _sum_over(L["far_weight"], z, np.subtract, L["far_w"], power)
-        direct = _sum_over(L["P"], delta, np.add, L["u"], power)
-        model_part = self._phi0_sq * _sum_over(L["R2wa"], delta, np.add,
-                                               L["kr2"], power)
-        closed = float(self._phi0_sq * np.sum(
-            L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
-        near = direct - model_part + closed
+        near = _sum_over(L["P"], delta, np.add, L["u"], power)
+        # the Hessian model and its closed form carry the factor phi(q0)^2;
+        # when it is 0 they add exactly 0.0 (and the closed form of power 2
+        # would divide by delta = 0), so they are skipped
+        if self._phi0_sq != 0.0:
+            model_part = self._phi0_sq * _sum_over(L["R2wa"], delta, np.add,
+                                                   L["kr2"], power)
+            closed = float(self._phi0_sq * np.sum(
+                L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
+            near = near - model_part + closed
         return near + far, near, far
 
     def value_at_level(self, z, level):
@@ -338,7 +377,10 @@ class OmegaEvaluator:
 
         The far field is not monotone across levels, so the change of the
         total can cancel between the two fields and understate the error;
-        the per-field sum cannot.
+        the per-field sum cannot.  An estimate that the doublings left
+        cannot bring within the bound, each shrinking it at most
+        MAX_CONTRACTION times, raises QuadratureNotConvergedError before
+        the next level is built.
         """
         prev = None
         for level in range(MAX_REFINEMENTS + 1):
@@ -348,27 +390,45 @@ class OmegaEvaluator:
                 bound = self.spec.rel_tol * max(abs(sums[0]), 1e-300)
                 if est <= bound:
                     return level, est, sums
+                left = MAX_REFINEMENTS - level
+                if not est <= bound * MAX_CONTRACTION ** left:
+                    why = ("; %d more doubling(s) cannot reach the bound if "
+                           "each shrinks the estimate at most %dx"
+                           % (left, MAX_CONTRACTION)) if left else ""
+                    raise QuadratureNotConvergedError(
+                        "%s not converged: estimate %.3e above %.3e (rel_tol "
+                        "%.1e x |value| %.3e) at level %d%s"
+                        % (what, est, bound, self.spec.rel_tol, abs(sums[0]),
+                           level, why))
             prev = sums
-        raise QuadratureNotConvergedError(
-            "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
-            "|value| %.3e)" % (what, est, bound, self.spec.rel_tol,
-                               abs(sums[0])))
 
     def evaluate(self, z) -> OmegaValue:
         """Omega(p; z) with one-step refinement error estimation.
 
         Raises QuadratureNotConvergedError if MAX_REFINEMENTS doublings do
-        not reach the spec's relative tolerance.
+        not reach the spec's relative tolerance, or cannot be expected to.
         """
+        if z == self.M and self._threshold is not None:
+            return self._threshold
+        recent = self._recent
+        for z_seen, value in recent:
+            if z_seen == z:
+                return value
         level, est, (total, near, far) = self._refine(
             lambda level: self.value_at_level(z, level), "quadrature")
-        return OmegaValue(value=total, estimated_error=est, near_field=near,
-                          far_field=far, n_grid=self.spec.n_grid * 2 ** level,
-                          rho=self.rho)
+        value = OmegaValue(value=total, estimated_error=est, near_field=near,
+                           far_field=far,
+                           n_grid=self.spec.n_grid * 2 ** level, rho=self.rho)
+        self._recent = ((z, value),) + recent[:1]
+        return value
 
     def second_moment(self, z):
-        """int phi^2 / (z - w_p)^2 ds for z > M(p), same node reuse."""
-        if self._delta(z) <= 0.0:
+        """int phi^2 / (z - w_p)^2 ds for z > M(p), same node reuse.
+
+        At z = M(p) it is finite only where phi(q0) = 0, and then it is the
+        squared norm ||f0||^2 of the threshold state f0 = phi / (M - w_p).
+        """
+        if self._delta(z) <= 0.0 and self._phi0_sq != 0.0:
             raise BelowThresholdError(
                 "second moment diverges at the band edge")
         _, _, (total, _, _) = self._refine(
@@ -416,7 +476,7 @@ def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
     l1_out = h3 * float(np.sum(np.abs(f)))
 
     nu, wa = sphere_product_rule(max(ev.spec.n_angular // 2, 10))
-    xr, wr = np.polynomial.legendre.leggauss(16)
+    xr, wr = _gauss_legendre(16)
     radii = rho0 / 2.0 ** np.arange(N_SHELLS + 1)
     l2_cum = [l2_out]
     l1_cum = l1_out

@@ -70,9 +70,8 @@ def _evaluator(model, p, cp, evaluator):
 
 def _det(z, ev, mu):
     # module level, not a closure: brentq holds a closure in a reference
-    # cycle, which keeps the evaluator's node levels alive until a full GC;
-    # brentq starts at the bracket end z = M(p), where Omega(p) is cached
-    return 1.0 - mu * (ev.threshold if z == ev.M else ev.evaluate(z)).value
+    # cycle, which keeps the evaluator's node levels alive until a full GC
+    return 1.0 - mu * ev.evaluate(z).value
 
 
 def coupling_threshold(model, p, cp: CriticalPointInfo,

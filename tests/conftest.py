@@ -102,14 +102,16 @@ def ev_vanishing(model_vanishing, cp_vanishing):
 
 @pytest.fixture
 def threshold_evaluations(monkeypatch):
-    """List that gains one entry per OmegaEvaluator.evaluate at z = M(p)."""
+    """List that gains one entry per computation of Omega at z = M(p): each
+    refinement loop of evaluate starts with the level-0 reduction, while
+    an evaluate answered from the evaluator's cache reduces nothing."""
     calls = []
-    evaluate = fr.OmegaEvaluator.evaluate
+    value_at_level = fr.OmegaEvaluator.value_at_level
 
-    def counting(self, z):
-        if z == self.M:
+    def counting(self, z, level):
+        if z == self.M and level == 0:
             calls.append(z)
-        return evaluate(self, z)
+        return value_at_level(self, z, level)
 
-    monkeypatch.setattr(fr.OmegaEvaluator, "evaluate", counting)
+    monkeypatch.setattr(fr.OmegaEvaluator, "value_at_level", counting)
     return calls

@@ -1,11 +1,18 @@
 import re
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 import friedrichs as fr
-from friedrichs.quadrature import _radial_closed_form, bump_profile
+from conftest import model_kinds
+from friedrichs.quadrature import (
+    MAX_CONTRACTION,
+    _radial_closed_form,
+    bump_profile,
+)
 
 P0 = np.zeros(3)
 
@@ -172,6 +179,8 @@ def test_spec_validation():
 
 
 def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
+    # rel_tol = 1e-15 lies beyond what the one doubling left can reach, so
+    # the refinement stops at level 1 and states the estimate of levels 0, 1
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
                              rel_tol=1e-15)
     ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
@@ -179,12 +188,35 @@ def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
     cases = ((ev.evaluate, ev.value_at_level),
              (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
     for call, at_level in cases:
+        _, near0, far0 = at_level(z, 0)
         _, near1, far1 = at_level(z, 1)
-        _, near2, far2 = at_level(z, 2)
-        est = abs(near2 - near1) + abs(far2 - far1)
+        est = abs(near1 - near0) + abs(far1 - far0)
         assert est > 0.0
         with pytest.raises(fr.QuadratureNotConvergedError,
                            match=re.escape("estimate %.3e above" % est)):
+            call(z)
+    assert len(ev._levels) == 2
+
+
+def test_not_converged_message_at_the_last_level(model_one, cp_one):
+    # rel_tol = 1e-5: both level-1 estimates lie within MAX_CONTRACTION of
+    # their bounds, so level 2 is built, and its estimate misses the bound
+    spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
+                             rel_tol=1e-5)
+    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
+    z = cp_one.M + 0.1
+    cases = ((ev.evaluate, ev.value_at_level),
+             (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
+    for call, at_level in cases:
+        (v0, n0, f0), (v1, n1, f1), (v2, n2, f2) = (at_level(z, level)
+                                                    for level in range(3))
+        est1 = abs(n1 - n0) + abs(f1 - f0)
+        est2 = abs(n2 - n1) + abs(f2 - f1)
+        assert 1e-5 * abs(v1) < est1 <= 1e-5 * abs(v1) * MAX_CONTRACTION
+        message = ("estimate %.3e above %.3e (rel_tol 1.0e-05 x |value| "
+                   "%.3e) at level 2" % (est2, 1e-5 * abs(v2), abs(v2)))
+        with pytest.raises(fr.QuadratureNotConvergedError,
+                           match=re.escape(message) + "$"):
             call(z)
 
 
@@ -199,7 +231,7 @@ def test_not_converged_message_states_the_absolute_bound(model_one, cp_one):
                              rel_tol=1e-15)
     ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
     z = cp_one.M + 0.1
-    value = abs(ev.value_at_level(z, 2)[0])
+    value = abs(ev.value_at_level(z, 1)[0])  # refused at level 1
     bound = "above %.3e (rel_tol 1.0e-15 x |value| %.3e)" % (1e-15 * value,
                                                              value)
     with pytest.raises(fr.QuadratureNotConvergedError,
@@ -212,8 +244,30 @@ def test_threshold_is_evaluated_once(model_one, cp_one,
     ev = fr.OmegaEvaluator(model_one, P0, cp_one)
     first = ev.threshold
     assert ev.threshold is first
-    assert first == ev.evaluate(cp_one.M)
-    assert len(threshold_evaluations) == 2  # the fill and the direct call
+    assert ev.evaluate(cp_one.M) is first  # read from the cache
+    assert len(threshold_evaluations) == 1  # the fill
+
+
+def test_evaluate_keeps_the_last_two_values(model_one, cp_one, monkeypatch):
+    ev = fr.OmegaEvaluator(model_one, P0, cp_one)
+    reduced = []
+    value_at_level = fr.OmegaEvaluator.value_at_level
+
+    def counting(self, z, level):
+        reduced.append(z)
+        return value_at_level(self, z, level)
+
+    monkeypatch.setattr(fr.OmegaEvaluator, "value_at_level", counting)
+    z1, z2, z3 = cp_one.M + np.array([0.1, 0.2, 0.3])
+    first = ev.evaluate(z1)
+    second = ev.evaluate(z2)
+    n = len(reduced)
+    assert ev.evaluate(z1) is first and len(reduced) == n
+    ev.evaluate(z3)  # the two last reduced are z2 and z3: z1 drops out
+    n = len(reduced)
+    assert ev.evaluate(z2) is second and len(reduced) == n
+    again = ev.evaluate(z1)
+    assert len(reduced) > n and again is not first and again == first
 
 
 @pytest.mark.parametrize("p", [(-0.488, -2.665, -0.192),
@@ -225,3 +279,71 @@ def test_error_bar_bounds_the_error(model_one, bessel_ref, p):
     got = fr.OmegaEvaluator(model_one, p,
                             fr.find_maximizer(model_one, p)).threshold
     assert abs(got.value - bessel_ref(0.0, p=p)) <= got.estimated_error
+
+
+# p1 = 3.14159 is 2.7e-6 inside the zone boundary: the Hessian eigenvalue
+# along p1 is -2.7e-6 and the level-1 estimate is of the order of Omega
+EDGE = np.array([3.14159, 0.1, -0.12])
+
+
+def test_degenerate_edge_refused_before_level_2(model_one):
+    cp = fr.find_maximizer(model_one, EDGE)
+    ev = fr.OmegaEvaluator(model_one, EDGE, cp)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(fr.QuadratureNotConvergedError,
+                           match=r"^quadrature not converged: .* at level 1; "
+                                 r"1 more doubling"):
+            ev.threshold
+        seconds = time.perf_counter() - start
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ev._levels) == 2
+    assert seconds < 1.0
+    # levels 0 and 1 stay kept: the peak is one streamed block above them,
+    # not the 383 MiB of a level-2 build
+    assert peak - kept <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind, p1", [
+    ("one", 3.1), ("one", 3.12), ("vanishing", 3.1), ("vanishing", 3.12),
+    ("off_axis", 3.1)])
+def test_near_edge_threshold_still_converges_at_level_2(kind, p1):
+    # level-1 estimates 0.7e-5 ... 2.5e-4 relative, far below the cut at
+    # rel_tol * MAX_CONTRACTION = 8.2e-3
+    model = model_kinds()[kind]
+    p = np.array([p1, 0.1, -0.12])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    got = ev.threshold
+    assert got.n_grid == 4 * ev.spec.n_grid
+    assert got.value == ev.value_at_level(cp.M, 2)[0]
+
+
+@pytest.mark.parametrize("kind", ["one", "off_axis"])
+def test_second_moment_still_converges_at_level_2(kind):
+    model = model_kinds()[kind]
+    p = np.array([-0.91, -0.23, 2.44])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    z = cp.M + 0.013
+    got = ev.second_moment(z)
+    assert len(ev._levels) == 3
+    assert got == ev._sums(z, 2, 2)[0]
+
+
+def test_second_moment_at_the_edge_where_phi_vanishes(cp_one, ev_one,
+                                                      cp_vanishing,
+                                                      ev_vanishing):
+    # phi(q0) = 0 exactly: ||f0||^2 = int phi^2 / (M - w)^2 is finite and
+    # is the limit of the second moment as z -> M(p) from above
+    at_edge = ev_vanishing.second_moment(cp_vanishing.M)
+    assert at_edge == pytest.approx(62.0126, abs=1e-4)
+    gaps = [abs(ev_vanishing.second_moment(cp_vanishing.M + d) - at_edge)
+            for d in (1e-6, 1e-8, 1e-10)]
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] <= 1e-9 * at_edge
+    with pytest.raises(fr.BelowThresholdError, match="diverges"):
+        ev_one.second_moment(cp_one.M)
