@@ -374,10 +374,15 @@ def build_parser():
     common.add_argument("--config", help="model config JSON path "
                         "(default: builtin two_particle, phi = 1)")
     common.add_argument("--out", help="output directory for artifacts")
-    common.add_argument("--grid", type=int, help="torus grid size per axis")
+    common.add_argument("--grid", type=int,
+                        help="torus grid size per axis of the split "
+                        "quadrature (two_particle: the diagnostics only)")
     common.add_argument("--tol", type=float,
-                        help="quadrature relative tolerance")
-    common.add_argument("--rho", type=float, help="near-field ball radius")
+                        help="relative tolerance that bounds the error of "
+                        "Omega")
+    common.add_argument("--rho", type=float,
+                        help="near-field ball radius of the split quadrature "
+                        "(two_particle: the diagnostics only)")
     point = argparse.ArgumentParser(add_help=False, parents=[common])
     point.add_argument("--p", default="0,0,0")
 

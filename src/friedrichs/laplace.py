@@ -1,0 +1,241 @@
+"""Exact Laplace-Bessel route for Omega of the two_particle family.
+
+For w_p(q) = eps(q) + eps(p - q), eps(q) = sum_j c_j (1 - cos q_j), the
+band-edge denominator separates axis by axis about the maximizer q0:
+
+    M(p) - w_p(q0 + s) = sum_j 2 alpha_j (1 - cos s_j),
+    alpha_j = c_j |cos(p_j / 2)|.
+
+Write phi^2(q) = sum_m a_m e^{i m.q}; phi has order <= 2 per axis, so
+|m_j| <= 4 and the sum is finite.  With 1/x = int_0^inf e^{-t x} dt,
+1/x^2 = int_0^inf t e^{-t x} dt and
+int_T e^{-2 alpha t (1 - cos s)} e^{i n s} ds = 2 pi ive(|n|, 2 alpha t),
+
+    int_{T^3} phi^2 / (M + delta - w_p)^power
+        = (2 pi)^3 int_0^inf t^(power - 1) e^{-t delta} G(t) dt,
+    G(t) = sum_m Re[a_m e^{i m.q0}] prod_j ive(|m_j|, 2 alpha_j t).
+
+The t-integral is split in three:
+
+* head [0, e^HEAD_U]: G(t) is G(0) = a_0 (the mean of phi^2) up to
+  t 2 sum_j alpha_j sum_m |a_m|, so the head is a_0 times the exact
+  int t^(power-1) e^{-t delta}, and that slope times
+  int t^power e^{-t delta} bounds its error;
+* body [e^HEAD_U, T], T >= TAIL_X / min_j alpha_j: fixed Gauss-Legendre
+  in u = log t, panels PANEL wide with PANEL_NODES nodes each;
+* tail [T, inf): every x_j = 2 alpha_j t >= 2 TAIL_X, where
+  ive(n, x) = (2 pi x)^(-1/2) sum_k s_k(n) x^-k, s_k(n) = (-1)^k
+  prod_{i<=k} (4 n^2 - (2i - 1)^2) / (k! 8^k).  The product of the three
+  series, cut at SERIES_TERMS terms in 1/t, is integrated in closed form
+  against e^{-t delta} t^(-3/2-k) (erfc, then the upward recursion of
+  the incomplete gamma function).
+
+The bar is the first omitted term of that product (taken in absolute
+value), plus the head bound, plus 64 eps times the sum of the magnitudes
+that were added (mode by mode, so cancellation between modes cannot hide
+rounding).  It does not include the discretisation error of the body
+rule, which is below rounding: doubling the nodes per panel moves no value
+by a tenth of its bar.
+
+Everything but e^{-t delta} is independent of z, so laplace_table builds
+the nodes, G and the tail coefficients of a fibre once, and
+laplace_omega costs one exponential per node and two dot products.
+scipy's ive returns nan from about x = 1.3e9 (ive(0, 2e9)), so above
+IVE_SERIES_X the factors are taken from the same series, whose next term
+is below 1e-22 relative there.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+from scipy.special import gammainc, i0e, i1e, ive
+
+from .errors import UnsupportedFamilyError
+
+HEAD_U = -30.0         # the body rule starts at t = e^HEAD_U
+PANEL = 0.5            # panel width in u = log t
+PANEL_NODES = 32       # Gauss-Legendre nodes per panel
+TAIL_X = 1e3           # the tail starts at T >= TAIL_X / min_j alpha_j
+SERIES_TERMS = 4       # terms of the tail series in 1/t; the next is the bar
+IVE_SERIES_X = 1e6     # ive(n, x) from its series above this x
+ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def _series_coeffs(n):
+    """s_0(n) ... s_SERIES_TERMS(n) of ive(n, x) sqrt(2 pi x) in 1/x."""
+    out = [1.0]
+    for k in range(1, SERIES_TERMS + 1):
+        out.append(-out[-1] * (4 * n * n - (2 * k - 1) ** 2) / (8.0 * k))
+    return out
+
+
+def _ive(n, x):
+    """ive(n, x) for n >= 0 and x >= 0: i0e, i1e or ive below
+    IVE_SERIES_X, the first SERIES_TERMS terms of the series above."""
+    out = np.empty_like(x)
+    big = x > IVE_SERIES_X
+    small = ~big
+    out[small] = {0: i0e, 1: i1e}.get(n, lambda y: ive(n, y))(x[small])
+    xb = x[big]
+    s = _series_coeffs(n)
+    out[big] = (np.polynomial.polynomial.polyval(1.0 / xb, s[:SERIES_TERMS])
+                / np.sqrt(2.0 * np.pi * xb))
+    return out
+
+
+@lru_cache(maxsize=32)
+def _log_rule(n_panels, nodes):
+    """Gauss-Legendre in u = log t over n_panels panels from HEAD_U:
+    (t, weights of dt), read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = HEAD_U + PANEL * (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0))
+    t = np.exp(u).ravel()
+    wt = np.broadcast_to(0.5 * PANEL * w, u.shape).ravel() * t
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
+def _phi_squared_modes(table):
+    """{m: a_m} of phi^2 = sum_m a_m e^{i m.q} for a HarmonicTable phi."""
+    beta = {}
+    for k, c, s in zip(table.indices, table.cos, table.sin):
+        k = tuple(int(v) for v in k)
+        if k == (0, 0, 0):
+            beta[k] = beta.get(k, 0.0) + c
+        else:
+            neg = tuple(-v for v in k)
+            beta[k] = beta.get(k, 0.0) + 0.5 * complex(c, -s)
+            beta[neg] = beta.get(neg, 0.0) + 0.5 * complex(c, s)
+    modes = {}
+    for (k, bk), (l, bl) in itertools.product(beta.items(), repeat=2):
+        m = (k[0] + l[0], k[1] + l[1], k[2] + l[2])
+        modes[m] = modes.get(m, 0.0) + bk * bl
+    return modes
+
+
+@dataclass(frozen=True)
+class LaplaceTable:
+    """The z-independent part of the route for one fibre.
+
+    t, wg, wh    body nodes, weights times G(t), weights times the
+                 mode-by-mode magnitude H(t) >= |G(t)|
+    T            start of the tail
+    a0, slope    G(0) and the bound 2 sum_j alpha_j sum_m |a_m| on |G'|
+    tail         SERIES_TERMS coefficients of t^(-3/2-K) in G(t)
+    omitted      the magnitude of the first omitted coefficient
+    """
+
+    t: np.ndarray
+    wg: np.ndarray
+    wh: np.ndarray
+    T: float
+    a0: float
+    slope: float
+    tail: np.ndarray
+    omitted: float
+
+
+def laplace_table(model, p) -> LaplaceTable:
+    """Nodes, G(t) and tail coefficients of the fibre (model, p) for a
+    two_particle model."""
+    if model.family != "two_particle":
+        raise UnsupportedFamilyError(
+            "the Laplace-Bessel route needs the two_particle family")
+    c = np.asarray(model.hopping, dtype=float)
+    half = 0.5 * np.asarray(p, dtype=float)
+    alpha = c * np.abs(np.cos(half))
+    # the maximizer: q0_j = p_j/2 + pi where cos(p_j/2) > 0, else p_j/2
+    q0 = half + np.pi * (np.cos(half) > 0.0)
+
+    coef, size = {}, {}  # per (|m_1|, |m_2|, |m_3|): Re[a_m e^{i m.q0}], |a_m|
+    for m, a in _phi_squared_modes(model._phi).items():
+        key = tuple(abs(v) for v in m)
+        coef[key] = coef.get(key, 0.0) + (a * np.exp(1j * np.dot(m, q0))).real
+        size[key] = size.get(key, 0.0) + abs(a)
+
+    n_panels = max(1, math.ceil((math.log(TAIL_X / alpha.min()) - HEAD_U)
+                                / PANEL))
+    t, wt = _log_rule(n_panels, PANEL_NODES)
+    T = math.exp(HEAD_U + PANEL * n_panels)
+    orders = [{key[j] for key in coef} for j in range(3)]
+    # per axis and order: ive at the body nodes, and the series
+    # coefficients of t^-k, s_k(n) / (2 alpha_j)^k
+    factors = [{n: _ive(n, 2.0 * a * t) for n in ns}
+               for a, ns in zip(alpha, orders)]
+    k = np.arange(SERIES_TERMS + 1)
+    series = [{n: np.array(_series_coeffs(n)) / (2.0 * a) ** k for n in ns}
+              for a, ns in zip(alpha, orders)]
+    power_of_t = k[:, None, None] + k[None, :, None] + k[None, None, :]
+    G = np.zeros_like(t)
+    H = np.zeros_like(t)
+    tail = np.zeros(SERIES_TERMS)
+    omitted = 0.0
+    for key in coef:
+        prod = factors[0][key[0]] * factors[1][key[1]] * factors[2][key[2]]
+        G += coef[key] * prod
+        H += size[key] * prod
+        terms = np.einsum("i,j,k->ijk", *(series[j][key[j]] for j in range(3)))
+        tail += coef[key] * np.bincount(
+            power_of_t.ravel(), terms.ravel())[:SERIES_TERMS]
+        omitted += size[key] * np.abs(terms[power_of_t == SERIES_TERMS]).sum()
+    lead = (2.0 * np.pi) ** -1.5 / math.sqrt(8.0 * float(np.prod(alpha)))
+    return LaplaceTable(
+        t=t, wg=wt * G, wh=wt * H, T=T, a0=coef.get((0, 0, 0), 0.0),
+        slope=2.0 * float(np.sum(alpha)) * sum(size.values()),
+        tail=lead * tail, omitted=lead * omitted)
+
+
+def _tail_integrals(delta, T, n):
+    """J_a = int_T^inf e^{-delta t} t^-a dt for a = 1/2, 3/2, ...,
+    n - 1/2; J_{1/2} is inf at delta = 0."""
+    e = math.exp(-delta * T)
+    # delta J_{1/2}, 0.0 at delta = 0
+    dj = math.sqrt(math.pi * delta) * math.erfc(math.sqrt(delta * T))
+    J = [dj / delta if delta > 0.0 else math.inf]
+    a = 0.5
+    for _ in range(n - 1):
+        J.append((T ** -a * e - dj) / a)
+        dj = delta * J[-1]
+        a += 1.0
+    return J
+
+
+def _head_moment(k, delta):
+    """int_0^eps t^(k-1) e^{-t delta} dt, eps = e^HEAD_U."""
+    eps = math.exp(HEAD_U)
+    x = delta * eps
+    if x == 0.0:
+        return eps ** k / k
+    return eps ** k * gammainc(k, x) * math.gamma(k) / x ** k
+
+
+def laplace_omega(table: LaplaceTable, delta, power=1):
+    """(value, bar) of int_{T^3} phi^2 / (M + delta - w_p)^power for
+    delta >= 0 and power 1 or 2.  At delta = 0, power 2 is finite only
+    where phi(q0) = 0; the tail term of coefficient phi(q0)^2 is then
+    left out, so the caller must check phi(q0) first."""
+    t = table.t
+    e = np.exp(-delta * t)
+    if power == 2:
+        e *= t
+    body = float(e @ table.wg)
+    body_abs = float(e @ table.wh)
+    # head: a_0 int_0^eps t^(power-1) e^{-t delta} dt, and the slope of G
+    # times the next moment bounds its error
+    head = table.a0 * _head_moment(power, delta)
+    head_bound = table.slope * _head_moment(power + 1, delta)
+    J = _tail_integrals(delta, table.T, SERIES_TERMS + 2)
+    tail = sum(table.tail[K] * J[K + 2 - power]
+               for K in range(SERIES_TERMS)
+               if not (power == 2 and K == 0 and delta == 0.0))
+    omitted = table.omitted * J[SERIES_TERMS + 2 - power]
+    scale = (2.0 * np.pi) ** 3
+    value = scale * (head + body + tail)
+    bar = scale * (omitted + head_bound
+                   + ROUNDING * (body_abs + abs(head) + abs(tail)))
+    return value, bar

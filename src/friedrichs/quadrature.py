@@ -17,6 +17,12 @@ at q0 with support radius rho:
   to the removable-singularity value rho/k(nu) per ray, i.e. the r -> 0
   limit 2 phi^2(q0) / (nu.(-A)nu).
 
+For the two_particle family the denominator separates axis by axis and
+Omega is the exact 1-D Laplace-Bessel integral of laplace.py; evaluate and
+second_moment answer such fibres from it, with its own error bar, and build
+no node level.  value_at_level and state_norm_diagnostics keep the split
+quadrature for every family, and trig_poly fibres are answered by it.
+
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the bump radius, the node data per refinement level and the threshold
 value Omega(p) = Omega(p; M(p)), computed once on first read.  Evaluating
@@ -63,6 +69,7 @@ from .errors import (
     QuadratureError,
     QuadratureNotConvergedError,
 )
+from .laplace import laplace_omega, laplace_table
 from .torus import grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
@@ -82,7 +89,8 @@ class QuadratureSpec:
     n_radial   Gauss-Legendre nodes on [0, rho]
     n_angular  polar nodes in cos(theta); 2*n_angular azimuthal nodes
     rel_tol    target relative tolerance for the refinement loop, which
-               doubles every node count up to MAX_REFINEMENTS times
+               doubles every node count up to MAX_REFINEMENTS times, and
+               the bound on the bar of the Laplace-Bessel route
     """
 
     n_grid: int = 64
@@ -105,7 +113,15 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class OmegaValue:
-    """Value of Omega with an a-posteriori refinement error estimate."""
+    """Value of Omega with its error bar.
+
+    On the split quadrature (trig_poly) estimated_error is |dnear| + |dfar|
+    between the last two levels, the value is near_field + far_field and
+    n_grid is the far-field grid of the level that answered.  On the
+    Laplace-Bessel route (two_particle) estimated_error is the route's bar,
+    near_field is 0.0, far_field is the value and n_grid is the spec's
+    base grid.  rho is the evaluator's bump radius either way.
+    """
 
     value: float
     estimated_error: float
@@ -234,12 +250,17 @@ def auto_rho(model, p, cp):
 
 
 class OmegaEvaluator:
-    """Cached-node evaluator of Omega(p; .) for one (model, p, spec).
+    """Evaluator of Omega(p; .) for one (model, p, spec).
 
-    Levels of node data are built lazily; level L uses node counts scaled
-    by 2^L relative to the base spec.  evaluate() runs the refinement loop
-    of the spec; values at a fixed level are deterministic functions of z
-    (fixed-order reductions).  The threshold value Omega(p; M(p)) is
+    A two_particle fibre keeps the z-independent table of the
+    Laplace-Bessel route (built here, about 1-3 ms), and evaluate() and
+    second_moment() read it: the spec's rel_tol bounds the route's bar,
+    while n_grid and rho shape only value_at_level and
+    state_norm_diagnostics.  Otherwise levels of node data are built
+    lazily; level L uses node counts scaled by 2^L relative to the base
+    spec.  evaluate() runs the refinement loop of the spec; values at a
+    fixed level are deterministic functions of z (fixed-order
+    reductions).  The threshold value Omega(p; M(p)) is
     evaluated on the first read of `threshold` and kept; evaluate(M(p))
     returns it, and at either of the last two z it reduced, evaluate(z)
     returns the kept value without reducing again.  Lazy level
@@ -265,6 +286,8 @@ class OmegaEvaluator:
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
         self._threshold = None
         self._recent = ()  # the last two (z, OmegaValue), newest first
+        self._laplace = (laplace_table(model, self.p)
+                         if model.family == "two_particle" else None)
 
     @property
     def threshold(self) -> OmegaValue:
@@ -402,11 +425,27 @@ class OmegaEvaluator:
                            level, why))
             prev = sums
 
-    def evaluate(self, z) -> OmegaValue:
-        """Omega(p; z) with one-step refinement error estimation.
+    def _route(self, z, power, what):
+        """(value, bar) from the Laplace-Bessel route; raises
+        QuadratureNotConvergedError if the bar exceeds the spec's relative
+        tolerance of the value."""
+        value, bar = laplace_omega(self._laplace, self._delta(z), power)
+        bound = self.spec.rel_tol * abs(value)
+        if not bar <= bound:
+            raise QuadratureNotConvergedError(
+                "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
+                "|value| %.3e) on the Laplace-Bessel route"
+                % (what, bar, bound, self.spec.rel_tol, abs(value)))
+        return value, bar
 
-        Raises QuadratureNotConvergedError if MAX_REFINEMENTS doublings do
-        not reach the spec's relative tolerance, or cannot be expected to.
+    def evaluate(self, z) -> OmegaValue:
+        """Omega(p; z) with its error bar: from the Laplace-Bessel route for
+        a two_particle model, else from the split quadrature with one-step
+        refinement error estimation.
+
+        Raises QuadratureNotConvergedError if the route's bar exceeds the
+        spec's relative tolerance, or if MAX_REFINEMENTS doublings do not
+        reach it, or cannot be expected to.
         """
         if z == self.M and self._threshold is not None:
             return self._threshold
@@ -414,8 +453,12 @@ class OmegaEvaluator:
         for z_seen, value in recent:
             if z_seen == z:
                 return value
-        level, est, (total, near, far) = self._refine(
-            lambda level: self.value_at_level(z, level), "quadrature")
+        if self._laplace is not None:
+            total, est = self._route(z, 1, "quadrature")
+            level, near, far = 0, 0.0, total
+        else:
+            level, est, (total, near, far) = self._refine(
+                lambda level: self.value_at_level(z, level), "quadrature")
         value = OmegaValue(value=total, estimated_error=est, near_field=near,
                            far_field=far,
                            n_grid=self.spec.n_grid * 2 ** level, rho=self.rho)
@@ -423,7 +466,8 @@ class OmegaEvaluator:
         return value
 
     def second_moment(self, z):
-        """int phi^2 / (z - w_p)^2 ds for z > M(p), same node reuse.
+        """int phi^2 / (z - w_p)^2 ds for z > M(p), by the same route or
+        node levels as evaluate.
 
         At z = M(p) it is finite only where phi(q0) = 0, and then it is the
         squared norm ||f0||^2 of the threshold state f0 = phi / (M - w_p).
@@ -431,6 +475,8 @@ class OmegaEvaluator:
         if self._delta(z) <= 0.0 and self._phi0_sq != 0.0:
             raise BelowThresholdError(
                 "second moment diverges at the band edge")
+        if self._laplace is not None:
+            return self._route(z, 2, "second moment")[0]
         _, _, (total, _, _) = self._refine(
             lambda level: self._sums(z, level, 2), "second moment")
         return total

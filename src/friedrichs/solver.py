@@ -42,6 +42,8 @@ FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
 CHECK_GRID = 64          # midpoint nodes per axis of the eigenfunction checks
+ROOT_XTOL = 1e-14        # brentq's absolute and relative root tolerances
+ROOT_RTOL = 4.0 * np.finfo(float).eps
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
@@ -113,8 +115,8 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
         if not _det(z_hi, ev, mu) > 0.0:
             raise BracketingError(
                 "failed to bracket the determinant root above the band edge")
-    root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=1e-14,
-                  rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=ROOT_XTOL,
+                  rtol=ROOT_RTOL, maxiter=200)
     return float(root)
 
 
@@ -122,13 +124,16 @@ def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
                               evaluator: OmegaEvaluator | None = None) -> float:
     """A-posteriori accuracy estimate for a solved eigenvalue.
 
-    The root shift caused by a quadrature error e in Omega is
-    e / |dOmega/dz|, and -dOmega/dz is the second moment
-    int phi^2/(E - w)^2.  Used as the comparison floor when grading
-    finite-lattice convergence against the continuum value.
+    The root shift caused by an error e in Omega is e / |dOmega/dz|, and
+    -dOmega/dz is the second moment int phi^2/(E - w)^2; brentq's own
+    tolerance ROOT_XTOL + ROOT_RTOL |E| is added, since an exact Omega
+    (the Laplace-Bessel route) leaves it the larger part.  Used as the
+    comparison floor when grading finite-lattice convergence against the
+    continuum value.
     """
     ev = _evaluator(model, p, cp, evaluator)
-    return ev.evaluate(energy).estimated_error / ev.second_moment(energy)
+    return (ev.evaluate(energy).estimated_error / ev.second_moment(energy)
+            + ROOT_XTOL + ROOT_RTOL * abs(energy))
 
 
 @dataclass(frozen=True)

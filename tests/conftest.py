@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -32,6 +33,55 @@ def bessel_omega(delta, hopping=(1.0, 1.0, 1.0), p=(0.0, 0.0, 0.0)):
     return (2.0 * np.pi) ** 3 * (v1 + v2)
 
 
+def mp_laplace_omega(model, p, delta, power=1, dps=30):
+    """int phi^2 / (M + delta - w_p)^power for a two_particle model, from
+    the Laplace-Bessel integral in mpmath at dps digits.
+
+    The Fourier modes of phi^2 come from an FFT of phi^2 on a 16^3 grid
+    (exact: phi^2 has order <= 4 per axis), not from the production
+    tables; the t-integral runs over [0, 1] and, in s = t^(-1/2), over
+    [1, inf), with ive(n, x) from besseli(0), besseli(1) and the
+    three-term recurrence at 15 extra digits.
+    """
+    n = 16
+    ax = 2.0 * np.pi * np.arange(n) / n
+    grid = tuple(np.meshgrid(ax, ax, ax, indexing="ij"))
+    a = np.fft.fftn(np.broadcast_to(model.phi(grid), (n, n, n)) ** 2) / n ** 3
+    with mpmath.workdps(dps):
+        half = [mpmath.mpf(float(v)) / 2 for v in p]
+        alpha = [mpmath.mpf(c) * abs(mpmath.cos(h))
+                 for c, h in zip(model.hopping, half)]
+        q0 = [h + (mpmath.pi if mpmath.cos(h) > 0 else 0) for h in half]
+        coef = {}
+        for idx in zip(*np.nonzero(np.abs(a) > 1e-13)):
+            m = [int(i) if i < n // 2 else int(i) - n for i in idx]
+            phase = mpmath.expj(sum(mi * qi for mi, qi in zip(m, q0)))
+            key = tuple(abs(v) for v in m)
+            coef[key] = coef.get(key, 0) + mpmath.re(
+                mpmath.mpc(a[idx].real, a[idx].imag) * phase)
+        top = [max(k[j] for k in coef) for j in range(3)]
+        delta = mpmath.mpf(float(delta))
+
+        def f(t):
+            factors = []
+            for j in range(3):
+                x = 2 * alpha[j] * t
+                with mpmath.extradps(15):
+                    e = [mpmath.besseli(0, x) * mpmath.exp(-x),
+                         mpmath.besseli(1, x) * mpmath.exp(-x)]
+                    for k in range(1, top[j]):
+                        e.append(e[k - 1] - 2 * k / x * e[k])
+                factors.append(e)
+            g = mpmath.fsum(c * factors[0][k[0]] * factors[1][k[1]]
+                            * factors[2][k[2]] for k, c in coef.items())
+            return mpmath.exp(-t * delta) * t ** (power - 1) * g
+
+        body = mpmath.quad(f, [0, 0.25, 1])
+        tail = mpmath.quad(lambda s: 2 * f(1 / s ** 2) / s ** 3,
+                           [0, 0.01, 0.1, 0.3, 1])
+        return float((2 * mpmath.pi) ** 3 * (body + tail))
+
+
 # the off-axis trig_poly model of the fresh_fibers benchmark workload
 OFF_AXIS_CONFIG = {
     "family": "trig_poly",
@@ -44,6 +94,28 @@ OFF_AXIS_CONFIG = {
     "phi_table": [{"index": [0, 0, 0], "value": 1.0},
                   {"index": [1, 0, 1], "value": 0.2, "sin": 0.1}],
 }
+
+
+def _entries(table):
+    return [{"index": [int(v) for v in k], "value": float(c), "sin": float(s)}
+            for k, c, s in zip(table.indices, table.cos, table.sin)]
+
+
+def quadrature_twin(model):
+    """The trig_poly model with the Fourier tables of a two_particle model:
+    the same w and phi, answered by the split quadrature instead of the
+    Laplace-Bessel route."""
+    return fr.DispersionModel(fr.ModelConfig.from_dict({
+        "family": "trig_poly", "w_table": _entries(model._w_block),
+        "phi_table": _entries(model._phi)}))
+
+
+def mixed_model():
+    """A two_particle model with sin1 and cos2 harmonics and anisotropic
+    hopping (1, 1, 3)."""
+    return fr.two_particle_model(hopping=(1.0, 1.0, 3.0), phi={
+        "constant": 1.0, "sin1": [0.3, -0.2, 0.25],
+        "cos2": [0.15, 0.1, -0.2]})
 
 
 def model_kinds():
@@ -88,6 +160,37 @@ def ev_one(model_one, cp_one):
 @pytest.fixture(scope="session")
 def mu_one(model_one, cp_one, ev_one):
     return fr.coupling_threshold(model_one, P0, cp_one, evaluator=ev_one)
+
+
+@pytest.fixture(scope="session")
+def twin_one(model_one):
+    """model_one as trig_poly tables: Omega from the split quadrature."""
+    return quadrature_twin(model_one)
+
+
+@pytest.fixture(scope="session")
+def cp_twin_one(twin_one):
+    return fr.find_maximizer(twin_one, P0)
+
+
+@pytest.fixture(scope="session")
+def ev_twin_one(twin_one, cp_twin_one):
+    return fr.OmegaEvaluator(twin_one, P0, cp_twin_one)
+
+
+@pytest.fixture(scope="session")
+def twin_vanishing(model_vanishing):
+    return quadrature_twin(model_vanishing)
+
+
+@pytest.fixture(scope="session")
+def cp_twin_vanishing(twin_vanishing):
+    return fr.find_maximizer(twin_vanishing, P0)
+
+
+@pytest.fixture(scope="session")
+def ev_twin_vanishing(twin_vanishing, cp_twin_vanishing):
+    return fr.OmegaEvaluator(twin_vanishing, P0, cp_twin_vanishing)
 
 
 @pytest.fixture(scope="session")

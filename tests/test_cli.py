@@ -45,6 +45,25 @@ def test_threshold_degenerate_exit_2(capsys):
     assert "degenerate maximum" in err
 
 
+EDGE_P = "3.14159,0.1,-0.12"
+
+
+def test_zone_edge_threshold_from_the_route(capsys):
+    code, out, _ = _run(capsys, ["threshold", "--p", EDGE_P])
+    assert code == 0
+    omega = 1.0 / json.loads(out)["mu_threshold"]
+    assert abs(omega / 336.018641028 - 1.0) <= 1e-9
+
+
+def test_zone_edge_refused_on_the_twin(capsys, tmp_path, twin_one):
+    path = tmp_path / "twin.json"
+    twin_one.config.save(path)
+    code, _, err = _run(capsys, ["threshold", "--config", str(path),
+                                 "--p", EDGE_P])
+    assert code == 1
+    assert err.startswith("friedrichs: quadrature not converged")
+
+
 def test_missing_config_exit_1(capsys, tmp_path):
     code, _, err = _run(capsys, ["threshold", "--config",
                                  str(tmp_path / "nope.json")])
@@ -280,11 +299,11 @@ def test_bad_argument_exit_1(capsys, argv, fragment):
 
 
 def test_sweep_point_evaluates_the_threshold_at_most_twice(
-        threshold_evaluations):
+        twin_one, threshold_evaluations):
     from friedrichs import cli
 
     mu_specs = [cli._parse_mu_spec(s) for s in ("x0.5", "x1", "x2")]
-    rows = cli._sweep_point(fr.two_particle_model(), fr.QuadratureSpec(),
+    rows = cli._sweep_point(twin_one, fr.QuadratureSpec(),
                             np.array([0.7, -0.3, 1.1]), mu_specs,
                             ["threshold", "eigenvalue", "classify"], 64)
     assert [r["error"] for r in rows] == ["", "", ""]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from conftest import model_kinds
+from conftest import model_kinds, quadrature_twin
 from friedrichs.critical import GRAD_TOL
 from friedrichs.torus import grid_axis, tensor_grid
 
@@ -70,8 +70,8 @@ def test_omega_is_invariant_under_axis_permutation(hopping, constant, cos1,
     for order in ([0, 1, 2], perm):
         def permuted(v):
             return [v[i] for i in order]
-        model = _even_phi_model(permuted(hopping), constant, permuted(cos1),
-                                permuted(cos2))
+        model = quadrature_twin(_even_phi_model(
+            permuted(hopping), constant, permuted(cos1), permuted(cos2)))
         q = np.array(permuted(p))
         cp = fr.find_maximizer(model, q)
         thresholds.append(fr.OmegaEvaluator(model, q, cp).threshold)

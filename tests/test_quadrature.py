@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from conftest import model_kinds
+from conftest import model_kinds, quadrature_twin
 from friedrichs.quadrature import (
     MAX_CONTRACTION,
     _radial_closed_form,
@@ -21,15 +21,16 @@ P0 = np.zeros(3)
 OMEGA_THRESHOLD_REF = 62.68998093941696
 
 
-def test_dominated_high_energy_limit(model_one, cp_one, ev_one):
+def test_dominated_high_energy_limit(ev_twin_one):
     z = 1.0e6
-    val = ev_one.evaluate(z).value
+    val = ev_twin_one.evaluate(z).value
     ref = (2.0 * np.pi) ** 3 / z
     assert abs(val - ref) <= 2e-5 * ref
 
 
-def test_threshold_value_against_bessel_reference(ev_one, cp_one, bessel_ref):
-    got = ev_one.evaluate(cp_one.M)
+def test_threshold_value_against_bessel_reference(ev_twin_one, cp_twin_one,
+                                                  bessel_ref):
+    got = ev_twin_one.evaluate(cp_twin_one.M)
     ref = bessel_ref(0.0)
     assert ref == pytest.approx(OMEGA_THRESHOLD_REF, abs=1e-9)
     assert got.value == pytest.approx(ref, rel=1e-6)
@@ -37,43 +38,44 @@ def test_threshold_value_against_bessel_reference(ev_one, cp_one, bessel_ref):
     assert got.value == pytest.approx(got.near_field + got.far_field, rel=1e-14)
 
 
-def test_values_off_threshold_against_bessel_reference(ev_one, cp_one,
+def test_values_off_threshold_against_bessel_reference(ev_twin_one,
+                                                       cp_twin_one,
                                                        bessel_ref):
     for delta in (1e-4, 1e-2, 1.0):
-        got = ev_one.evaluate(cp_one.M + delta).value
+        got = ev_twin_one.evaluate(cp_twin_one.M + delta).value
         assert got == pytest.approx(bessel_ref(delta), rel=1e-6)
 
 
-def test_omega_monotone_decreasing_in_z(ev_one, cp_one):
-    zs = cp_one.M + np.array([0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0])
-    vals = [ev_one.evaluate(z).value for z in zs]
+def test_omega_monotone_decreasing_in_z(ev_twin_one, cp_twin_one):
+    zs = cp_twin_one.M + np.array([0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0])
+    vals = [ev_twin_one.evaluate(z).value for z in zs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_scaling_in_phi(model_one, cp_one, ev_one):
-    doubled = model_one.scaled_phi(2.0)
+def test_scaling_in_phi(twin_one, cp_twin_one):
+    doubled = twin_one.scaled_phi(2.0)
     cp2 = fr.find_maximizer(doubled, P0)
-    v1 = fr.OmegaEvaluator(model_one, P0, cp_one).threshold
+    v1 = fr.OmegaEvaluator(twin_one, P0, cp_twin_one).threshold
     v2 = fr.OmegaEvaluator(doubled, P0, cp2).threshold
     assert v2.value == pytest.approx(4.0 * v1.value, rel=1e-13)
 
 
-def test_positivity(model_vanishing, cp_vanishing):
-    v = fr.OmegaEvaluator(model_vanishing, P0, cp_vanishing).threshold
+def test_positivity(twin_vanishing, cp_twin_vanishing):
+    v = fr.OmegaEvaluator(twin_vanishing, P0, cp_twin_vanishing).threshold
     assert v.value > 0.0
 
 
-def test_below_threshold_rejected(model_one, cp_one, ev_one):
+def test_below_threshold_rejected(cp_twin_one, ev_twin_one):
     with pytest.raises(fr.BelowThresholdError):
-        ev_one.evaluate(cp_one.M - 1e-6)
+        ev_twin_one.evaluate(cp_twin_one.M - 1e-6)
 
 
-def test_split_radius_robustness(model_one, cp_one):
+def test_split_radius_robustness(twin_one, cp_twin_one):
     # changing rho by x1.5 moves the value by less than 5x the reported
     # refinement estimate
-    a = fr.OmegaEvaluator(model_one, P0, cp_one,
+    a = fr.OmegaEvaluator(twin_one, P0, cp_twin_one,
                           fr.QuadratureSpec(rho=0.6)).threshold
-    b = fr.OmegaEvaluator(model_one, P0, cp_one,
+    b = fr.OmegaEvaluator(twin_one, P0, cp_twin_one,
                           fr.QuadratureSpec(rho=0.9)).threshold
     assert abs(a.value - b.value) <= 5.0 * max(a.estimated_error,
                                                b.estimated_error)
@@ -98,26 +100,26 @@ def test_refinement_convergence_order(model_one, cp_one):
     assert np.all(orders >= 2.0)
 
 
-def test_not_converged_raises(model_one, cp_one):
+def test_not_converged_raises(twin_one, cp_twin_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=6, n_angular=6,
                              rel_tol=1e-15)
     with pytest.raises(fr.QuadratureNotConvergedError):
-        fr.OmegaEvaluator(model_one, P0, cp_one, spec).threshold
+        fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec).threshold
 
 
-def test_momentum_reflection_symmetry(model_one):
+def test_momentum_reflection_symmetry(twin_one):
     p = np.array([0.4, -0.3, 0.8])
-    va = fr.OmegaEvaluator(model_one, p,
-                           fr.find_maximizer(model_one, p)).threshold
-    vb = fr.OmegaEvaluator(model_one, -p,
-                           fr.find_maximizer(model_one, -p)).threshold
+    va = fr.OmegaEvaluator(twin_one, p,
+                           fr.find_maximizer(twin_one, p)).threshold
+    vb = fr.OmegaEvaluator(twin_one, -p,
+                           fr.find_maximizer(twin_one, -p)).threshold
     assert va.value == pytest.approx(vb.value, rel=1e-10)
 
 
-def test_omega_at_nonzero_momentum_against_bessel(model_one, bessel_ref):
+def test_omega_at_nonzero_momentum_against_bessel(twin_one, bessel_ref):
     p = np.array([0.9, 0.2, -0.5])
-    cp = fr.find_maximizer(model_one, p)
-    got = fr.OmegaEvaluator(model_one, p, cp).threshold.value
+    cp = fr.find_maximizer(twin_one, p)
+    got = fr.OmegaEvaluator(twin_one, p, cp).threshold.value
     assert got == pytest.approx(bessel_ref(0.0, p=p), rel=1e-6)
 
 
@@ -178,13 +180,14 @@ def test_spec_validation():
         fr.QuadratureSpec(rho=2.0)
 
 
-def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
+def test_not_converged_message_states_the_last_estimate(twin_one,
+                                                        cp_twin_one):
     # rel_tol = 1e-15 lies beyond what the one doubling left can reach, so
     # the refinement stops at level 1 and states the estimate of levels 0, 1
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
                              rel_tol=1e-15)
-    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
-    z = cp_one.M + 0.1
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
+    z = cp_twin_one.M + 0.1
     cases = ((ev.evaluate, ev.value_at_level),
              (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
     for call, at_level in cases:
@@ -198,13 +201,13 @@ def test_not_converged_message_states_the_last_estimate(model_one, cp_one):
     assert len(ev._levels) == 2
 
 
-def test_not_converged_message_at_the_last_level(model_one, cp_one):
+def test_not_converged_message_at_the_last_level(twin_one, cp_twin_one):
     # rel_tol = 1e-5: both level-1 estimates lie within MAX_CONTRACTION of
     # their bounds, so level 2 is built, and its estimate misses the bound
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
                              rel_tol=1e-5)
-    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
-    z = cp_one.M + 0.1
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
+    z = cp_twin_one.M + 0.1
     cases = ((ev.evaluate, ev.value_at_level),
              (ev.second_moment, lambda z, level: ev._sums(z, level, 2)))
     for call, at_level in cases:
@@ -226,11 +229,12 @@ def test_rel_tol_outside_open_interval_rejected(rel_tol):
         fr.QuadratureSpec(rel_tol=rel_tol)
 
 
-def test_not_converged_message_states_the_absolute_bound(model_one, cp_one):
+def test_not_converged_message_states_the_absolute_bound(twin_one,
+                                                         cp_twin_one):
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
                              rel_tol=1e-15)
-    ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
-    z = cp_one.M + 0.1
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
+    z = cp_twin_one.M + 0.1
     value = abs(ev.value_at_level(z, 1)[0])  # refused at level 1
     bound = "above %.3e (rel_tol 1.0e-15 x |value| %.3e)" % (1e-15 * value,
                                                              value)
@@ -239,17 +243,18 @@ def test_not_converged_message_states_the_absolute_bound(model_one, cp_one):
         ev.evaluate(z)
 
 
-def test_threshold_is_evaluated_once(model_one, cp_one,
+def test_threshold_is_evaluated_once(twin_one, cp_twin_one,
                                      threshold_evaluations):
-    ev = fr.OmegaEvaluator(model_one, P0, cp_one)
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one)
     first = ev.threshold
     assert ev.threshold is first
-    assert ev.evaluate(cp_one.M) is first  # read from the cache
+    assert ev.evaluate(cp_twin_one.M) is first  # read from the cache
     assert len(threshold_evaluations) == 1  # the fill
 
 
-def test_evaluate_keeps_the_last_two_values(model_one, cp_one, monkeypatch):
-    ev = fr.OmegaEvaluator(model_one, P0, cp_one)
+def test_evaluate_keeps_the_last_two_values(twin_one, cp_twin_one,
+                                            monkeypatch):
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one)
     reduced = []
     value_at_level = fr.OmegaEvaluator.value_at_level
 
@@ -258,7 +263,7 @@ def test_evaluate_keeps_the_last_two_values(model_one, cp_one, monkeypatch):
         return value_at_level(self, z, level)
 
     monkeypatch.setattr(fr.OmegaEvaluator, "value_at_level", counting)
-    z1, z2, z3 = cp_one.M + np.array([0.1, 0.2, 0.3])
+    z1, z2, z3 = cp_twin_one.M + np.array([0.1, 0.2, 0.3])
     first = ev.evaluate(z1)
     second = ev.evaluate(z2)
     n = len(reduced)
@@ -272,12 +277,12 @@ def test_evaluate_keeps_the_last_two_values(model_one, cp_one, monkeypatch):
 
 @pytest.mark.parametrize("p", [(-0.488, -2.665, -0.192),
                                (0.798, -1.117, -2.749)])
-def test_error_bar_bounds_the_error(model_one, bessel_ref, p):
+def test_error_bar_bounds_the_error(twin_one, bessel_ref, p):
     # the level-1 far field overshoots while the totals of levels 0 and 1
     # agree by chance: the change of the total alone understates the error
     p = np.array(p)
-    got = fr.OmegaEvaluator(model_one, p,
-                            fr.find_maximizer(model_one, p)).threshold
+    got = fr.OmegaEvaluator(twin_one, p,
+                            fr.find_maximizer(twin_one, p)).threshold
     assert abs(got.value - bessel_ref(0.0, p=p)) <= got.estimated_error
 
 
@@ -286,9 +291,9 @@ def test_error_bar_bounds_the_error(model_one, bessel_ref, p):
 EDGE = np.array([3.14159, 0.1, -0.12])
 
 
-def test_degenerate_edge_refused_before_level_2(model_one):
-    cp = fr.find_maximizer(model_one, EDGE)
-    ev = fr.OmegaEvaluator(model_one, EDGE, cp)
+def test_degenerate_edge_refused_before_level_2(twin_one):
+    cp = fr.find_maximizer(twin_one, EDGE)
+    ev = fr.OmegaEvaluator(twin_one, EDGE, cp)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -307,13 +312,20 @@ def test_degenerate_edge_refused_before_level_2(model_one):
     assert peak - kept <= 8 * 2 ** 20
 
 
+def _quadrature_kinds():
+    """model_kinds() with each two_particle model replaced by its twin."""
+    return {kind: (quadrature_twin(model)
+                   if model.family == "two_particle" else model)
+            for kind, model in model_kinds().items()}
+
+
 @pytest.mark.parametrize("kind, p1", [
     ("one", 3.1), ("one", 3.12), ("vanishing", 3.1), ("vanishing", 3.12),
     ("off_axis", 3.1)])
 def test_near_edge_threshold_still_converges_at_level_2(kind, p1):
     # level-1 estimates 0.7e-5 ... 2.5e-4 relative, far below the cut at
     # rel_tol * MAX_CONTRACTION = 8.2e-3
-    model = model_kinds()[kind]
+    model = _quadrature_kinds()[kind]
     p = np.array([p1, 0.1, -0.12])
     cp = fr.find_maximizer(model, p)
     ev = fr.OmegaEvaluator(model, p, cp)
@@ -324,7 +336,7 @@ def test_near_edge_threshold_still_converges_at_level_2(kind, p1):
 
 @pytest.mark.parametrize("kind", ["one", "off_axis"])
 def test_second_moment_still_converges_at_level_2(kind):
-    model = model_kinds()[kind]
+    model = _quadrature_kinds()[kind]
     p = np.array([-0.91, -0.23, 2.44])
     cp = fr.find_maximizer(model, p)
     ev = fr.OmegaEvaluator(model, p, cp)
@@ -334,16 +346,18 @@ def test_second_moment_still_converges_at_level_2(kind):
     assert got == ev._sums(z, 2, 2)[0]
 
 
-def test_second_moment_at_the_edge_where_phi_vanishes(cp_one, ev_one,
-                                                      cp_vanishing,
-                                                      ev_vanishing):
+def test_second_moment_at_the_edge_where_phi_vanishes(cp_twin_one,
+                                                      ev_twin_one,
+                                                      cp_twin_vanishing,
+                                                      ev_twin_vanishing):
     # phi(q0) = 0 exactly: ||f0||^2 = int phi^2 / (M - w)^2 is finite and
     # is the limit of the second moment as z -> M(p) from above
-    at_edge = ev_vanishing.second_moment(cp_vanishing.M)
+    at_edge = ev_twin_vanishing.second_moment(cp_twin_vanishing.M)
     assert at_edge == pytest.approx(62.0126, abs=1e-4)
-    gaps = [abs(ev_vanishing.second_moment(cp_vanishing.M + d) - at_edge)
+    gaps = [abs(ev_twin_vanishing.second_moment(cp_twin_vanishing.M + d)
+                - at_edge)
             for d in (1e-6, 1e-8, 1e-10)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-9 * at_edge
     with pytest.raises(fr.BelowThresholdError, match="diverges"):
-        ev_one.second_moment(cp_one.M)
+        ev_twin_one.second_moment(cp_twin_one.M)

@@ -124,30 +124,31 @@ def test_eigenvalue_strong_coupling_asymptote(model_one, cp_one, ev_one):
                                evaluator=ev_one)) <= 1e-10
 
 
-def test_bracket_safeguard_doubling(model_one):
+def test_bracket_safeguard_doubling(twin_one):
     # at mu = 1e11 mu(p) the quadrature error exceeds the margin
     # 1 - mu Omega(z_hi) of the bound z_hi = M + mu ||phi||^2, so the
     # first bracket end fails and the one doubling brackets the root
     p = np.array([0.7, -0.3, 1.1])
-    cp = fr.find_maximizer(model_one, p)
-    ev = fr.OmegaEvaluator(model_one, p, cp)
-    mu = 1e11 * fr.coupling_threshold(model_one, p, cp, evaluator=ev)
-    gap = mu * model_one.phi_l2_norm_sq()
-    assert fr.fredholm_det(model_one, p, cp, mu, cp.M + gap,
+    cp = fr.find_maximizer(twin_one, p)
+    ev = fr.OmegaEvaluator(twin_one, p, cp)
+    mu = 1e11 * fr.coupling_threshold(twin_one, p, cp, evaluator=ev)
+    gap = mu * twin_one.phi_l2_norm_sq()
+    assert fr.fredholm_det(twin_one, p, cp, mu, cp.M + gap,
                            evaluator=ev) <= 0.0
-    e = fr.solve_eigenvalue(model_one, p, cp, mu, evaluator=ev)
+    e = fr.solve_eigenvalue(twin_one, p, cp, mu, evaluator=ev)
     assert abs(e - (cp.M + gap)) <= 1e-6 * gap
 
 
 @pytest.mark.parametrize("ratio", [1e12, 1e14])
-def test_eigenvalue_far_above_the_band(model_one, cp_one, ev_one, mu_one,
+def test_eigenvalue_far_above_the_band(twin_one, cp_twin_one, ev_twin_one,
                                        ratio):
     # Omega(z) ~ 1e-11 there: the near-field closed form must not cancel,
     # or the level differences never meet the relative tolerance
-    mu = ratio * mu_one
-    gap = mu * model_one.phi_l2_norm_sq()
-    e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
-    assert abs(e - (cp_one.M + gap)) <= 1e-6 * gap
+    mu = ratio / ev_twin_one.threshold.value
+    gap = mu * twin_one.phi_l2_norm_sq()
+    e = fr.solve_eigenvalue(twin_one, P0, cp_twin_one, mu,
+                            evaluator=ev_twin_one)
+    assert abs(e - (cp_twin_one.M + gap)) <= 1e-6 * gap
 
 
 def test_eigenvalue_monotone_in_mu(model_one, cp_one, ev_one, mu_one):
@@ -174,15 +175,15 @@ def test_eigenfunction_normalized_with_small_residual(model_one, cp_one,
     assert vals[0] > vals[1]
 
 
-def test_eigenfunction_norm_stable_under_grid_doubling(model_one, cp_one,
-                                                       mu_one):
-    mu = 2.0 * mu_one
-    ev_a = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec())
-    ev_b = fr.OmegaEvaluator(model_one, P0, cp_one, fr.QuadratureSpec(
+def test_eigenfunction_norm_stable_under_grid_doubling(twin_one, cp_twin_one,
+                                                       ev_twin_one):
+    mu = 2.0 / ev_twin_one.threshold.value
+    ev_a = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, fr.QuadratureSpec())
+    ev_b = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, fr.QuadratureSpec(
         n_grid=128, n_radial=96, n_angular=52))
-    e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_a)
-    ca = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_a)
-    cb = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_b)
+    e = fr.solve_eigenvalue(twin_one, P0, cp_twin_one, mu, evaluator=ev_a)
+    ca = fr.eigenfunction(twin_one, P0, cp_twin_one, mu, e, evaluator=ev_a)
+    cb = fr.eigenfunction(twin_one, P0, cp_twin_one, mu, e, evaluator=ev_b)
     assert abs(ca.normalization - cb.normalization) <= 1e-8 * ca.normalization
 
 
@@ -316,16 +317,18 @@ def test_non_finite_coupling_rejected(model_one, cp_one, ev_one, mu):
         fr.secular_root(model_one, P0, mu, 16)
 
 
-def test_solved_evaluator_freed_without_cycle_collection(model_one, cp_one,
-                                                         mu_one):
+def test_solved_evaluator_freed_without_cycle_collection(twin_one,
+                                                         cp_twin_one,
+                                                         ev_twin_one):
+    mu = 2.0 / ev_twin_one.threshold.value
     spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
                              rel_tol=1e-4)
     gc.collect()
     gc.disable()
     try:
-        ev = fr.OmegaEvaluator(model_one, P0, cp_one, spec)
+        ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
         ref = weakref.ref(ev)
-        energy = fr.solve_eigenvalue(model_one, P0, cp_one, 2.0 * mu_one,
+        energy = fr.solve_eigenvalue(twin_one, P0, cp_twin_one, mu,
                                      evaluator=ev)
         assert energy is not None
         del ev
@@ -351,26 +354,26 @@ def test_expansion_window_must_be_positive_finite_and_increasing(
                          window=window)
 
 
-def test_analyze_evaluates_the_threshold_at_most_twice(model_one,
+def test_analyze_evaluates_the_threshold_at_most_twice(twin_one,
                                                        threshold_evaluations):
     # the cache fill, plus brentq's call at the bracket end z = M(p)
     p = np.array([0.7, -0.3, 1.1])
-    cp = fr.find_maximizer(model_one, p)
-    ev = fr.OmegaEvaluator(model_one, p, cp)
-    mu = 2.0 * fr.coupling_threshold(model_one, p, cp, evaluator=ev)
-    rep = fr.analyze(model_one, p, cp, mu, evaluator=ev, with_expansion=True)
+    cp = fr.find_maximizer(twin_one, p)
+    ev = fr.OmegaEvaluator(twin_one, p, cp)
+    mu = 2.0 * fr.coupling_threshold(twin_one, p, cp, evaluator=ev)
+    rep = fr.analyze(twin_one, p, cp, mu, evaluator=ev, with_expansion=True)
     assert rep.classification is fr.Classification.BOUND_STATE
     assert len(threshold_evaluations) <= 2
 
 
 def test_root_reads_the_cached_threshold_at_the_bracket_end(
-        model_one, threshold_evaluations):
+        twin_one, threshold_evaluations):
     p = np.array([0.7, -0.3, 1.1])
-    cp = fr.find_maximizer(model_one, p)
-    ev = fr.OmegaEvaluator(model_one, p, cp)
+    cp = fr.find_maximizer(twin_one, p)
+    ev = fr.OmegaEvaluator(twin_one, p, cp)
     mu_p = 1.0 / ev.threshold.value
     threshold_evaluations.clear()
-    energy = fr.solve_eigenvalue(model_one, p, cp, 2.0 * mu_p, evaluator=ev)
+    energy = fr.solve_eigenvalue(twin_one, p, cp, 2.0 * mu_p, evaluator=ev)
     assert energy > cp.M
     assert threshold_evaluations == []
 
