@@ -210,3 +210,19 @@ def test_eigenvalue_far_above_the_band_on_the_route(model_one, cp_one, ev_one,
     err = fr.eigenvalue_error_estimate(model_one, P0, cp_one, mu, e,
                                        evaluator=ev_one)
     assert 0.0 < err <= 1e-12 * gap
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing"])
+@pytest.mark.parametrize("ratio", [1.01, 2.0, 8.0])
+def test_eigenvalue_error_estimate_brackets_the_root(kind, ratio):
+    # with an exact Omega the root finder's own tolerance dominates: the
+    # determinant must change sign within the estimate of E
+    model = _kinds()[kind]
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    mu = ratio / ev.threshold.value
+    e = fr.solve_eigenvalue(model, p, cp, mu, evaluator=ev)
+    err = fr.eigenvalue_error_estimate(model, p, cp, mu, e, evaluator=ev)
+    assert fr.fredholm_det(model, p, cp, mu, e - err, evaluator=ev) <= 0.0
+    assert fr.fredholm_det(model, p, cp, mu, e + err, evaluator=ev) >= 0.0
