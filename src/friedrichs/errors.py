@@ -64,7 +64,8 @@ class ExpansionFitError(FriedrichsError):
 
 
 class BracketingError(FriedrichsError):
-    """Internal error: root bracketing failed (should be impossible)."""
+    """Root finding failed: no sign change on the bracket, a NaN value of
+    the objective, or no convergence within the iteration limit."""
 
 
 def check_coupling(mu):

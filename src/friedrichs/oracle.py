@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidInputError, check_coupling
+from .roots import brentq
 from .torus import grid_axis, tensor_grid
 
 DENSE_N_MAX = 12
@@ -84,8 +84,9 @@ EDGE_RESOLUTION_FRACTION = 0.01
 
 
 def _secular_det(z, mu_h3, phi2, w):
-    # module level, not a closure: brentq keeps a closure alive in a
-    # reference cycle, and with it the lattice arrays, until a full GC
+    # module level, with the lattice arrays in brentq's args: nothing else
+    # holds them, so reference counting frees them when secular_root
+    # returns (test_secular_root_frees_its_arrays_without_cycle_collection)
     d = z - w
     return 1.0 - mu_h3 * np.divide(phi2, d, out=d).sum()
 
@@ -102,6 +103,8 @@ def secular_root(model, p, mu, N, offset=0.5):
     top level spacing above the largest diagonal entry - small enough to
     keep genuine near-threshold roots (which clear the edge by a O(1)
     fraction of the spacing), large enough to reject the artifacts.
+    brentq raises BracketingError for a NaN determinant or no convergence
+    in 200 steps.
     """
     check_coupling(mu)
     check_lattice_size(N)
@@ -121,8 +124,8 @@ def secular_root(model, p, mu, N, offset=0.5):
     # every z_hi - w_j exceeds mu h^3 sum phi^2, so the sum is below 1 and
     # the determinant is positive at z_hi
     z_hi = z_lo + mu * h3 * float(np.sum(phi2)) + max(spread, 1.0)
-    return float(brentq(_secular_det, z_lo, z_hi, args=args, xtol=1e-13,
-                        rtol=4.0 * np.finfo(float).eps, maxiter=200))
+    return brentq(_secular_det, z_lo, z_hi, args=args, xtol=1e-13,
+                  rtol=4.0 * np.finfo(float).eps, maxiter=200)
 
 
 @dataclass(frozen=True)

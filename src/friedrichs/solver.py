@@ -23,7 +23,6 @@ import enum
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .critical import CriticalPointInfo
 from .errors import (
@@ -33,6 +32,7 @@ from .errors import (
     check_coupling,
 )
 from .quadrature import NormDiagnostics, OmegaEvaluator, state_norm_diagnostics
+from .roots import brentq
 from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
@@ -71,8 +71,9 @@ def _evaluator(model, p, cp, evaluator):
 
 
 def _det(z, ev, mu):
-    # module level, not a closure: brentq holds a closure in a reference
-    # cycle, which keeps the evaluator's node levels alive until a full GC
+    # module level, with the evaluator in brentq's args: nothing else holds
+    # it, so reference counting frees it once the caller drops it
+    # (test_solved_evaluator_freed_without_cycle_collection)
     return 1.0 - mu * ev.evaluate(z).value
 
 
@@ -95,12 +96,15 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
 
     Returns None for mu <= mu(p) (1 + MU_REL_TOL).  Otherwise the root is
     bracketed on (M(p), z_hi] and polished by Brent's method (bisection
-    with secant / inverse-quadratic acceleration).  Since w_p <= M(p),
-    Omega(p; z) < ||phi||^2 / (z - M(p)), so the determinant is positive
-    at z_hi = M(p) + mu ||phi||^2 and above 1/2 at M(p) + 2 mu ||phi||^2.
+    with secant / inverse-quadratic acceleration), brentq of
+    friedrichs.roots: the in-package port of scipy.optimize.brentq, which
+    returns the same bits.  Since w_p <= M(p), Omega(p; z) < ||phi||^2 /
+    (z - M(p)), so the determinant is positive at z_hi = M(p) + mu
+    ||phi||^2 and above 1/2 at M(p) + 2 mu ||phi||^2.
     The first bound can fail by the quadrature error when mu is many
     orders above mu(p); then the gap is doubled once, and if the
-    determinant is still not positive BracketingError is raised.
+    determinant is still not positive BracketingError is raised.  brentq
+    raises it too, for a NaN determinant or no convergence in 200 steps.
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
@@ -115,9 +119,8 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
         if not _det(z_hi, ev, mu) > 0.0:
             raise BracketingError(
                 "failed to bracket the determinant root above the band edge")
-    root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=ROOT_XTOL,
+    return brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=ROOT_XTOL,
                   rtol=ROOT_RTOL, maxiter=200)
-    return float(root)
 
 
 def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
@@ -126,7 +129,8 @@ def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
 
     The root shift caused by an error e in Omega is e / |dOmega/dz|, and
     -dOmega/dz is the second moment int phi^2/(E - w)^2; brentq's own
-    tolerance ROOT_XTOL + ROOT_RTOL |E| is added, since an exact Omega
+    tolerance ROOT_XTOL + ROOT_RTOL |E| is added (the brentq of
+    friedrichs.roots, bitwise equal to scipy's), since an exact Omega
     (the Laplace-Bessel route) leaves it the larger part.  Used as the
     comparison floor when grading finite-lattice convergence against the
     continuum value.

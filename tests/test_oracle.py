@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,22 @@ def test_dense_at_odd_n_skips_the_secular_root(model_one, n):
     assert res.N == n
     assert res.secular_root is None
     assert res.spectrum_summary["matrix_size"] == n ** 3
+
+
+def test_secular_root_frees_its_arrays_without_cycle_collection(model_one,
+                                                                mu_one):
+    mu = 2.0 * mu_one
+    fr.secular_root(model_one, P0, mu, 64)  # warm numpy's caches
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        root = fr.secular_root(model_one, P0, mu, 64)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert root is not None
+    assert peak - start > 8 * 64 ** 3       # one N^3 float array at least
+    assert end - start < 64 * 1024          # and none of them kept
