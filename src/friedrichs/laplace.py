@@ -40,9 +40,17 @@ by a tenth of its bar.
 Everything but e^{-t delta} is independent of z, so laplace_table builds
 the nodes, G and the tail coefficients of a fibre once, and
 laplace_omega costs one exponential per node and two dot products.
-scipy's ive returns nan from about x = 1.3e9 (ive(0, 2e9)), so above
-IVE_SERIES_X the factors are taken from the same series, whose next term
-is below 1e-22 relative there.
+
+The Bessel factors are numpy code (no SciPy).  _ive(n, x) sums the power
+series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) by Horner in x^2/4 up
+to x = IVE_SWITCH = 20 (POWER_TERMS terms, the next below 1e-18 of the
+sum there), and the Hankel series above (HANKEL_TERMS terms of s_k(n),
+the next below 5e-18 at x = 20); for n = 0..4 it is within 1.2e-15
+relative of mpmath (40 digits) over x in [1e-13, 1e12].  laplace_table
+takes the two highest orders of the fibre from _ive, for the three axes
+in one array, and the lower ones from the downward recurrence
+I_{n-1} = I_{n+1} + (2n/x) I_n, which only adds positive terms.  The head moments are eps^k gamma(k, x) / x^k from
+math alone, within 2e-15 relative of mpmath.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, i0e, i1e, ive
 
 from .errors import UnsupportedFamilyError
 
@@ -62,29 +69,61 @@ PANEL = 0.5            # panel width in u = log t
 PANEL_NODES = 32       # Gauss-Legendre nodes per panel
 TAIL_X = 1e3           # the tail starts at T >= TAIL_X / min_j alpha_j
 SERIES_TERMS = 4       # terms of the tail series in 1/t; the next is the bar
-IVE_SERIES_X = 1e6     # ive(n, x) from its series above this x
+IVE_SWITCH = 20.0      # ive(n, x) from its power series up to this x
+POWER_TERMS = 37       # terms of the power series in x^2 / 4
+HANKEL_TERMS = 30      # terms of the Hankel series in 1 / x above it
 ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def _series_coeffs(n):
-    """s_0(n) ... s_SERIES_TERMS(n) of ive(n, x) sqrt(2 pi x) in 1/x."""
+@lru_cache(maxsize=None)
+def _series_coeffs(n, terms=SERIES_TERMS + 1):
+    """s_0(n) ... s_{terms-1}(n) of ive(n, x) sqrt(2 pi x) in 1/x."""
     out = [1.0]
-    for k in range(1, SERIES_TERMS + 1):
+    for k in range(1, terms):
         out.append(-out[-1] * (4 * n * n - (2 * k - 1) ** 2) / (8.0 * k))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _power_coeffs(n):
+    """1 / (k! (k + n)!) for k < POWER_TERMS: I_n(x) (x/2)^-n in x^2 / 4."""
+    return tuple(1.0 / (math.factorial(k) * math.factorial(k + n))
+                 for k in range(POWER_TERMS))
+
+
+def _horner(y, coeffs):
+    """sum_k coeffs[k] y^k."""
+    out = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= y
+        out += c
     return out
 
 
 def _ive(n, x):
-    """ive(n, x) for n >= 0 and x >= 0: i0e, i1e or ive below
-    IVE_SERIES_X, the first SERIES_TERMS terms of the series above."""
+    """ive(n, x) = I_n(x) e^-x for 0 <= n <= 4 and an array x > 0: the
+    power series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) up to
+    IVE_SWITCH, the Hankel series sum_k s_k(n) x^-k / sqrt(2 pi x) above."""
     out = np.empty_like(x)
-    big = x > IVE_SERIES_X
-    small = ~big
-    out[small] = {0: i0e, 1: i1e}.get(n, lambda y: ive(n, y))(x[small])
-    xb = x[big]
-    s = _series_coeffs(n)
-    out[big] = (np.polynomial.polynomial.polyval(1.0 / xb, s[:SERIES_TERMS])
-                / np.sqrt(2.0 * np.pi * xb))
+    low = x <= IVE_SWITCH
+    xs, xb = x[low], x[~low]
+    out[low] = (np.exp(-xs) * (0.5 * xs) ** n
+                * _horner(0.25 * xs * xs, _power_coeffs(n)))
+    out[~low] = (_horner(1.0 / xb, _series_coeffs(n, HANKEL_TERMS))
+                 / np.sqrt(2.0 * np.pi * xb))
+    return out
+
+
+def _ive_orders(top, x):
+    """[ive(0, x), ..., ive(top, x)]: the two highest orders from _ive,
+    the others by the downward recurrence I_{n-1} = I_{n+1} + (2n/x) I_n,
+    whose two terms are positive."""
+    if top == 0:
+        return [_ive(0, x)]
+    out = [_ive(top - 1, x), _ive(top, x)]
+    two_over_x = 2.0 / x
+    for n in range(top - 1, 0, -1):
+        out.insert(0, out[1] + n * two_over_x * out[0])
     return out
 
 
@@ -163,10 +202,10 @@ def laplace_table(model, p) -> LaplaceTable:
     t, wt = _log_rule(n_panels, PANEL_NODES)
     T = math.exp(HEAD_U + PANEL * n_panels)
     orders = [{key[j] for key in coef} for j in range(3)]
-    # per axis and order: ive at the body nodes, and the series
-    # coefficients of t^-k, s_k(n) / (2 alpha_j)^k
-    factors = [{n: _ive(n, 2.0 * a * t) for n in ns}
-               for a, ns in zip(alpha, orders)]
+    # per order and axis, factors[n][j]: ive at the body nodes, all three
+    # axes in one array; per axis and order, the series coefficients of
+    # t^-k, s_k(n) / (2 alpha_j)^k
+    factors = _ive_orders(max(map(max, coef)), 2.0 * alpha[:, None] * t)
     k = np.arange(SERIES_TERMS + 1)
     series = [{n: np.array(_series_coeffs(n)) / (2.0 * a) ** k for n in ns}
               for a, ns in zip(alpha, orders)]
@@ -176,7 +215,7 @@ def laplace_table(model, p) -> LaplaceTable:
     tail = np.zeros(SERIES_TERMS)
     omitted = 0.0
     for key in coef:
-        prod = factors[0][key[0]] * factors[1][key[1]] * factors[2][key[2]]
+        prod = factors[key[0]][0] * factors[key[1]][1] * factors[key[2]][2]
         G += coef[key] * prod
         H += size[key] * prod
         terms = np.einsum("i,j,k->ijk", *(series[j][key[j]] for j in range(3)))
@@ -206,12 +245,23 @@ def _tail_integrals(delta, T, n):
 
 
 def _head_moment(k, delta):
-    """int_0^eps t^(k-1) e^{-t delta} dt, eps = e^HEAD_U."""
+    """int_0^eps t^(k-1) e^{-t delta} dt = eps^k gamma(k, x) / x^k for
+    k = 1, 2, 3, eps = e^HEAD_U and x = delta eps: the alternating series
+    sum_j (-x)^j / (j! (k + j)) below x = 1, and
+    gamma(k, x) = (k-1)! (1 - e^-x sum_{j<k} x^j / j!) above."""
     eps = math.exp(HEAD_U)
     x = delta * eps
-    if x == 0.0:
-        return eps ** k / k
-    return eps ** k * gammainc(k, x) * math.gamma(k) / x ** k
+    if x < 1.0:
+        # the sum is above 1/12, and the terms fall below x^j / j!
+        total, term, j = 0.0, 1.0, 0
+        while abs(term) > 1e-19:
+            total += term / (k + j)
+            j += 1
+            term *= -x / j
+        return eps ** k * total
+    partial = sum(x ** j / math.factorial(j) for j in range(k))
+    return (eps ** k * math.factorial(k - 1) * (1.0 - math.exp(-x) * partial)
+            / x ** k)
 
 
 def laplace_omega(table: LaplaceTable, delta, power=1):

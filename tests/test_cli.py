@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,42 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == fr.__version__
+
+
+def _fresh(code, cwd=None):
+    """Run code in a fresh interpreter on this source tree: the test
+    process itself has SciPy loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fr.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
+def test_cli_import_loads_no_scipy():
+    out = _fresh("import sys, friedrichs.cli; print(sorted(m for m in "
+                 "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--p", "0.7,-0.3,1.1"],
+    ["sweep", "--path", "0,0,0:1,0,0", "--samples", "3", "--mu", "x0.5,x2",
+     "--outputs", "threshold,eigenvalue,classify", "--out", "out"],
+], ids=["threshold", "sweep"])
+def test_cli_output_is_the_same_with_scipy_blocked(tmp_path, argv):
+    # None in sys.modules makes every import of scipy raise ImportError
+    runs = []
+    for block in ("", "sys.modules['scipy'] = None; "):
+        cwd = tmp_path / ("blocked" if block else "open")
+        cwd.mkdir()
+        out = _fresh("import sys; %sfrom friedrichs.cli import main; "
+                     "sys.exit(main(%r))" % (block, argv), cwd)
+        assert out.returncode == 0, out.stderr
+        runs.append((out.stdout, {f.name: f.read_bytes()
+                                  for f in (cwd / "out").glob("*")}))
+    assert runs[0] == runs[1]
+    if argv[0] == "sweep":
+        assert sorted(runs[0][1]) == ["manifest.json", "sweep.csv"]
 
 
 @pytest.mark.parametrize("argv, fragment", [

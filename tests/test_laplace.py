@@ -3,8 +3,11 @@
 Truth is the mpmath Laplace-Bessel integral at 30 digits
 (conftest.mp_laplace_omega), the Bessel reference for phi = 1, pinned
 zone-boundary values, and the split quadrature on the trig_poly twin of
-the same model within its own error bar.
+the same model within its own error bar; mpmath's besseli and gammainc
+for the package's own Bessel factors and head moments.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -15,7 +18,8 @@ import friedrichs as fr
 from conftest import (mixed_model, model_kinds, mp_laplace_omega,
                       quadrature_twin)
 from friedrichs import laplace
-from friedrichs.laplace import _ive, laplace_omega, laplace_table
+from friedrichs.laplace import (HEAD_U, IVE_SWITCH, _head_moment, _ive,
+                                _ive_orders, laplace_omega, laplace_table)
 from friedrichs.torus import grid_axis, tensor_grid
 
 P0 = np.zeros(3)
@@ -157,6 +161,51 @@ def test_ive_above_the_series_cut_is_finite_and_right():
         with mpmath.workdps(30):
             want = [float(mpmath.besseli(n, v) * mpmath.exp(-v)) for v in x]
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+IVE_POINTS = np.concatenate([
+    np.logspace(-13.0, 12.0, 101),
+    np.nextafter(IVE_SWITCH, [-np.inf, np.inf]), [IVE_SWITCH],
+    IVE_SWITCH * np.array([0.9, 0.99, 1.01, 1.1])])
+
+
+def _mp_ive(n, xs):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besseli(n, v) * mpmath.exp(-v))
+                         for v in map(mpmath.mpf, xs)])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_ive_within_2e15_of_mpmath(n):
+    # log-spaced over [1e-13, 1e12], and next to the switch from the
+    # power series to the Hankel series
+    want = _mp_ive(n, IVE_POINTS)
+    assert np.all(np.abs(_ive(n, IVE_POINTS) / want - 1.0) <= 2e-15)
+
+
+def test_downward_recurrence_keeps_every_order():
+    # laplace_table's orders: the top two from _ive, the rest recurred
+    got = _ive_orders(4, IVE_POINTS)
+    for n in range(5):
+        assert np.all(np.abs(got[n] / _mp_ive(n, IVE_POINTS) - 1.0) <= 2e-15)
+
+
+HEAD_X = [0.0, *np.logspace(-20.0, 3.0, 47),
+          np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_head_moment_against_mpmath(k):
+    # int_0^eps t^(k-1) e^{-t delta} dt at x = delta eps from 0 to 1e3,
+    # both sides of the switch at x = 1
+    eps = math.exp(HEAD_U)  # as _head_moment takes it
+    for x in HEAD_X:
+        delta = float(x) / eps
+        with mpmath.workdps(30):
+            e, d = mpmath.mpf(eps), mpmath.mpf(delta)
+            want = (e ** k / k if delta == 0.0
+                    else mpmath.gammainc(k, 0, d * e) / d ** k)
+            assert abs(_head_moment(k, delta) / want - 1) <= 4e-15, x
 
 
 def test_anisotropic_edge_fibre_on_the_route():
