@@ -9,7 +9,15 @@ q0(p) off the nodes for generic p, so threshold sums stay finite.
 
 This module is deliberately independent of the production quadrature: it
 provides the ground truth the solver is validated against, including
-Richardson-extrapolated threshold sums.
+Richardson-extrapolated threshold sums.  It shares with the quadrature only
+the summation primitive of friedrichs.sums: each lattice sum
+sum phi^2/(z - w) is formed block by block in one scratch buffer along
+NumPy's pairwise-summation split, so it is bitwise the sum of the full N^3
+temporary while no N^3 temporary is made per evaluation.  phi^2 stays a
+scalar when phi is constant, so secular_root peaks at 2.0 float64 N^3
+arrays for phi = 1, 2.3 for the vanishing phi and 3.1 for an off-axis
+trig_poly phi (tracemalloc at N = 64: w, phi^2 and the temporaries of
+evaluating w).
 """
 
 from __future__ import annotations
@@ -20,10 +28,11 @@ import numpy as np
 
 from .errors import InvalidInputError, check_coupling
 from .roots import brentq
+from .sums import _sum_over
 from .torus import grid_axis, tensor_grid
 
 DENSE_N_MAX = 12
-SECULAR_N_MAX = 256      # secular_root holds about five float64 N^3 arrays
+SECULAR_N_MAX = 256      # secular_root peaks at 2.0-3.1 float64 N^3 arrays
 
 
 def _secular_size(N):
@@ -55,15 +64,30 @@ def grid_values(model, p, N, offset=0.5):
     return w.ravel(), phi.ravel()
 
 
+def _sum_terms(model, p, N, offset):
+    """(w, phi^2) for the streamed lattice sums: w flattened over the N^3
+    grid, phi^2 0-d when phi is constant and flattened otherwise.  w is
+    evaluated first, so the evaluation of phi never overlaps its
+    temporaries; phi^2 is squared in place on phi's own (broadcast) shape
+    and then materialised once."""
+    grid = tensor_grid(grid_axis(N, offset))
+    w = np.broadcast_to(model.w(p, grid), (N, N, N)).ravel()
+    phi = np.asarray(model.phi(grid), dtype=float)
+    if phi.size == 1:
+        return w, np.square(phi.reshape(()))
+    phi2 = np.multiply(phi, phi, out=phi)
+    return w, np.broadcast_to(phi2, (N, N, N)).ravel()
+
+
 def discrete_omega(model, p, z, N, offset=0.5):
     """Plain lattice sum h^3 sum phi^2/(z - w); requires z - w > 0 at all
     nodes (z >= M(p) with the maximizer off the grid)."""
-    w, phi = grid_values(model, p, N, offset)
-    denom = z - w
-    if np.min(denom) <= 0.0:
+    w, phi2 = _sum_terms(model, p, N, offset)
+    # rounding is monotone: min(z - w) is z - max(w)
+    if z - np.max(w) <= 0.0:
         raise InvalidInputError(
             "discrete sum undefined: z - w_p <= 0 at a grid node")
-    return (2.0 * np.pi / N) ** 3 * float(np.sum(phi * phi / denom))
+    return (2.0 * np.pi / N) ** 3 * _sum_over(phi2, z, np.subtract, w, 1)
 
 
 def richardson_omega_threshold(model, p, M, N_pair=(64, 128), offset=0.5):
@@ -83,12 +107,14 @@ def richardson_omega_threshold(model, p, M, N_pair=(64, 128), offset=0.5):
 EDGE_RESOLUTION_FRACTION = 0.01
 
 
-def _secular_det(z, mu_h3, phi2, w):
+def _secular_det(z, mu_h3, phi2, w, z_known=None, det_known=None):
     # module level, with the lattice arrays in brentq's args: nothing else
     # holds them, so reference counting frees them when secular_root
-    # returns (test_secular_root_frees_its_arrays_without_cycle_collection)
-    d = z - w
-    return 1.0 - mu_h3 * np.divide(phi2, d, out=d).sum()
+    # returns (test_secular_root_frees_its_arrays_without_cycle_collection).
+    # brentq first asks for the bracket end z_known, already evaluated
+    if z == z_known:
+        return det_known
+    return 1.0 - mu_h3 * _sum_over(phi2, z, np.subtract, w, 1)
 
 
 def secular_root(model, p, mu, N, offset=0.5):
@@ -108,24 +134,30 @@ def secular_root(model, p, mu, N, offset=0.5):
     """
     check_coupling(mu)
     check_lattice_size(N)
-    w, phi = grid_values(model, p, N, offset)
-    phi2 = phi * phi
+    w, phi2 = _sum_terms(model, p, N, offset)
     h3 = (2.0 * np.pi / N) ** 3
     w_max = float(np.max(w))
-    below = w[w < w_max - 1e-13 * max(1.0, abs(w_max))]
-    gap = float(w_max - np.max(below)) if below.size else 0.0
+    # the largest level below the top one (ties within 1e-13 excluded);
+    # max is exact, so this is the max of the gathered subset
+    below = float(np.max(w, where=w < w_max - 1e-13 * max(1.0, abs(w_max)),
+                         initial=-np.inf))
+    gap = w_max - below if below > -np.inf else 0.0
     spread = float(w_max - np.min(w))
     z_lo = w_max + max(EDGE_RESOLUTION_FRACTION * gap,
                        64.0 * np.finfo(float).eps * max(1.0, abs(w_max)))
 
     args = (mu * h3, phi2, w)
-    if _secular_det(z_lo, *args) >= 0.0:
+    det_lo = _secular_det(z_lo, *args)
+    if det_lo >= 0.0:
         return None
     # every z_hi - w_j exceeds mu h^3 sum phi^2, so the sum is below 1 and
     # the determinant is positive at z_hi
-    z_hi = z_lo + mu * h3 * float(np.sum(phi2)) + max(spread, 1.0)
-    return brentq(_secular_det, z_lo, z_hi, args=args, xtol=1e-13,
-                  rtol=4.0 * np.finfo(float).eps, maxiter=200)
+    # over the grid also for a 0-d phi^2: NumPy sums the stride-0 view by
+    # the same pairwise split as a full array
+    phi2_sum = float(np.sum(np.broadcast_to(phi2, w.shape)))
+    z_hi = z_lo + mu * h3 * phi2_sum + max(spread, 1.0)
+    return brentq(_secular_det, z_lo, z_hi, args=args + (z_lo, det_lo),
+                  xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200)
 
 
 @dataclass(frozen=True)
@@ -149,7 +181,9 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     check_lattice_size(N, dense=True)
     w, phi = grid_values(model, p, N)
     h3 = (2.0 * np.pi / N) ** 3
-    H = np.diag(w) + mu * h3 * np.outer(phi, phi)
+    H = np.outer(phi, phi)  # one N^6 buffer: scaled and w added in place
+    H *= mu * h3
+    H[np.diag_indices_from(H)] += w
     eigs = np.linalg.eigvalsh(H)
     max_diag = float(np.max(w))
     tol = 1e-12 * max(1.0, abs(max_diag))

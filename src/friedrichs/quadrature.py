@@ -38,8 +38,9 @@ streams the far field through slabs of torus planes and the near field
 through blocks of radii, about BLOCK nodes each, writing the kept nodes
 straight into the level's arrays; the bump is evaluated only on its shell
 dist < rho (it is 0 beyond).  A per-z reduction forms and sums its
-integrand one block at a time, along NumPy's pairwise-summation split, so
-every node array and every sum is bitwise the one of a full-grid pass.
+integrand one block at a time, along NumPy's pairwise-summation split
+(friedrichs.sums), so every node array and every sum is bitwise the one of
+a full-grid pass.
 The Gauss-Legendre and sphere rules are cached per node count and
 returned read-only.
 
@@ -70,12 +71,12 @@ from .errors import (
     QuadratureNotConvergedError,
 )
 from .laplace import laplace_omega, laplace_table
+from .sums import BLOCK, _sum_over
 from .torus import grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 N_SHELLS = 8   # nested annuli of state_norm_diagnostics
-BLOCK = 1 << 16  # elements per streamed block of a level build or reduction
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
 
@@ -204,28 +205,6 @@ def _radial_closed_form(delta, k, rho, power):
         out[small] = (a_s * series / ks if power == 1
                       else series / (2.0 * a_s * ks * ks))
     return out
-
-
-def _sum_over(num, c, op, b, power):
-    """sum(num / op(c, b)**power) over all elements, bitwise equal to
-    summing the full temporary: the blocks follow NumPy's pairwise
-    summation split down to BLOCK elements, and each block is formed and
-    summed in one scratch buffer allocated per call."""
-    num, b = num.reshape(-1), b.reshape(-1)
-    buf = np.empty(min(num.size, BLOCK))
-    return float(_pairwise_sum(num, c, op, b, power, buf))
-
-
-def _pairwise_sum(num, c, op, b, power, buf):
-    n = num.size
-    if n <= BLOCK:
-        d = op(c, b, out=buf[:n])
-        if power == 2:
-            np.multiply(d, d, out=d)
-        return np.divide(num, d, out=d).sum()
-    half = n // 2 - (n // 2) % 8  # numpy's pairwise_sum split
-    return (_pairwise_sum(num[:half], c, op, b[:half], power, buf)
-            + _pairwise_sum(num[half:], c, op, b[half:], power, buf))
 
 
 def _dist2_to(grid, q0):

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
+from conftest import model_kinds
+from friedrichs.oracle import (
+    EDGE_RESOLUTION_FRACTION,
+    _secular_det,
+    _sum_terms,
+    grid_values,
+)
+from friedrichs.roots import brentq
 
 P0 = np.zeros(3)
+P1 = np.array([0.7, -0.3, 1.1])
+KINDS = ("one", "vanishing", "off_axis")
 
 # Frozen midpoint-grid threshold sums for the builtin phi = 1 model at
 # p = 0 (z = M = 12).  The 1/N Richardson extrapolant of the (64, 128)
@@ -187,3 +197,113 @@ def test_secular_root_frees_its_arrays_without_cycle_collection(model_one,
     assert root is not None
     assert peak - start > 8 * 64 ** 3       # one N^3 float array at least
     assert end - start < 64 * 1024          # and none of them kept
+
+
+def full_secular_det(z, mu_h3, w, phi):
+    """The secular determinant through the full N^3 temporary z - w."""
+    d = z - w
+    return 1.0 - mu_h3 * np.divide(phi * phi, d, out=d).sum()
+
+
+def reference_secular_root(model, p, mu, N, offset=0.5):
+    """secular_root with full N^3 temporaries at every step and a gathered
+    gap check: the reference for the streamed routine."""
+    w, phi = grid_values(model, p, N, offset)
+    phi2 = phi * phi
+    h3 = (2.0 * np.pi / N) ** 3
+    w_max = float(np.max(w))
+    below = w[w < w_max - 1e-13 * max(1.0, abs(w_max))]
+    gap = float(w_max - np.max(below)) if below.size else 0.0
+    spread = float(w_max - np.min(w))
+    z_lo = w_max + max(EDGE_RESOLUTION_FRACTION * gap,
+                       64.0 * np.finfo(float).eps * max(1.0, abs(w_max)))
+
+    def det(z):
+        d = z - w
+        return 1.0 - mu * h3 * np.divide(phi2, d, out=d).sum()
+
+    if det(z_lo) >= 0.0:
+        return None
+    z_hi = z_lo + mu * h3 * float(np.sum(phi2)) + max(spread, 1.0)
+    return brentq(det, z_lo, z_hi, args=(), xtol=1e-13,
+                  rtol=4.0 * np.finfo(float).eps, maxiter=200)
+
+
+def _threshold_coupling(model, p, N=64):
+    """1 / (discrete threshold sum at N): the lattice's own mu(p)."""
+    return 1.0 / fr.discrete_omega(model, p, fr.find_maximizer(model, p).M, N)
+
+
+@pytest.mark.parametrize("N", [10, 42, 64, 128])
+@pytest.mark.parametrize("name", KINDS)
+def test_streamed_secular_det_equals_full_temporary(name, N):
+    # N = 10 is one block; the 74,088 nodes of N = 42 split off plane
+    # boundaries, so an off-axis phi^2 must be flattened to match
+    model = model_kinds()[name]
+    w, phi = grid_values(model, P1, N)
+    w_s, phi2 = _sum_terms(model, P1, N, 0.5)
+    assert np.array_equal(w_s, w)
+    assert (phi2.ndim == 0) == (name == "one")
+    mu_h3 = 0.37 * (2.0 * np.pi / N) ** 3
+    for dz in (1e-9, 1e-3, 0.1, 1.0, 30.0):
+        z = float(w.max()) + dz
+        assert _secular_det(z, mu_h3, phi2, w_s) == full_secular_det(
+            z, mu_h3, w, phi)
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_secular_roots_equal_the_full_temporary_routine(name):
+    model = model_kinds()[name]
+    for p in (P0, P1, np.array([2.1, -1.4, 0.4])):
+        mu_N = _threshold_coupling(model, p)
+        for ratio in (0.5, 1.2, 3.0):
+            for N in (16, 42, 64, 128):
+                got = fr.secular_root(model, p, ratio * mu_N, N)
+                ref = reference_secular_root(model, p, ratio * mu_N, N)
+                assert got == ref, (p, ratio, N)
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_discrete_omega_equals_full_temporary_sum(name):
+    model = model_kinds()[name]
+    M = fr.find_maximizer(model, P1).M
+    for N in (42, 64, 128):
+        w, phi = grid_values(model, P1, N)
+        for z in (M, M + 0.5):
+            ref = (2.0 * np.pi / N) ** 3 * float(np.sum(phi * phi / (z - w)))
+            assert fr.discrete_omega(model, P1, z, N) == ref
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_secular_root_peak_memory(name):
+    # the routine with full temporaries peaked at 5.0 N^3 float arrays;
+    # the streamed one at 2.0 (phi = 1), 2.3 (vanishing) and 3.1 (off-axis)
+    model = model_kinds()[name]
+    mu = 2.0 * _threshold_coupling(model, P1)
+    fr.secular_root(model, P1, mu, 64)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        root = fr.secular_root(model, P1, mu, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert root is not None
+    assert peak - start <= 3.5 * 8 * 64 ** 3
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_dense_spectrum_eigenvalues_equal_the_summed_matrix(name,
+                                                            monkeypatch):
+    model = model_kinds()[name]
+    N, mu = 10, 1.5 * _threshold_coupling(model, P1)
+    w, phi = grid_values(model, P1, N)
+    h3 = (2.0 * np.pi / N) ** 3
+    ref = np.linalg.eigvalsh(np.diag(w) + mu * h3 * np.outer(phi, phi))
+    eigvalsh, seen = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda H: seen.append(eigvalsh(H)) or seen[-1])
+    res = fr.dense_spectrum(model, P1, mu, N)
+    assert len(seen) == 1 and np.array_equal(seen[0], ref)
+    assert res.spectrum_summary["min_eig"] == ref[0]
+    assert res.spectrum_summary["max_eig"] == ref[-1]
