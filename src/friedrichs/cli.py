@@ -254,8 +254,7 @@ def _sweep_point(model, spec, p, mu_specs, outputs, oracle_n):
                 row["E"] = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
             if "classify" in outputs:
                 row["classification"] = classify_threshold(
-                    model, p, cp, mu, evaluator=ev,
-                    with_diagnostics=False).label.value
+                    model, p, cp, mu, evaluator=ev).label.value
             if "expansion" in outputs:
                 row["tau0_fit"] = fit.tau0_fit
                 row["tau0_closed"] = fit.tau0_closed
@@ -376,13 +375,15 @@ def build_parser():
     common.add_argument("--out", help="output directory for artifacts")
     common.add_argument("--grid", type=int,
                         help="torus grid size per axis of the split "
-                        "quadrature (two_particle: the diagnostics only)")
+                        "quadrature (unused by two_particle fibres, which "
+                        "take the exact route)")
     common.add_argument("--tol", type=float,
                         help="relative tolerance that bounds the error of "
                         "Omega")
     common.add_argument("--rho", type=float,
                         help="near-field ball radius of the split quadrature "
-                        "(two_particle: the diagnostics only)")
+                        "and the scale of the classification radii "
+                        "rho/2^5..rho/2^8")
     point = argparse.ArgumentParser(add_help=False, parents=[common])
     point.add_argument("--p", default="0,0,0")
 

@@ -20,8 +20,9 @@ at q0 with support radius rho:
 For the two_particle family the denominator separates axis by axis and
 Omega is the exact 1-D Laplace-Bessel integral of laplace.py; evaluate and
 second_moment answer such fibres from it, with its own error bar, and build
-no node level.  value_at_level and state_norm_diagnostics keep the split
-quadrature for every family, and trig_poly fibres are answered by it.
+no node level.  value_at_level keeps the split quadrature for every family,
+and trig_poly fibres are answered by it.  state_norm_diagnostics reads only
+evaluate, so it takes the route or the split quadrature with the fibre.
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the bump radius, the node data per refinement level and the threshold
@@ -76,7 +77,6 @@ from .torus import grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
-N_SHELLS = 8   # nested annuli of state_norm_diagnostics
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
 
@@ -234,8 +234,8 @@ class OmegaEvaluator:
     A two_particle fibre keeps the z-independent table of the
     Laplace-Bessel route (built here, about 1-3 ms), and evaluate() and
     second_moment() read it: the spec's rel_tol bounds the route's bar,
-    while n_grid and rho shape only value_at_level and
-    state_norm_diagnostics.  Otherwise levels of node data are built
+    n_grid and rho shape only value_at_level, and rho also sets the radii
+    of state_norm_diagnostics.  Otherwise levels of node data are built
     lazily; level L uses node counts scaled by 2^L relative to the base
     spec.  evaluate() runs the refinement loop of the spec; values at a
     fixed level are deterministic functions of z (fixed-order
@@ -463,65 +463,34 @@ class OmegaEvaluator:
 
 @dataclass(frozen=True)
 class NormDiagnostics:
-    """L1/L2 behaviour of f = phi / (z - w_p) near the maximizer.
+    """Growth of the L2 mass of f = phi / (z - w_p) near the maximizer.
 
-    l2_growth_rate is the fitted log-log slope of the L2 mass outside a
-    shrinking excluded ball against 1/radius: ~1 for a resonance-type
-    threshold state (f not in L2), ~0 when f is square integrable.
+    l2_growth_rate is the log-log slope of moments against 1/radii: ~1 for
+    a resonance-type threshold state (f not in L2), ~0 when f is square
+    integrable.
     """
 
-    l1: float
-    l2: float
     l2_growth_rate: float
-    excluded_radii: np.ndarray
-    l2_outside: np.ndarray
+    radii: np.ndarray
+    moments: np.ndarray
 
 
 def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
-    """Integrate |f| and |f|^2 outside balls of radius rho/2^k around q0.
+    """The L2 growth exponent of f at z, from four Omega differences.
 
-    The region outside the largest ball uses the masked torus grid of the
-    evaluator's base spec; the nested annuli use per-shell polar Gauss
-    rules, which resolve radii far below the torus grid spacing.
+    moments[j] = (Omega(z) - Omega(z + d_j)) / d_j, d_j = k r_j^2, is the
+    mean second moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j],
+    with r_j = rho / 2^j (j = 5..8) and k the largest eigenvalue of -A/2.
+    It grows like 1/r_j exactly when phi(q0) != 0 at z = M(p), as the L2
+    mass of f outside the ball of radius r_j does.  Every value is read
+    from evaluator.evaluate, on the fibre's route or node levels.
     """
     ev = evaluator
-    model, p, q0, rho0 = ev.model, ev.p, ev.q0, ev.rho
-    delta = ev._delta(z)
-
-    n_grid = ev.spec.n_grid
-    ax = grid_axis(n_grid)
-    grid = tensor_grid(ax)
-    dist2 = _dist2_to(grid, q0)
-    mask = dist2 > rho0 * rho0
-    w_vals = np.broadcast_to(model.w(p, grid), dist2.shape)[mask]
-    phi_vals = np.broadcast_to(model.phi(grid), dist2.shape)[mask]
-    h3 = (2.0 * np.pi / n_grid) ** 3
-    f = phi_vals / (delta + (ev.M - w_vals))
-    l2_out = h3 * float(np.sum(f * f))
-    l1_out = h3 * float(np.sum(np.abs(f)))
-
-    nu, wa = sphere_product_rule(max(ev.spec.n_angular // 2, 10))
-    xr, wr = _gauss_legendre(16)
-    radii = rho0 / 2.0 ** np.arange(N_SHELLS + 1)
-    l2_cum = [l2_out]
-    l1_cum = l1_out
-    for kk in range(N_SHELLS):
-        a, b = radii[kk + 1], radii[kk]
-        r = 0.5 * (b - a) * (xr + 1.0) + a
-        wrr = 0.5 * (b - a) * wr
-        pts = q0[None, None, :] + r[:, None, None] * nu[None, :, :]
-        w_sh = np.asarray(model.w(p, pts))
-        phi_sh = np.asarray(model.phi(pts))
-        fsh = phi_sh / (delta + (ev.M - w_sh))
-        r2 = (r * r)[:, None]
-        l2_cum.append(l2_cum[-1]
-                      + float(np.einsum("i,j,ij->", wrr, wa, fsh * fsh * r2)))
-        l1_cum += float(np.einsum("i,j,ij->", wrr, wa, np.abs(fsh) * r2))
-
-    l2_arr = np.array(l2_cum)
-    x = np.log(1.0 / radii[-4:])
-    y = np.log(l2_arr[-4:])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return NormDiagnostics(l1=l1_cum, l2=float(l2_arr[-1]),
-                           l2_growth_rate=slope, excluded_radii=radii,
-                           l2_outside=l2_arr)
+    k = -0.5 * ev.cp.hessian_eigenvalues[0]
+    radii = ev.rho / 2.0 ** np.arange(5, 9)
+    deltas = k * radii ** 2
+    omega = ev.evaluate(z).value
+    moments = np.array([(omega - ev.evaluate(z + d).value) / d
+                        for d in deltas])
+    slope = float(np.polyfit(np.log(1.0 / radii), np.log(moments), 1)[0])
+    return NormDiagnostics(l2_growth_rate=slope, radii=radii, moments=moments)

@@ -31,7 +31,7 @@ from .errors import (
     InvalidInputError,
     check_coupling,
 )
-from .quadrature import NormDiagnostics, OmegaEvaluator, state_norm_diagnostics
+from .quadrature import OmegaEvaluator, state_norm_diagnostics
 from .roots import brentq
 from .torus import grid_axis, tensor_grid
 
@@ -182,6 +182,7 @@ class EigenfunctionEval:
 def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
                   evaluator: OmegaEvaluator | None = None) -> EigenfunctionEval:
     """Normalize the eigenfunction at a solved energy E > M(p)."""
+    check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
     if not energy > ev.M:
         raise InvalidInputError("eigenfunction requires E > M(p)")
@@ -203,18 +204,19 @@ class ClassificationResult:
     phi_at_q0: float
     phi_scale: float
     l2_growth_rate: float | None
-    diagnostics: NormDiagnostics | None
 
 
 def classify_threshold(model, p, cp: CriticalPointInfo, mu,
-                       evaluator: OmegaEvaluator | None = None,
-                       with_diagnostics=True) -> ClassificationResult:
+                       evaluator: OmegaEvaluator | None = None
+                       ) -> ClassificationResult:
     """Classify (mu, p): Regular / BoundState off the threshold coupling,
     Resonance / ThresholdEigenvalue at it (by phi(q0) = 0 or not).
 
-    For the two at-threshold classes the measured L2 divergence exponent
-    of the threshold state is attached as corroboration.
+    For the two at-threshold classes the L2 growth exponent of the
+    threshold state, from the evaluator's own Omega values
+    (state_norm_diagnostics), is attached as corroboration.
     """
+    check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     phi_q0 = float(ev.model.phi(ev.q0))
@@ -222,18 +224,16 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
     if abs(mu - mu_p) > MU_REL_TOL * mu_p:
         label = (Classification.BOUND_STATE if mu > mu_p
                  else Classification.REGULAR)
-        diag = None
+        rate = None
     else:
         if abs(phi_q0) > PHI_REL_TOL * phi_scale:
             label = Classification.RESONANCE
         else:
             label = Classification.THRESHOLD_EIGENVALUE
-        diag = state_norm_diagnostics(ev, ev.M) if with_diagnostics else None
+        rate = state_norm_diagnostics(ev, ev.M).l2_growth_rate
     return ClassificationResult(
         label=label, mu=float(mu), mu_threshold=mu_p, phi_at_q0=phi_q0,
-        phi_scale=phi_scale,
-        l2_growth_rate=None if diag is None else diag.l2_growth_rate,
-        diagnostics=diag)
+        phi_scale=phi_scale, l2_growth_rate=rate)
 
 
 @dataclass(frozen=True)

@@ -219,9 +219,8 @@ def test_criterion_9_scaling_covariance(model_one, cp_one, ev_one, mu_one):
         if abs(e_s - e_base) > 1e-9 * e_base:
             ok = False
         c1 = fr.classify_threshold(model_one, P0, cp_one, mu,
-                                   evaluator=ev_one, with_diagnostics=False)
-        c2 = fr.classify_threshold(scaled, P0, cp_s, mu_s,
-                                   evaluator=ev_s, with_diagnostics=False)
+                                   evaluator=ev_one)
+        c2 = fr.classify_threshold(scaled, P0, cp_s, mu_s, evaluator=ev_s)
         if c1.label is not c2.label:
             ok = False
     _report(9, "scaling covariance", ok and worst <= 1e-12,

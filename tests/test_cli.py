@@ -131,6 +131,13 @@ def test_classify_at_threshold_resonance(capsys):
     assert 0.8 <= payload["l2_growth_rate"] <= 1.2
 
 
+def test_classify_negative_mu_exit_1(capsys):
+    code, out, err = _run(capsys, ["classify", "--mu=-1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("friedrichs: mu = -1.0 is not positive and finite")
+
+
 def test_classify_vanishing_phi(capsys, tmp_path):
     cfg = tmp_path / "vanishing.json"
     fr.two_particle_model(

@@ -244,7 +244,7 @@ def test_classification_trichotomy(model_one, cp_one, ev_one, mu_one):
     labels = set()
     for ratio in (0.3, 0.9, 1.0, 1.1, 3.0):
         r = fr.classify_threshold(model_one, P0, cp_one, ratio * mu_one,
-                                  evaluator=ev_one, with_diagnostics=False)
+                                  evaluator=ev_one)
         assert isinstance(r.label, fr.Classification)
         labels.add(r.label)
     assert labels == {fr.Classification.REGULAR, fr.Classification.RESONANCE,
@@ -309,12 +309,22 @@ def test_analyze_report_fields(model_one, cp_one, ev_one, mu_one):
     assert rep_low.to_json_dict()["E"] is None
 
 
-@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
-def test_non_finite_coupling_rejected(model_one, cp_one, ev_one, mu):
-    with pytest.raises(fr.InvalidInputError):
-        fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
-    with pytest.raises(fr.InvalidInputError):
-        fr.secular_root(model_one, P0, mu, 16)
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_coupling_rejected(model_one, cp_one, ev_one, mu_one, mu):
+    # an energy that solves the determinant at 2 mu(p): only mu is wrong
+    energy = fr.solve_eigenvalue(model_one, P0, cp_one, 2.0 * mu_one,
+                                 evaluator=ev_one)
+    for call in (
+            lambda: fr.solve_eigenvalue(model_one, P0, cp_one, mu,
+                                        evaluator=ev_one),
+            lambda: fr.secular_root(model_one, P0, mu, 16),
+            lambda: fr.classify_threshold(model_one, P0, cp_one, mu,
+                                          evaluator=ev_one),
+            lambda: fr.eigenfunction(model_one, P0, cp_one, mu, energy,
+                                     evaluator=ev_one)):
+        with pytest.raises(fr.InvalidInputError,
+                           match="is not positive and finite"):
+            call()
 
 
 def test_solved_evaluator_freed_without_cycle_collection(twin_one,
