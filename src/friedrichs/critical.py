@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DegenerateMaximumError,
+    InvalidInputError,
     NewtonConvergenceError,
     NonUniqueMaximumError,
     UnsupportedFamilyError,
@@ -47,6 +48,9 @@ class CriticalPointInfo:
 
 
 def _grid_values(model, p, n):
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("p = %s is not finite"
+                                % (np.asarray(p, dtype=float).tolist(),))
     ax = grid_axis(n, offset=0)
     return ax, np.broadcast_to(model.w(p, tensor_grid(ax)), (n, n, n))
 
@@ -93,6 +97,7 @@ def find_minimum(model, p) -> float:
     """Global minimum m(p) of w_p by grid scan plus Newton on -w_p.
 
     Degeneracy of the minimizer is tolerated; only the value is reported.
+    A p with a nan or infinite component raises InvalidInputError.
     """
     ax, vals = _grid_values(model, p, GRID_N)
     i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
@@ -117,7 +122,8 @@ def find_maximizer(model, p) -> CriticalPointInfo:
     * no second polished maximizer within UNIQUENESS_GAP*(M-m) of M at a
       separated torus point.
 
-    Raises DegenerateMaximumError / NonUniqueMaximumError otherwise.
+    Raises DegenerateMaximumError / NonUniqueMaximumError otherwise, and
+    InvalidInputError for a p with a nan or infinite component.
     """
     ax, vals = _grid_values(model, p, GRID_N)
     spread_grid = float(vals.max() - vals.min())

@@ -248,7 +248,9 @@ def _head_moment(k, delta):
     """int_0^eps t^(k-1) e^{-t delta} dt = eps^k gamma(k, x) / x^k for
     k = 1, 2, 3, eps = e^HEAD_U and x = delta eps: the alternating series
     sum_j (-x)^j / (j! (k + j)) below x = 1, and
-    gamma(k, x) = (k-1)! (1 - e^-x sum_{j<k} x^j / j!) above."""
+    gamma(k, x) = (k-1)! (1 - sum_{j<k} e^-x x^j / j!) above, with the
+    terms formed as exp(j log x - x) and the prefactor as (eps / x)^k so
+    that no intermediate overflows at any finite delta."""
     eps = math.exp(HEAD_U)
     x = delta * eps
     if x < 1.0:
@@ -259,9 +261,9 @@ def _head_moment(k, delta):
             j += 1
             term *= -x / j
         return eps ** k * total
-    partial = sum(x ** j / math.factorial(j) for j in range(k))
-    return (eps ** k * math.factorial(k - 1) * (1.0 - math.exp(-x) * partial)
-            / x ** k)
+    partial = sum(math.exp(j * math.log(x) - x) / math.factorial(j)
+                  for j in range(k))
+    return (eps / x) ** k * math.factorial(k - 1) * (1.0 - partial)
 
 
 def laplace_omega(table: LaplaceTable, delta, power=1):

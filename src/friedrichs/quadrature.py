@@ -18,21 +18,21 @@ at q0 with support radius rho:
   limit 2 phi^2(q0) / (nu.(-A)nu).
 
 For the two_particle family the denominator separates axis by axis and
-Omega is the exact 1-D Laplace-Bessel integral of laplace.py; evaluate and
-second_moment answer such fibres from it, with its own error bar, and build
-no node level.  value_at_level keeps the split quadrature for every family,
-and trig_poly fibres are answered by it.  state_norm_diagnostics reads only
-evaluate, so it takes the route or the split quadrature with the fibre.
+Omega is the exact 1-D Laplace-Bessel integral of laplace.py.  evaluate and
+second_moment share one moment path, the only place that chooses the
+backend: it answers two_particle fibres from the route, with the route's
+error bar and no node level, and trig_poly fibres from the split
+quadrature.  value_at_level keeps the split quadrature for every family;
+state_norm_diagnostics reads only evaluate.
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the bump radius, the node data per refinement level and the threshold
 value Omega(p) = Omega(p; M(p)), computed once on first read.  Evaluating
 at many spectral parameters z (root finding, expansion fits) costs one
 vectorised reduction per z, and values at different z share identical
-node sets.  Omega and the second moment int phi^2 / (z - w_p)^2 (the
-power-2 integrand, -dOmega/dz) share that node cache and one refinement
-loop.  The solver functions and state_norm_diagnostics take an evaluator
-and read p, M(p), the spec and Omega(p) from it.
+node sets, which the second moment int phi^2 / (z - w_p)^2 (-dOmega/dz)
+shares.  The solver functions and state_norm_diagnostics take an
+evaluator and read p, M(p), the spec and Omega(p) from it.
 
 Memory: a level keeps its node arrays and nothing else.  The build
 streams the far field through slabs of torus planes and the near field
@@ -68,6 +68,7 @@ import numpy as np
 
 from .errors import (
     BelowThresholdError,
+    InvalidInputError,
     QuadratureError,
     QuadratureNotConvergedError,
 )
@@ -116,20 +117,15 @@ class QuadratureSpec:
 class OmegaValue:
     """Value of Omega with its error bar.
 
-    On the split quadrature (trig_poly) estimated_error is |dnear| + |dfar|
-    between the last two levels, the value is near_field + far_field and
-    n_grid is the far-field grid of the level that answered.  On the
-    Laplace-Bessel route (two_particle) estimated_error is the route's bar,
-    near_field is 0.0, far_field is the value and n_grid is the spec's
-    base grid.  rho is the evaluator's bump radius either way.
+    estimated_error is the route's bar on a two_particle fibre and
+    |dnear| + |dfar| between the last two levels on the split quadrature;
+    n_grid is the far-field grid of the level that answered (the spec's
+    base grid on the route, which answers at level 0).
     """
 
     value: float
     estimated_error: float
-    near_field: float
-    far_field: float
     n_grid: int
-    rho: float
 
 
 def bump_profile(t):
@@ -231,14 +227,14 @@ def auto_rho(model, p, cp):
 class OmegaEvaluator:
     """Evaluator of Omega(p; .) for one (model, p, spec).
 
-    A two_particle fibre keeps the z-independent table of the
-    Laplace-Bessel route (built here, about 1-3 ms), and evaluate() and
-    second_moment() read it: the spec's rel_tol bounds the route's bar,
+    evaluate() and second_moment() share one moment path: a two_particle
+    fibre is answered from the z-independent table of the Laplace-Bessel
+    route (built here, about 1-3 ms), any other by the refinement loop of
+    the spec.  The spec's rel_tol bounds the route's bar; on the route
     n_grid and rho shape only value_at_level, and rho also sets the radii
-    of state_norm_diagnostics.  Otherwise levels of node data are built
-    lazily; level L uses node counts scaled by 2^L relative to the base
-    spec.  evaluate() runs the refinement loop of the spec; values at a
-    fixed level are deterministic functions of z (fixed-order
+    of state_norm_diagnostics.  Levels of node data are built lazily;
+    level L uses node counts scaled by 2^L relative to the base spec, and
+    values at a fixed level are deterministic functions of z (fixed-order
     reductions).  The threshold value Omega(p; M(p)) is
     evaluated on the first read of `threshold` and kept; evaluate(M(p))
     returns it, and at either of the last two z it reduced, evaluate(z)
@@ -349,6 +345,8 @@ class OmegaEvaluator:
         if z < self.M - self._below_tol:
             raise BelowThresholdError(
                 "below threshold: z = %.12g < M(p) = %.12g" % (z, self.M))
+        if not z < float("inf"):
+            raise InvalidInputError("z = %r is not finite" % (float(z),))
         return max(float(z) - self.M, 0.0)
 
     def _sums(self, z, level, power):
@@ -372,59 +370,55 @@ class OmegaEvaluator:
         """(total, near, far) at a fixed refinement level."""
         return self._sums(z, level, 1)
 
-    def _refine(self, sums_at_level, what):
-        """Double all node counts until the estimate |dnear| + |dfar|
-        between consecutive levels is within the spec's relative tolerance
-        of the total.  Returns (level, estimate, sums).
+    def _moment(self, z, power, what):
+        """(value, estimate, level) of int phi^2 / (z - w_p)^power, the one
+        place that chooses the backend: the Laplace-Bessel route, at level 0
+        with its bar, for a two_particle fibre, else the refinement loop.
 
-        The far field is not monotone across levels, so the change of the
-        total can cancel between the two fields and understate the error;
-        the per-field sum cannot.  An estimate that the doublings left
-        cannot bring within the bound, each shrinking it at most
-        MAX_CONTRACTION times, raises QuadratureNotConvergedError before
-        the next level is built.
+        The loop doubles all node counts until |dnear| + |dfar| between
+        consecutive levels (the change of the total can cancel between the
+        fields) is within the spec's relative tolerance of the total.  A bar
+        above that bound, or an estimate that the doublings left cannot
+        bring within it, each shrinking it at most MAX_CONTRACTION times,
+        raises QuadratureNotConvergedError before the next level is built.
         """
-        prev = None
-        for level in range(MAX_REFINEMENTS + 1):
-            sums = sums_at_level(level)
-            if prev is not None:
-                est = abs(sums[1] - prev[1]) + abs(sums[2] - prev[2])
-                bound = self.spec.rel_tol * max(abs(sums[0]), 1e-300)
-                if est <= bound:
-                    return level, est, sums
-                left = MAX_REFINEMENTS - level
-                if not est <= bound * MAX_CONTRACTION ** left:
-                    why = ("; %d more doubling(s) cannot reach the bound if "
-                           "each shrinks the estimate at most %dx"
-                           % (left, MAX_CONTRACTION)) if left else ""
-                    raise QuadratureNotConvergedError(
-                        "%s not converged: estimate %.3e above %.3e (rel_tol "
-                        "%.1e x |value| %.3e) at level %d%s"
-                        % (what, est, bound, self.spec.rel_tol, abs(sums[0]),
-                           level, why))
-            prev = sums
-
-    def _route(self, z, power, what):
-        """(value, bar) from the Laplace-Bessel route; raises
-        QuadratureNotConvergedError if the bar exceeds the spec's relative
-        tolerance of the value."""
-        value, bar = laplace_omega(self._laplace, self._delta(z), power)
-        bound = self.spec.rel_tol * abs(value)
-        if not bar <= bound:
-            raise QuadratureNotConvergedError(
-                "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
-                "|value| %.3e) on the Laplace-Bessel route"
-                % (what, bar, bound, self.spec.rel_tol, abs(value)))
-        return value, bar
+        if self._laplace is not None:
+            value, est = laplace_omega(self._laplace, self._delta(z), power)
+            bound = self.spec.rel_tol * abs(value)
+            if est <= bound:
+                return value, est, 0
+            where = "on the Laplace-Bessel route"
+        else:
+            prev = None
+            for level in range(MAX_REFINEMENTS + 1):
+                sums = (self.value_at_level(z, level) if power == 1
+                        else self._sums(z, level, power))
+                if prev is not None:
+                    value = sums[0]
+                    est = abs(sums[1] - prev[1]) + abs(sums[2] - prev[2])
+                    bound = self.spec.rel_tol * max(abs(value), 1e-300)
+                    if est <= bound:
+                        return value, est, level
+                    left = MAX_REFINEMENTS - level
+                    if not est <= bound * MAX_CONTRACTION ** left:
+                        break
+                prev = sums
+            where = "at level %d" % level + (
+                "; %d more doubling(s) cannot reach the bound if each "
+                "shrinks the estimate at most %dx" % (left, MAX_CONTRACTION)
+                if left else "")
+        raise QuadratureNotConvergedError(
+            "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
+            "|value| %.3e) %s" % (what, est, bound, self.spec.rel_tol,
+                                  abs(value), where))
 
     def evaluate(self, z) -> OmegaValue:
-        """Omega(p; z) with its error bar: from the Laplace-Bessel route for
-        a two_particle model, else from the split quadrature with one-step
-        refinement error estimation.
+        """Omega(p; z) with its error bar, from the moment path.
 
         Raises QuadratureNotConvergedError if the route's bar exceeds the
         spec's relative tolerance, or if MAX_REFINEMENTS doublings do not
-        reach it, or cannot be expected to.
+        reach it, or cannot be expected to; InvalidInputError for z = nan
+        or +inf, BelowThresholdError below M(p).
         """
         if z == self.M and self._threshold is not None:
             return self._threshold
@@ -432,21 +426,15 @@ class OmegaEvaluator:
         for z_seen, value in recent:
             if z_seen == z:
                 return value
-        if self._laplace is not None:
-            total, est = self._route(z, 1, "quadrature")
-            level, near, far = 0, 0.0, total
-        else:
-            level, est, (total, near, far) = self._refine(
-                lambda level: self.value_at_level(z, level), "quadrature")
-        value = OmegaValue(value=total, estimated_error=est, near_field=near,
-                           far_field=far,
-                           n_grid=self.spec.n_grid * 2 ** level, rho=self.rho)
+        total, est, level = self._moment(z, 1, "quadrature")
+        value = OmegaValue(value=total, estimated_error=est,
+                           n_grid=self.spec.n_grid * 2 ** level)
         self._recent = ((z, value),) + recent[:1]
         return value
 
     def second_moment(self, z):
-        """int phi^2 / (z - w_p)^2 ds for z > M(p), by the same route or
-        node levels as evaluate.
+        """int phi^2 / (z - w_p)^2 ds for z > M(p), by the moment path of
+        evaluate; an underflow (z - M > 7e153 ||phi||) is a QuadratureError.
 
         At z = M(p) it is finite only where phi(q0) = 0, and then it is the
         squared norm ||f0||^2 of the threshold state f0 = phi / (M - w_p).
@@ -454,11 +442,11 @@ class OmegaEvaluator:
         if self._delta(z) <= 0.0 and self._phi0_sq != 0.0:
             raise BelowThresholdError(
                 "second moment diverges at the band edge")
-        if self._laplace is not None:
-            return self._route(z, 2, "second moment")[0]
-        _, _, (total, _, _) = self._refine(
-            lambda level: self._sums(z, level, 2), "second moment")
-        return total
+        value = self._moment(z, 2, "second moment")[0]
+        if not value >= np.finfo(float).tiny:
+            raise QuadratureError("second moment underflows: %.3e at z - M(p) "
+                                  "= %.3e" % (value, z - self.M))
+        return value
 
 
 @dataclass(frozen=True)

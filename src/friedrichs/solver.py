@@ -104,7 +104,9 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
     The first bound can fail by the quadrature error when mu is many
     orders above mu(p); then the gap is doubled once, and if the
     determinant is still not positive BracketingError is raised.  brentq
-    raises it too, for a NaN determinant or no convergence in 200 steps.
+    raises it too, for a NaN determinant or no convergence in 200 steps,
+    and so does a coupling whose bracket M(p) + 2 mu ||phi||^2 is not
+    finite (mu above about 9e307 / ||phi||^2).
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
@@ -112,7 +114,12 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
     if mu <= mu_p * (1.0 + MU_REL_TOL):
         return None
 
-    gap = mu * ev.model.phi_l2_norm_sq()
+    with np.errstate(over="ignore"):
+        gap = mu * ev.model.phi_l2_norm_sq()
+    if not np.isfinite(ev.M + 2.0 * gap):
+        raise BracketingError(
+            "mu = %r: the bracket M(p) + 2 mu ||phi||^2 overflows"
+            % (float(mu),))
     z_hi = ev.M + gap
     if not _det(z_hi, ev, mu) > 0.0:
         z_hi = ev.M + 2.0 * gap
@@ -181,7 +188,13 @@ class EigenfunctionEval:
 
 def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
                   evaluator: OmegaEvaluator | None = None) -> EigenfunctionEval:
-    """Normalize the eigenfunction at a solved energy E > M(p)."""
+    """Normalize the eigenfunction at a solved energy E > M(p).
+
+    E = nan or +inf raises InvalidInputError.  The normalisation is
+    1 / (mu sqrt(second moment)); a second moment that underflows (E - M(p)
+    above about 7e153 ||phi||, mu above about 4e152 for phi = 1) raises
+    QuadratureError rather than return an infinite constant.
+    """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
     if not energy > ev.M:

@@ -20,7 +20,8 @@ def bessel_omega(delta, hopping=(1.0, 1.0, 1.0), p=(0.0, 0.0, 0.0)):
 
     This reduces the torus integral to a 1-D Bessel integral evaluated by
     adaptive quadrature - a completely different route from the production
-    bump-split scheme.
+    bump-split scheme - at relative tolerance 1e-13 with no absolute floor,
+    so that it can check the Laplace-Bessel route within the route's bar.
     """
     al = np.asarray(hopping, dtype=float) * np.cos(0.5 * np.asarray(p, dtype=float))
 
@@ -28,8 +29,8 @@ def bessel_omega(delta, hopping=(1.0, 1.0, 1.0), p=(0.0, 0.0, 0.0)):
         return np.exp(-t * delta) * i0e(2 * al[0] * t) * i0e(2 * al[1] * t) \
             * i0e(2 * al[2] * t)
 
-    v1, _ = quad(f, 0.0, 60.0, limit=400)
-    v2, _ = quad(f, 60.0, np.inf, limit=400)
+    v1, _ = quad(f, 0.0, 60.0, limit=400, epsabs=0.0, epsrel=1e-13)
+    v2, _ = quad(f, 60.0, np.inf, limit=400, epsabs=0.0, epsrel=1e-13)
     return (2.0 * np.pi) ** 3 * (v1 + v2)
 
 

@@ -65,6 +65,20 @@ def test_zone_edge_refused_on_the_twin(capsys, tmp_path, twin_one):
     assert err.startswith("friedrichs: quadrature not converged")
 
 
+def test_non_finite_p_exit_1(capsys, tmp_path):
+    code, out, err = _run(capsys, ["threshold", "--p", "nan,0,0"])
+    assert (code, out) == (1, "")
+    assert err == "friedrichs: p = [nan, 0.0, 0.0] is not finite\n"
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "0,0,0:inf,0,0", "--samples", "2", "--mu", "x2",
+        "--outputs", "threshold", "--out", str(tmp_path)])
+    assert code == 0  # the first row succeeded
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("error")] for row in rows] == [
+        "", "p = [inf, 0.0, 0.0] is not finite"]
+
+
 def test_missing_config_exit_1(capsys, tmp_path):
     code, _, err = _run(capsys, ["threshold", "--config",
                                  str(tmp_path / "nope.json")])

@@ -8,6 +8,14 @@ from friedrichs.torus import wrap_angles
 P0 = np.zeros(3)
 
 
+@pytest.mark.parametrize("p", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
+                               (0.0, 0.0, -np.inf)])
+def test_non_finite_p_rejected(model_one, p):
+    for call in (fr.find_maximizer, fr.find_minimum):
+        with pytest.raises(fr.InvalidInputError, match="is not finite"):
+            call(model_one, np.array(p))
+
+
 def test_maximizer_at_p_zero(cp_one):
     assert np.allclose(cp_one.q0, [np.pi, np.pi, np.pi], atol=1e-10)
     assert cp_one.M == pytest.approx(12.0, abs=1e-10)

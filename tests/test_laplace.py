@@ -15,8 +15,8 @@ import pytest
 from scipy.special import i0e
 
 import friedrichs as fr
-from conftest import (mixed_model, model_kinds, mp_laplace_omega,
-                      quadrature_twin)
+from conftest import (bessel_omega, mixed_model, model_kinds,
+                      mp_laplace_omega, quadrature_twin)
 from friedrichs import laplace
 from friedrichs.laplace import (HEAD_U, IVE_SWITCH, _head_moment, _ive,
                                 _ive_orders, laplace_omega, laplace_table)
@@ -88,8 +88,7 @@ def test_zone_boundary_column(model_one, p, pinned, decimals):
     got = ev.threshold
     assert abs(got.value - pinned) <= 0.5 * 10.0 ** -decimals + \
         got.estimated_error
-    assert (got.near_field, got.far_field) == (0.0, got.value)
-    assert (got.n_grid, got.rho) == (ev.spec.n_grid, ev.rho)
+    assert got.n_grid == ev.spec.n_grid
     assert ev._levels == []
 
 
@@ -206,6 +205,32 @@ def test_head_moment_against_mpmath(k):
             want = (e ** k / k if delta == 0.0
                     else mpmath.gammainc(k, 0, d * e) / d ** k)
             assert abs(_head_moment(k, delta) / want - 1) <= 4e-15, x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_head_moment_at_huge_delta(k):
+    # x^k overflowed a float from delta = 6e115 (k = 3) and 1.4e167 (k = 2);
+    # the moment itself is finite and underflows to 0 where it must
+    eps = math.exp(HEAD_U)
+    for delta in (1e13, 6e115, 1.4e167, 1e200, 1e300, np.finfo(float).max):
+        with mpmath.workdps(30):
+            d = mpmath.mpf(delta)
+            want = float(mpmath.gammainc(k, 0, d * eps) / d ** k)
+        got = _head_moment(k, delta)
+        if want >= np.finfo(float).tiny:
+            assert abs(got / want - 1) <= 4e-15, delta
+        else:
+            assert 0.0 <= got < np.finfo(float).tiny, delta
+
+
+@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.7, -0.3, 1.1)])
+def test_route_threshold_within_its_bar_of_the_bessel_reference(model_one,
+                                                               p):
+    p = np.array(p)
+    ev = fr.OmegaEvaluator(model_one, p, fr.find_maximizer(model_one, p))
+    got = ev.threshold
+    ref = bessel_omega(0.0, p=p)
+    assert abs(got.value - ref) <= got.estimated_error + 1e-13 * ref
 
 
 def test_anisotropic_edge_fibre_on_the_route():

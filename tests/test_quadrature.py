@@ -17,8 +17,22 @@ from friedrichs.quadrature import (
 P0 = np.zeros(3)
 
 # Independent Bessel-integral reference for the builtin phi = 1 model at
-# p = 0 (see conftest.bessel_omega), frozen for the regression guard.
-OMEGA_THRESHOLD_REF = 62.68998093941696
+# p = 0 (see conftest.bessel_omega), frozen for the regression guard; the
+# mpmath Laplace-Bessel value (conftest.mp_laplace_omega) at 17 digits.
+OMEGA_THRESHOLD_REF = 62.68998093895429
+
+
+@pytest.mark.parametrize("backend", ["route", "twin"])
+@pytest.mark.parametrize("z", [float("nan"), float("inf")])
+def test_non_finite_z_rejected(request, backend, z):
+    ev = request.getfixturevalue({"route": "ev_one",
+                                  "twin": "ev_twin_one"}[backend])
+    for call in (ev.evaluate, ev.second_moment):
+        with pytest.raises(fr.InvalidInputError,
+                           match=r"^z = %s is not finite$" % z):
+            call(z)
+    with pytest.raises(fr.BelowThresholdError):
+        ev.evaluate(-float("inf"))
 
 
 def test_dominated_high_energy_limit(ev_twin_one):
@@ -32,10 +46,14 @@ def test_threshold_value_against_bessel_reference(ev_twin_one, cp_twin_one,
                                                   bessel_ref):
     got = ev_twin_one.evaluate(cp_twin_one.M)
     ref = bessel_ref(0.0)
-    assert ref == pytest.approx(OMEGA_THRESHOLD_REF, abs=1e-9)
+    assert ref == pytest.approx(OMEGA_THRESHOLD_REF, rel=1e-13)
     assert got.value == pytest.approx(ref, rel=1e-6)
     assert got.estimated_error <= 1e-4 * got.value
-    assert got.value == pytest.approx(got.near_field + got.far_field, rel=1e-14)
+    # the level that answered is the one of the value's far-field grid
+    level = (got.n_grid // ev_twin_one.spec.n_grid).bit_length() - 1
+    total, near, far = ev_twin_one.value_at_level(cp_twin_one.M, level)
+    assert got.value == total
+    assert total == pytest.approx(near + far, rel=1e-14)
 
 
 def test_values_off_threshold_against_bessel_reference(ev_twin_one,

@@ -327,6 +327,25 @@ def test_non_finite_coupling_rejected(model_one, cp_one, ev_one, mu_one, mu):
             call()
 
 
+@pytest.mark.parametrize("mu, error", [
+    (1e114, None), (1e160, fr.QuadratureError), (1e200, fr.QuadratureError),
+    (1e306, fr.BracketingError)])
+def test_huge_coupling_answered_or_refused(model_one, cp_one, ev_one, mu,
+                                           error):
+    # from 1e114 x^k of the route's head moment overflowed, from 1e160 the
+    # second moment underflows and from 3.6e305 the bracket overflows
+    try:
+        report = fr.analyze(model_one, P0, cp_one, mu, evaluator=ev_one)
+    except fr.FriedrichsError as exc:
+        assert type(exc) is error and "nan" not in str(exc)
+        assert error is not fr.BracketingError or "mu = %r" % mu in str(exc)
+        return
+    assert error is None
+    assert np.isfinite(report.E) and np.isfinite(report.eigenfunction_norm)
+    assert report.E / (mu * model_one.phi_l2_norm_sq()) == pytest.approx(
+        1.0, rel=1e-12)
+
+
 def test_solved_evaluator_freed_without_cycle_collection(twin_one,
                                                          cp_twin_one,
                                                          ev_twin_one):
