@@ -3,6 +3,8 @@
 Locates the global maximizer q0(p) (coarse grid scan + torus-wrapped
 Newton polish), certifies non-degeneracy of the Hessian and uniqueness of
 the maximum, and computes the band edges M(p) = max w_p and m(p) = min w_p.
+One GRID_N^3 scan seeds both the maximum and the minimum search, and each
+Newton step reads the gradient and Hessian from one pass over the model.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ NONDEG_TOL = 1e-8        # largest Hessian eigenvalue must be <= -tol*(M-m)
 UNIQUENESS_GAP = 1e-9    # two maxima within gap*(M-m) => non-unique
 _DISTINCT_DIST = 1e-5    # torus distance separating distinct maximizers
 _CANDIDATE_WINDOW = 0.05  # grid local maxima within window*(M-m) get polished
+_TRUST_RADIUS = 2.0 * np.pi / GRID_N  # longest Newton step: one grid cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,40 +50,38 @@ class CriticalPointInfo:
         return self.M - self.m
 
 
-def _grid_values(model, p, n):
+def _grid_values(model, p):
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("p = %s is not finite"
                                 % (np.asarray(p, dtype=float).tolist(),))
-    ax = grid_axis(n, offset=0)
-    return ax, np.broadcast_to(model.w(p, tensor_grid(ax)), (n, n, n))
+    ax = grid_axis(GRID_N, offset=0)
+    return ax, np.broadcast_to(model.w(p, tensor_grid(ax)), (GRID_N,) * 3)
 
 
 def _local_maxima_mask(vals):
-    """Grid nodes that dominate their full 26-point periodic neighborhood."""
-    mask = np.ones(vals.shape, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                mask &= vals >= np.roll(vals, (dx, dy, dz), axis=(0, 1, 2))
-    return mask
+    """Grid nodes that dominate their full 26-point periodic neighborhood,
+    i.e. equal their periodic 3x3x3 maximum, taken one axis at a time."""
+    peak = vals
+    for axis in range(3):
+        peak = np.maximum(peak, np.maximum(np.roll(peak, 1, axis),
+                                           np.roll(peak, -1, axis)))
+    return vals >= peak
 
 
-def _polish(model, p, x0, sign, trust_radius):
-    """Newton iteration for a critical point of sign*w_p, wrapped to the
-    torus each step.  Returns (x, value, grad_norm)."""
-    x = np.asarray(x0, dtype=float).copy()
+def _polish(model, p, x, sign):
+    """Newton iteration for a critical point of sign*w_p from x (not
+    written), wrapped to the torus.  Returns (x, value, grad_norm, Hessian)."""
     for it in range(MAX_NEWTON_ITERS + 1):
-        g = sign * np.asarray(model.grad_w(p, x), dtype=float)
+        grad, hess = model.w_derivatives(p, x)
+        g = sign * grad
         gn = float(np.linalg.norm(g))
         if gn <= GRAD_TOL:
-            return x, float(model.w(p, x)), gn
+            return x, float(model.w(p, x)), gn, hess
         if it == MAX_NEWTON_ITERS:
             raise NewtonConvergenceError(
                 "no convergence: Newton polish exceeded %d iterations"
                 % MAX_NEWTON_ITERS)
-        h = sign * np.asarray(model.hess_w(p, x), dtype=float)
+        h = sign * hess
         try:
             step = np.linalg.solve(h, -g)
             if not np.all(np.isfinite(step)):
@@ -88,9 +89,19 @@ def _polish(model, p, x0, sign, trust_radius):
         except np.linalg.LinAlgError:
             step = -np.linalg.pinv(h) @ g
         sn = float(np.linalg.norm(step))
-        if sn > trust_radius:
-            step *= trust_radius / sn
+        if sn > _TRUST_RADIUS:
+            step *= _TRUST_RADIUS / sn
         x = wrap_angles(x + step)
+
+
+def _minimum(model, p, ax, vals):
+    """m(p) by Newton on -w_p from the lowest node of the scan vals."""
+    i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
+    try:
+        value = _polish(model, p, np.array([ax[i], ax[j], ax[k]]), -1.0)[1]
+    except NewtonConvergenceError:
+        value = float(vals.min())
+    return min(value, float(vals.min()))
 
 
 def find_minimum(model, p) -> float:
@@ -99,15 +110,7 @@ def find_minimum(model, p) -> float:
     Degeneracy of the minimizer is tolerated; only the value is reported.
     A p with a nan or infinite component raises InvalidInputError.
     """
-    ax, vals = _grid_values(model, p, GRID_N)
-    i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
-    x0 = np.array([ax[i], ax[j], ax[k]])
-    trust = 2.0 * np.pi / GRID_N
-    try:
-        _, value, _ = _polish(model, p, x0, -1.0, trust)
-    except NewtonConvergenceError:
-        value = float(vals.min())
-    return min(value, float(vals.min()))
+    return _minimum(model, p, *_grid_values(model, p))
 
 
 def find_maximizer(model, p) -> CriticalPointInfo:
@@ -125,19 +128,17 @@ def find_maximizer(model, p) -> CriticalPointInfo:
     Raises DegenerateMaximumError / NonUniqueMaximumError otherwise, and
     InvalidInputError for a p with a nan or infinite component.
     """
-    ax, vals = _grid_values(model, p, GRID_N)
-    spread_grid = float(vals.max() - vals.min())
-    window = _CANDIDATE_WINDOW * spread_grid
+    ax, vals = _grid_values(model, p)
+    window = _CANDIDATE_WINDOW * float(vals.max() - vals.min())
     mask = _local_maxima_mask(vals) & (vals >= vals.max() - window)
     ii, jj, kk = np.nonzero(mask)
     order = np.argsort(vals[ii, jj, kk])[::-1][:16]
     starts = [np.array([ax[ii[t]], ax[jj[t]], ax[kk[t]]]) for t in order]
 
-    trust = 2.0 * np.pi / GRID_N
     polished = []
     for x0 in starts:
         try:
-            polished.append(_polish(model, p, x0, +1.0, trust))
+            polished.append(_polish(model, p, x0, +1.0))
         except NewtonConvergenceError:
             if len(starts) == 1:
                 raise
@@ -145,19 +146,17 @@ def find_maximizer(model, p) -> CriticalPointInfo:
         raise NewtonConvergenceError("no convergence for any candidate start")
 
     polished.sort(key=lambda t: t[1], reverse=True)
-    x_best, M, grad_norm = polished[0]
-    m = find_minimum(model, p)
+    x_best, M, grad_norm, hess = polished[0]
+    m = _minimum(model, p, ax, vals)
     spread = max(M - m, 0.0)
 
-    hess = np.asarray(model.hess_w(p, x_best), dtype=float)
-    hess = 0.5 * (hess + hess.T)
     eigs = np.linalg.eigvalsh(hess)
     if not eigs[-1] <= -NONDEG_TOL * spread:
         raise DegenerateMaximumError(
             "degenerate maximum: largest Hessian eigenvalue %.3e exceeds "
             "-%.1e*(M-m)" % (eigs[-1], NONDEG_TOL))
 
-    for x, value, _ in polished[1:]:
+    for x, value, _, _ in polished[1:]:
         if (torus_distance(x, x_best) > _DISTINCT_DIST
                 and M - value < UNIQUENESS_GAP * spread):
             raise NonUniqueMaximumError(

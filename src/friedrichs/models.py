@@ -13,7 +13,8 @@ derivatives are exact and real-analyticity holds by construction.
   sin: optional sin coefficient}.
 
 Internally every model is lowered to Fourier tables; the family tag is
-kept so closed-form checks can be attached to ``two_particle``.
+kept so closed-form checks can be attached to ``two_particle``.  One
+pass over a table's terms gives both its gradient and its Hessian.
 """
 
 from __future__ import annotations
@@ -106,33 +107,23 @@ class HarmonicTable:
             out = out + term
         return out
 
-    def gradient(self, x1, x2, x3):
+    def derivatives(self, x1, x2, x3):
+        """(gradient, exactly symmetric Hessian) in one pass over the terms."""
         shape = np.broadcast(x1, x2, x3).shape
-        out = np.zeros(shape + (3,))
+        grad, hess = np.zeros(shape + (3,)), np.zeros(shape + (3, 3))
         for k, c, s in zip(self.indices, self.cos, self.sin):
             if k[0] == 0 and k[1] == 0 and k[2] == 0:
                 continue
             phase = _phase(k, x1, x2, x3)
-            radial = -c * np.sin(phase) + s * np.cos(phase)
+            sin, cos = np.sin(phase), np.cos(phase)
+            radial, curv = -c * sin + s * cos, -c * cos - s * sin
             for i in range(3):
                 if k[i] != 0:
-                    out[..., i] += k[i] * radial
-        return out
-
-    def hessian(self, x1, x2, x3):
-        shape = np.broadcast(x1, x2, x3).shape
-        out = np.zeros(shape + (3, 3))
-        for k, c, s in zip(self.indices, self.cos, self.sin):
-            if k[0] == 0 and k[1] == 0 and k[2] == 0:
-                continue
-            phase = _phase(k, x1, x2, x3)
-            radial = -c * np.cos(phase) - s * np.sin(phase)
-            for i in range(3):
+                    grad[..., i] += k[i] * radial
                 for j in range(3):
-                    kk = k[i] * k[j]
-                    if kk != 0:
-                        out[..., i, j] += kk * radial
-        return out
+                    if k[i] * k[j] != 0:
+                        hess[..., i, j] += k[i] * k[j] * curv
+        return grad, hess
 
     def l2_norm_sq(self):
         """Exact integral of the square over the torus (Parseval)."""
@@ -292,19 +283,14 @@ class DispersionModel:
         return (self._w_block.value(x1, x2, x3)
                 + self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
 
-    def grad_w(self, p, q):
-        """Exact q-gradient of w_p, shape (..., 3)."""
+    def w_derivatives(self, p, q):
+        """Exact q-gradient and exactly symmetric q-Hessian of w_p, shapes
+        (..., 3) and (..., 3, 3): one table pass at q and one at p - q."""
         p1, p2, p3 = _components(p)
         x1, x2, x3 = _components(q)
-        return (self._w_block.gradient(x1, x2, x3)
-                - self._w_block.gradient(p1 - x1, p2 - x2, p3 - x3))
-
-    def hess_w(self, p, q):
-        """Exact symmetric q-Hessian of w_p, shape (..., 3, 3)."""
-        p1, p2, p3 = _components(p)
-        x1, x2, x3 = _components(q)
-        return (self._w_block.hessian(x1, x2, x3)
-                + self._w_block.hessian(p1 - x1, p2 - x2, p3 - x3))
+        g, h = self._w_block.derivatives(x1, x2, x3)
+        g_m, h_m = self._w_block.derivatives(p1 - x1, p2 - x2, p3 - x3)
+        return g - g_m, h + h_m
 
     # -- form factor --------------------------------------------------
 

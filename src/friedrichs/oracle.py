@@ -13,11 +13,12 @@ Richardson-extrapolated threshold sums.  It shares with the quadrature only
 the summation primitive of friedrichs.sums: each lattice sum
 sum phi^2/(z - w) is formed block by block in one scratch buffer along
 NumPy's pairwise-summation split, so it is bitwise the sum of the full N^3
-temporary while no N^3 temporary is made per evaluation.  phi^2 stays a
-scalar when phi is constant, so secular_root peaks at 2.0 float64 N^3
-arrays for phi = 1, 2.3 for the vanishing phi and 3.1 for an off-axis
-trig_poly phi (tracemalloc at N = 64: w, phi^2 and the temporaries of
-evaluating w).
+temporary while no N^3 temporary is made per evaluation.  One helper,
+_lattice, evaluates w and phi on the grid for every routine.  phi (and
+phi^2) stays a scalar when phi is constant, so secular_root peaks at 2.0
+float64 N^3 arrays for phi = 1, 2.3 for the vanishing phi and 3.1 for an
+off-axis trig_poly phi (tracemalloc at N = 64: w, phi^2 and the
+temporaries of evaluating w).
 """
 
 from __future__ import annotations
@@ -56,33 +57,26 @@ def check_lattice_size(N, dense=False):
             "dense_spectrum limited to N <= %d (matrix size N^3)" % DENSE_N_MAX)
 
 
-def grid_values(model, p, N, offset=0.5):
-    """(w_p values, phi values) flattened over the N^3 grid."""
-    grid = tensor_grid(grid_axis(N, offset))
-    w = np.broadcast_to(model.w(p, grid), (N, N, N))
-    phi = np.broadcast_to(model.phi(grid), w.shape)
-    return w.ravel(), phi.ravel()
-
-
-def _sum_terms(model, p, N, offset):
-    """(w, phi^2) for the streamed lattice sums: w flattened over the N^3
-    grid, phi^2 0-d when phi is constant and flattened otherwise.  w is
-    evaluated first, so the evaluation of phi never overlaps its
-    temporaries; phi^2 is squared in place on phi's own (broadcast) shape
-    and then materialised once."""
+def _lattice(model, p, N, offset=0.5):
+    """(w, phi) over the N^3 grid: w flattened, phi 0-d when phi is
+    constant and flattened otherwise.  w is evaluated first, so the
+    evaluation of phi never overlaps its temporaries, and a phi that spans
+    fewer axes is materialised once (the callers square it in place)."""
     grid = tensor_grid(grid_axis(N, offset))
     w = np.broadcast_to(model.w(p, grid), (N, N, N)).ravel()
     phi = np.asarray(model.phi(grid), dtype=float)
     if phi.size == 1:
-        return w, np.square(phi.reshape(()))
-    phi2 = np.multiply(phi, phi, out=phi)
-    return w, np.broadcast_to(phi2, (N, N, N)).ravel()
+        return w, phi.reshape(())
+    if phi.shape != (N, N, N):
+        phi = np.broadcast_to(phi, (N, N, N)).ravel()
+    return w, phi.reshape(-1)
 
 
 def discrete_omega(model, p, z, N, offset=0.5):
     """Plain lattice sum h^3 sum phi^2/(z - w); requires z - w > 0 at all
     nodes (z >= M(p) with the maximizer off the grid)."""
-    w, phi2 = _sum_terms(model, p, N, offset)
+    w, phi = _lattice(model, p, N, offset)
+    phi2 = np.multiply(phi, phi, out=phi)
     # rounding is monotone: min(z - w) is z - max(w)
     if z - np.max(w) <= 0.0:
         raise InvalidInputError(
@@ -134,7 +128,8 @@ def secular_root(model, p, mu, N, offset=0.5):
     """
     check_coupling(mu)
     check_lattice_size(N)
-    w, phi2 = _sum_terms(model, p, N, offset)
+    w, phi = _lattice(model, p, N, offset)
+    phi2 = np.multiply(phi, phi, out=phi)
     h3 = (2.0 * np.pi / N) ** 3
     w_max = float(np.max(w))
     # the largest level below the top one (ties within 1e-13 excluded);
@@ -179,7 +174,8 @@ def dense_spectrum(model, p, mu, N) -> OracleResult:
     """
     check_coupling(mu)
     check_lattice_size(N, dense=True)
-    w, phi = grid_values(model, p, N)
+    w, phi = _lattice(model, p, N)
+    phi = np.broadcast_to(phi, w.shape)
     h3 = (2.0 * np.pi / N) ** 3
     H = np.outer(phi, phi)  # one N^6 buffer: scaled and w added in place
     H *= mu * h3

@@ -471,7 +471,8 @@ def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
     with r_j = rho / 2^j (j = 5..8) and k the largest eigenvalue of -A/2.
     It grows like 1/r_j exactly when phi(q0) != 0 at z = M(p), as the L2
     mass of f outside the ball of radius r_j does.  Every value is read
-    from evaluator.evaluate, on the fibre's route or node levels.
+    from evaluator.evaluate, on the fibre's route or node levels.  Moments
+    that vanish next to a huge z raise QuadratureError.
     """
     ev = evaluator
     k = -0.5 * ev.cp.hessian_eigenvalues[0]
@@ -480,5 +481,9 @@ def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
     omega = ev.evaluate(z).value
     moments = np.array([(omega - ev.evaluate(z + d).value) / d
                         for d in deltas])
+    if not np.all((moments > 0.0) & np.isfinite(moments)):
+        raise QuadratureError(
+            "state norm diagnostics undefined at z = %r: moments %s are not "
+            "positive and finite" % (float(z), moments.tolist()))
     slope = float(np.polyfit(np.log(1.0 / radii), np.log(moments), 1)[0])
     return NormDiagnostics(l2_growth_rate=slope, radii=radii, moments=moments)

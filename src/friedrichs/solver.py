@@ -42,6 +42,7 @@ FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
 CHECK_GRID = 64          # midpoint nodes per axis of the eigenfunction checks
+_CHECK_H3 = (2.0 * np.pi / CHECK_GRID) ** 3  # volume of one check-grid cell
 ROOT_XTOL = 1e-14        # brentq's absolute and relative root tolerances
 ROOT_RTOL = 4.0 * np.finfo(float).eps
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -164,11 +165,18 @@ class EigenfunctionEval:
         return (self.normalization * self.mu * self.model.phi(q)
                 / (self.energy - self.model.w(self.p, q)))
 
+    def _on_check_grid(self):
+        """(w, phi, psi) on the CHECK_GRID^3 midpoint grid: the one model
+        evaluation behind both grid checks."""
+        grid = tensor_grid(grid_axis(CHECK_GRID))
+        w = np.asarray(self.model.w(self.p, grid))
+        phi = np.broadcast_to(np.asarray(self.model.phi(grid)), w.shape)
+        return w, phi, self.normalization * self.mu * phi / (self.energy - w)
+
     def norm_on_grid(self):
         """L2 norm via the plain midpoint rule (smooth integrand)."""
-        vals = self(tensor_grid(grid_axis(CHECK_GRID)))
-        return float(np.sqrt((2.0 * np.pi / CHECK_GRID) ** 3
-                             * np.sum(vals * vals)))
+        psi = self._on_check_grid()[2]
+        return float(np.sqrt(_CHECK_H3 * np.sum(psi * psi)))
 
     def residual_sup(self):
         """sup |(H_mu(p) - E) psi| with H applied on a midpoint grid.
@@ -177,11 +185,8 @@ class EigenfunctionEval:
         independent discrete application of the operator, not a replay of
         the quadrature that produced E.
         """
-        grid = tensor_grid(grid_axis(CHECK_GRID))
-        w = np.asarray(self.model.w(self.p, grid))
-        phi = np.broadcast_to(np.asarray(self.model.phi(grid)), w.shape)
-        psi = self.normalization * self.mu * phi / (self.energy - w)
-        inner = (2.0 * np.pi / CHECK_GRID) ** 3 * np.sum(phi * psi)
+        w, phi, psi = self._on_check_grid()
+        inner = _CHECK_H3 * np.sum(phi * psi)
         resid = (w - self.energy) * psi + self.mu * phi * inner
         return float(np.max(np.abs(resid)))
 
@@ -270,10 +275,9 @@ class ExpansionFit:
     @property
     def sqrt_term_fraction(self):
         """Size of the fitted sqrt term at the window top relative to the
-        largest data value; ~0 when the sqrt term is genuinely absent."""
+        largest data value (positive: expansion_fit refuses data within
+        their bars); ~0 when the sqrt term is genuinely absent."""
         scale = float(np.max(np.abs(self.data)))
-        if scale == 0.0:
-            return 0.0
         return abs(self.sqrt_coeff) * float(np.sqrt(self.deltas[-1])) / scale
 
 
@@ -305,18 +309,24 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     offsets d_k in the window (lo, hi), 0 < lo < hi < inf, all on identical
     quadrature nodes so systematic errors cancel in the differences.  Fewer
     points would determine the three coefficients exactly and leave the
-    residual gate nothing to test.
+    residual gate nothing to test.  ExpansionFitError: no difference above
+    the bars of its Omega values, or a residual above FIT_RESIDUAL_GATE.
     """
     check_expansion_args(window, n_points)
     ev = _evaluator(model, p, cp, evaluator)
     deltas = np.logspace(np.log10(window[0]), np.log10(window[1]), n_points)
-    omega0 = ev.threshold.value
-    data = np.array([omega0 - ev.evaluate(ev.M + d).value for d in deltas])
+    omega0 = ev.threshold
+    values = [ev.evaluate(ev.M + d) for d in deltas]
+    data = np.array([omega0.value - v.value for v in values])
+    bars = omega0.estimated_error + max(v.estimated_error for v in values)
+    if not np.max(np.abs(data)) > bars:
+        raise ExpansionFitError("expansion fit failed: Omega differences "
+                                "up to %.3e are within their bars %.3e"
+                                % (np.max(np.abs(data)), bars))
     design = np.column_stack([np.sqrt(deltas), deltas, deltas ** 1.5])
     coeffs, *_ = np.linalg.lstsq(design, data, rcond=None)
     resid = data - design @ coeffs
-    rel_residual = float(np.linalg.norm(resid) / max(np.linalg.norm(data),
-                                                     1e-300))
+    rel_residual = float(np.linalg.norm(resid) / np.linalg.norm(data))
     fit = ExpansionFit(
         tau0_fit=float(coeffs[0] / TWO_PI_SQ),
         tau0_closed=tau0_closed_form(ev.model, ev.cp),

@@ -36,7 +36,8 @@ def _pairwise_sum(num, c, op, b, power, buf):
     if n <= BLOCK:
         d = op(c, b, out=buf[:n])
         if power == 2:
-            np.multiply(d, d, out=d)
+            with np.errstate(over="ignore"):  # num / inf adds 0 below
+                np.multiply(d, d, out=d)
         return np.divide(num, d, out=d).sum()
     half = n // 2 - (n // 2) % 8  # numpy's pairwise_sum split
     lo, hi = (num, num) if num.ndim == 0 else (num[:half], num[half:])

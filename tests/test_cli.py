@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
+from conftest import quadrature_twin
 from friedrichs import cli
 from friedrichs.cli import main
 
@@ -170,6 +171,19 @@ def test_expansion_command(capsys):
     payload = json.loads(out)
     assert 0.99 <= payload["tau0_fit"] <= 1.01
     assert payload["tau0_closed"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", [None, "twin"])
+def test_expansion_window_below_the_bars_exit_1(capsys, tmp_path, config):
+    argv = ["expansion", "--points", "4", "--window", "1e-300,1e-299"]
+    if config:
+        cfg = tmp_path / "twin.json"
+        cfg.write_text(json.dumps(quadrature_twin(
+            fr.two_particle_model()).config.to_dict()))
+        argv += ["--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("friedrichs: expansion fit failed: Omega")
 
 
 def test_oracle_command(capsys, tmp_path):

@@ -1,8 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import friedrichs as fr
-from friedrichs.critical import two_particle_closed_forms
+from conftest import model_kinds
+from friedrichs.critical import (
+    GRID_N,
+    _grid_values,
+    _local_maxima_mask,
+    two_particle_closed_forms,
+)
 from friedrichs.torus import wrap_angles
 
 P0 = np.zeros(3)
@@ -124,3 +135,56 @@ def test_closed_forms_match_direct_formulas():
     assert m == pytest.approx(float(np.sum(c * (2 - 2 * np.cos(half)))))
     assert np.allclose(np.diag(A), -2 * c * np.cos(half))
     assert np.allclose(q0, wrap_angles(half + np.pi))
+
+
+# -- one scan per fibre ----------------------------------------------------
+
+
+def _mask_26(vals):
+    """The definition: nodes >= each of their 26 periodic neighbours."""
+    mask = np.ones(vals.shape, dtype=bool)
+    for d in itertools.product((-1, 0, 1), repeat=3):
+        if d != (0, 0, 0):
+            mask &= vals >= np.roll(vals, d, axis=(0, 1, 2))
+    return mask
+
+
+# few distinct values make ties and plateaus; nan and inf are kept too
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(arrays(np.float64, array_shapes(min_dims=3, max_dims=3, max_side=6),
+              elements=st.sampled_from(
+                  [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])))
+def test_separable_mask_equals_the_26_neighbour_definition(vals):
+    assert np.array_equal(_local_maxima_mask(vals), _mask_26(vals))
+
+
+@pytest.mark.parametrize("name", ["one", "vanishing", "off_axis"])
+def test_separable_mask_on_the_scan(name):
+    model = model_kinds()[name]
+    rng = np.random.default_rng(17)
+    for p in [np.zeros(3), np.array([np.pi, 0.0, 0.0])] + list(
+            rng.uniform(-np.pi, np.pi, (4, 3))):
+        _, vals = _grid_values(model, p)
+        assert np.array_equal(_local_maxima_mask(vals), _mask_26(vals))
+
+
+@pytest.mark.parametrize("name", ["one", "vanishing", "off_axis"])
+def test_find_maximizer_scans_the_grid_once(name, monkeypatch):
+    # the minimum search is seeded from the maximizer's own scan, and
+    # every other call of w is at a single Newton point
+    model = model_kinds()[name]
+    w, shapes = model.w, []
+
+    def counting_w(p, q):
+        out = w(p, q)
+        shapes.append(np.broadcast(*q).shape if isinstance(q, tuple)
+                      else np.shape(q))
+        return out
+
+    monkeypatch.setattr(model, "w", counting_w)
+    rng = np.random.default_rng(19)
+    for p in [np.zeros(3)] + list(rng.uniform(-2.8, 2.8, (4, 3))):
+        shapes.clear()
+        fr.find_maximizer(model, p)
+        assert shapes.count((GRID_N,) * 3) == 1
+        assert all(s == (3,) for s in shapes if s != (GRID_N,) * 3)

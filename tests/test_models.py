@@ -31,12 +31,12 @@ def test_w_cross_checked_against_symbolic_sum(model_one):
 
 
 def test_gradient_vanishes_at_symmetric_point(model_one):
-    g = model_one.grad_w(P0, QPI)
+    g, _ = model_one.w_derivatives(P0, QPI)
     assert np.allclose(g, 0.0, atol=1e-13)
 
 
 def test_hessian_at_maximizer(model_one):
-    h = model_one.hess_w(P0, QPI)
+    _, h = model_one.w_derivatives(P0, QPI)
     assert np.allclose(h, np.diag([-2.0, -2.0, -2.0]), atol=1e-12)
     # central finite differences of w, step 1e-4
     fd = np.zeros((3, 3))
@@ -67,7 +67,7 @@ def test_derivatives_match_finite_differences_with_order(model_one):
     for _ in range(5):
         p = rng.uniform(-np.pi, np.pi, 3)
         q = rng.uniform(-np.pi, np.pi, 3)
-        g = model_one.grad_w(p, q)
+        g, hess = model_one.w_derivatives(p, q)
         errs = []
         for h in (1e-3, 1e-4):
             errs.append(np.linalg.norm(_fd_gradient(model_one, p, q, h) - g))
@@ -75,13 +75,12 @@ def test_derivatives_match_finite_differences_with_order(model_one):
             order = np.log10(errs[0] / max(errs[1], 1e-300))
             assert order >= 1.9
         # Hessian against finite differences of the gradient
-        hess = model_one.hess_w(p, q)
         fd = np.zeros((3, 3))
         h = 1e-4
         for i in range(3):
             e = np.eye(3)[i] * h
-            fd[:, i] = (model_one.grad_w(p, q + e)
-                        - model_one.grad_w(p, q - e)) / (2.0 * h)
+            fd[:, i] = (model_one.w_derivatives(p, q + e)[0]
+                        - model_one.w_derivatives(p, q - e)[0]) / (2.0 * h)
         scale = max(np.abs(hess).max(), 1.0)
         assert np.abs(hess - fd).max() <= 1e-6 * scale
         assert np.allclose(hess, hess.T, atol=1e-13)
@@ -269,8 +268,25 @@ def test_sparse_phases_equal_the_dense_sum(table):
         ref = np.broadcast_to(_dense_value(table, x), shape)
         assert np.all(np.broadcast_to(table.value(*x), shape) == ref)
         grad, hess = _dense_derivatives(table, x)
-        assert np.all(table.gradient(*x) == grad)
-        assert np.all(table.hessian(*x) == hess)
+        got_grad, got_hess = table.derivatives(*x)
+        assert np.all(got_grad == grad)
+        assert np.all(got_hess == hess)
+
+
+@pytest.mark.parametrize("cfg", PERFBENCH_CONFIGS)
+def test_w_derivatives_equal_the_dense_sum(cfg):
+    # one pass per table gives the bits of the dense gradient and Hessian
+    # of w_p(q) = T(q) + T(p - q), and an exactly symmetric Hessian
+    model = fr.DispersionModel(fr.ModelConfig.from_dict(cfg))
+    p = np.array([0.7, -0.3, 1.1])
+    for x in _inputs():
+        q = np.stack(np.broadcast_arrays(*x), axis=-1)
+        grad, hess = model.w_derivatives(p, q)
+        g, h = _dense_derivatives(model._w_block, x)
+        g_m, h_m = _dense_derivatives(model._w_block, tuple(
+            pi - xi for pi, xi in zip(p, x)))
+        assert np.all(grad == g - g_m) and np.all(hess == h + h_m)
+        assert np.all(hess == np.swapaxes(hess, -1, -2))
 
 
 @pytest.mark.parametrize("table", list(_tables()))

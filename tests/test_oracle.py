@@ -6,13 +6,9 @@ import pytest
 
 import friedrichs as fr
 from conftest import model_kinds
-from friedrichs.oracle import (
-    EDGE_RESOLUTION_FRACTION,
-    _secular_det,
-    _sum_terms,
-    grid_values,
-)
+from friedrichs.oracle import EDGE_RESOLUTION_FRACTION, _lattice, _secular_det
 from friedrichs.roots import brentq
+from friedrichs.torus import grid_axis, tensor_grid
 
 P0 = np.zeros(3)
 P1 = np.array([0.7, -0.3, 1.1])
@@ -159,10 +155,8 @@ def test_convergence_report_csv(tmp_path, model_one, cp_one, ev_one, mu_one):
 
 
 def test_secular_root_exceeds_max_diag(model_one, mu_one):
-    from friedrichs.oracle import grid_values
-
     root = fr.secular_root(model_one, P0, 2.0 * mu_one, 32)
-    w, _ = grid_values(model_one, P0, 32)
+    w, _ = _lattice(model_one, P0, 32)
     assert root > w.max()
 
 
@@ -197,6 +191,15 @@ def test_secular_root_frees_its_arrays_without_cycle_collection(model_one,
     assert root is not None
     assert peak - start > 8 * 64 ** 3       # one N^3 float array at least
     assert end - start < 64 * 1024          # and none of them kept
+
+
+def grid_values(model, p, N, offset=0.5):
+    """(w, phi) both materialised and flattened over the N^3 grid: the
+    full-array reference for the oracle's lattice helper."""
+    grid = tensor_grid(grid_axis(N, offset))
+    w = np.broadcast_to(model.w(p, grid), (N, N, N))
+    phi = np.broadcast_to(model.phi(grid), w.shape)
+    return w.ravel(), phi.ravel()
 
 
 def full_secular_det(z, mu_h3, w, phi):
@@ -241,9 +244,11 @@ def test_streamed_secular_det_equals_full_temporary(name, N):
     # boundaries, so an off-axis phi^2 must be flattened to match
     model = model_kinds()[name]
     w, phi = grid_values(model, P1, N)
-    w_s, phi2 = _sum_terms(model, P1, N, 0.5)
+    w_s, phi_s = _lattice(model, P1, N, 0.5)
     assert np.array_equal(w_s, w)
-    assert (phi2.ndim == 0) == (name == "one")
+    assert (phi_s.ndim == 0) == (name == "one")
+    assert np.array_equal(np.broadcast_to(phi_s, w.shape), phi)
+    phi2 = np.multiply(phi_s, phi_s, out=phi_s)  # as the oracle squares it
     mu_h3 = 0.37 * (2.0 * np.pi / N) ** 3
     for dz in (1e-9, 1e-3, 0.1, 1.0, 30.0):
         z = float(w.max()) + dz

@@ -223,6 +223,26 @@ def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
         assert abs(moment - truth) <= bar, (r, moment, truth, bar)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("twin", [False, True])
+@pytest.mark.parametrize("dz", [1e117, 1e200])
+def test_state_norm_diagnostics_refuse_vanishing_moments(twin, dz):
+    # next to a huge z the four Omega differences are 0.0, whose log-log
+    # slope was nan; the route and the twin raise a typed error naming z
+    model = model_kinds()["one"]
+    if twin:
+        model = quadrature_twin(model)
+    cp = fr.find_maximizer(model, P0)
+    ev = fr.OmegaEvaluator(model, P0, cp)
+    z = cp.M + dz
+    with pytest.raises(fr.QuadratureError,
+                       match=re.escape("undefined at z = %r" % z)):
+        fr.state_norm_diagnostics(ev, z)
+    assert fr.classify_threshold(model, P0, cp, 1.0 / ev.threshold.value,
+                                 evaluator=ev).l2_growth_rate == (
+        fr.state_norm_diagnostics(ev, cp.M).l2_growth_rate)
+
+
 def test_state_norm_diagnostics_builds_no_level():
     # fresh_fibers seed 1, op 20: a ladder of second moments at the same
     # offsets builds level 2 here; the Omega differences answer on the

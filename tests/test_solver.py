@@ -383,6 +383,27 @@ def test_expansion_window_must_be_positive_finite_and_increasing(
                          window=window)
 
 
+@pytest.mark.parametrize("fibre", ["one", "twin_one"])
+def test_expansion_window_below_the_bars_refused(request, fibre):
+    # Omega(M) - Omega(M + d) is 0.0 in floating point for d <= 1e-299: a
+    # fit of those zeros once returned tau0_fit = 0 against tau0 = 1
+    model = request.getfixturevalue("model_one" if fibre == "one"
+                                    else "twin_one")
+    cp = request.getfixturevalue("cp_" + fibre)
+    ev = request.getfixturevalue("ev_" + fibre)
+    with pytest.raises(fr.ExpansionFitError, match="within their bars"):
+        fr.expansion_fit(model, P0, cp, evaluator=ev,
+                         window=(1e-300, 1e-299), n_points=4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_coupling_on_the_twin_refused_without_a_warning(
+        twin_one, cp_twin_one, ev_twin_one):
+    # the power-2 reduction squares z - w ~ 2.5e162 past the float range
+    with pytest.raises(fr.QuadratureError, match="second moment underflows"):
+        fr.analyze(twin_one, P0, cp_twin_one, 1e160, evaluator=ev_twin_one)
+
+
 def test_analyze_evaluates_the_threshold_at_most_twice(twin_one,
                                                        threshold_evaluations):
     # the cache fill, plus brentq's call at the bracket end z = M(p)

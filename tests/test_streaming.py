@@ -91,6 +91,22 @@ def test_blocked_sum_equals_full_temporary(size, power):
                                                            power)
 
 
+@pytest.mark.filterwarnings("error")
+def test_blocked_square_overflow_is_silent():
+    # a square above the float range is inf and its term adds 0, without a
+    # RuntimeWarning; every finite square keeps the full temporary's bits
+    rng = np.random.default_rng(11)
+    b = rng.uniform(-3.0, 3.0, 3 * BLOCK + 17)
+    b[::1000] = -1e160                     # z - w = 1e160: the square is inf
+    num = rng.standard_normal(b.size)
+    assert _sum_over(num, 1e160, np.subtract, b, 2) == 0.0
+    for c in (5.0, 1e150):
+        with np.errstate(over="ignore"):
+            ref = full_sum(num, c - b, 2)
+        assert np.isfinite(ref)
+        assert _sum_over(num, c, np.subtract, b, 2) == ref
+
+
 @pytest.mark.parametrize("power", [1, 2])
 def test_blocked_sum_on_level_nodes(ev_one, cp_one, power):
     z = cp_one.M + 0.3
