@@ -1,12 +1,6 @@
 """Thresholds and bound states of rank-one perturbed dispersion models on T^3."""
 
-from .critical import (
-    ClosedFormCheck,
-    CriticalPointInfo,
-    closed_form_check,
-    find_maximizer,
-    find_minimum,
-)
+from .critical import CriticalPointInfo, find_maximizer, find_minimum
 from .errors import (
     BelowThresholdError,
     BracketingError,
@@ -67,7 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelowThresholdError", "BracketingError", "Classification",
-    "ClassificationResult", "ClosedFormCheck", "ConfigError",
+    "ClassificationResult", "ConfigError",
     "ConvergenceReport", "CriticalPointInfo", "DegenerateMaximumError",
     "DispersionModel", "EigenfunctionEval", "ExpansionFit",
     "ExpansionFitError", "FriedrichsError", "InvalidDispersionError",
@@ -76,7 +70,7 @@ __all__ = [
     "OmegaEvaluator", "OmegaValue", "OracleResult", "QuadratureError",
     "QuadratureNotConvergedError", "QuadratureSpec", "SpectralReport",
     "TrivialFormFactorError", "UnsupportedFamilyError",
-    "analyze", "classify_threshold", "closed_form_check",
+    "analyze", "classify_threshold",
     "convergence_report", "coupling_threshold", "dense_spectrum",
     "discrete_omega", "eigenfunction", "eigenvalue_error_estimate",
     "expansion_fit", "find_maximizer", "find_minimum", "fredholm_det",

@@ -43,7 +43,12 @@ from .torus import grid_axis
 
 DEFAULT_CONFIG = {"family": "two_particle", "hopping": [1.0, 1.0, 1.0],
                   "phi": {"constant": 1.0}}
-SWEEP_OUTPUTS = ("threshold", "eigenvalue", "classify", "expansion", "oracle")
+# each sweep output and its sweep.csv columns, in column order; the
+# coupling mu follows the threshold columns
+SWEEP_OUTPUTS = {"threshold": ("M", "m", "mu_threshold"), "eigenvalue": ("E",),
+                 "classify": ("classification",),
+                 "expansion": ("tau0_fit", "tau0_closed"),
+                 "oracle": ("oracle_root",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +131,24 @@ def _metadata(cfg, spec):
     }
 
 
+def _json(payload):
+    """Every JSON artifact: sorted keys, arrays as lists, enums as values."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=np.ndarray.tolist)
+
+
+def _write_csv(path, columns, rows):
+    """Every CSV artifact: numbers at %.17g, None as an empty cell and text
+    as is, quoted by csv where it holds a comma, quote or newline."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([v if v is None or isinstance(v, str) else "%.17g" % v
+                          for v in row] for row in rows)
+
+
 def _emit(payload, args, filename):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json(payload)
     print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -143,17 +164,14 @@ def _emit(payload, args, filename):
 
 def cmd_threshold(args, model, spec, p):
     cp, _, mu_p = _fiber(model, spec, p)
-    return {"p": list(p), "q0": list(cp.q0), "M": cp.M, "m": cp.m,
-            "mu_threshold": mu_p}
+    return {"p": p, "q0": cp.q0, "M": cp.M, "m": cp.m, "mu_threshold": mu_p}
 
 
 def cmd_eigenvalue(args, model, spec, p):
     mu_spec = _parse_mu_spec(args.mu)
     cp, ev, mu_p = _fiber(model, spec, p)
-    payload = analyze(model, p, cp, _resolve_mu(mu_spec, mu_p),
-                      evaluator=ev).to_json_dict()
-    payload.update({"p": list(p), "q0": list(cp.q0), "M": cp.M, "m": cp.m})
-    return payload
+    report = analyze(model, p, cp, _resolve_mu(mu_spec, mu_p), evaluator=ev)
+    return dict(dataclasses.asdict(report), p=p, q0=cp.q0, M=cp.M, m=cp.m)
 
 
 def cmd_classify(args, model, spec, p):
@@ -161,9 +179,8 @@ def cmd_classify(args, model, spec, p):
     cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(mu_spec, mu_p)
     result = classify_threshold(model, p, cp, mu, evaluator=ev)
-    return {"p": list(p), "mu": mu, "mu_threshold": mu_p,
-            "classification": result.label.value,
-            "phi_at_q0": result.phi_at_q0,
+    return {"p": p, "mu": mu, "mu_threshold": mu_p,
+            "classification": result.label, "phi_at_q0": result.phi_at_q0,
             "l2_growth_rate": result.l2_growth_rate}
 
 
@@ -173,8 +190,7 @@ def cmd_expansion(args, model, spec, p):
     cp, ev, _ = _fiber(model, spec, p)
     fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
                         n_points=args.points)
-    return dict(dataclasses.asdict(fit), p=list(p), deltas=list(fit.deltas),
-                data=list(fit.data))
+    return dict(dataclasses.asdict(fit), p=p)
 
 
 def cmd_oracle(args, model, spec, p):
@@ -189,23 +205,20 @@ def cmd_oracle(args, model, spec, p):
     cp, ev, mu_p = _fiber(model, spec, p)
     mu = _resolve_mu(mu_spec, mu_p)
     roots = [(n, secular_root(model, p, mu, n)) for n in n_list]
-    payload = {
-        "p": list(p), "mu": mu, "mu_threshold": mu_p,
-        "roots": [{"N": n, "root": root} for n, root in roots],
-    }
     energy = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
-    payload["E_continuum"] = energy
+    payload = {"p": p, "mu": mu, "mu_threshold": mu_p, "E_continuum": energy,
+               "roots": [{"N": n, "root": root} for n, root in roots]}
     if energy is not None and all(root is not None for _, root in roots):
         floor = eigenvalue_error_estimate(model, p, cp, mu, energy,
                                           evaluator=ev)
         rep = report_from_roots(mu, roots, energy, floor=floor)
-        payload["convergence"] = [
-            {"N": n, "root": r, "abs_dev": a, "rel_dev": d}
-            for n, r, a, d in rep.rows]
+        payload["convergence"] = [dict(zip(rep.columns, row))
+                                  for row in rep.rows]
         payload["trend_ok"] = rep.trend_ok
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            rep.to_csv(os.path.join(args.out, "oracle_convergence.csv"))
+            _write_csv(os.path.join(args.out, "oracle_convergence.csv"),
+                       rep.columns, rep.rows)
     if args.dense:
         dense = dataclasses.asdict(dense_spectrum(model, p, mu, args.dense))
         payload["dense"] = {**dense.pop("spectrum_summary"), **dense}
@@ -217,33 +230,22 @@ def cmd_oracle(args, model, spec, p):
 
 def _sweep_columns(outputs):
     cols = ["p1", "p2", "p3"]
-    if "threshold" in outputs:
-        cols += ["M", "m", "mu_threshold"]
-    cols += ["mu"]
-    if "eigenvalue" in outputs:
-        cols += ["E"]
-    if "classify" in outputs:
-        cols += ["classification"]
-    if "expansion" in outputs:
-        cols += ["tau0_fit", "tau0_closed"]
-    if "oracle" in outputs:
-        cols += ["oracle_root"]
-    cols += ["error"]
-    return cols
+    for output, names in SWEEP_OUTPUTS.items():
+        cols += names if output in outputs else ()
+        cols += ("mu",) if output == "threshold" else ()
+    return cols + ["error"]
 
 
 def _sweep_point(model, spec, p, mu_specs, outputs, oracle_n):
     """Rows for a single p (mu-minor order). Failures land in the error
-    column; a failure at the critical-point stage poisons every mu row."""
-    rows = []
+    column; only a failure at the critical-point stage blanks every mu row."""
     try:
         cp, ev, mu_p = _fiber(model, spec, p)
-        fit = (expansion_fit(model, p, cp, evaluator=ev)
-               if "expansion" in outputs else None)
     except FriedrichsError as exc:
         base = {"p1": p[0], "p2": p[1], "p3": p[2], "error": str(exc)}
         return [dict(base, mu=_resolve_mu(ms, float("nan"))
                      if ms[0] == "absolute" else None) for ms in mu_specs]
+    rows, fit = [], None  # the expansion fit, or its error, once per p
     for mu_spec in mu_specs:
         mu = _resolve_mu(mu_spec, mu_p)
         row = {"p1": p[0], "p2": p[1], "p3": p[2], "mu": mu, "error": ""}
@@ -254,21 +256,22 @@ def _sweep_point(model, spec, p, mu_specs, outputs, oracle_n):
                 row["E"] = solve_eigenvalue(model, p, cp, mu, evaluator=ev)
             if "classify" in outputs:
                 row["classification"] = classify_threshold(
-                    model, p, cp, mu, evaluator=ev).label.value
+                    model, p, cp, mu, evaluator=ev).label
             if "expansion" in outputs:
-                row["tau0_fit"] = fit.tau0_fit
-                row["tau0_closed"] = fit.tau0_closed
+                if fit is None:
+                    try:
+                        fit = expansion_fit(model, p, cp, evaluator=ev)
+                    except FriedrichsError as exc:
+                        fit = exc
+                if isinstance(fit, FriedrichsError):
+                    raise fit
+                row.update(tau0_fit=fit.tau0_fit, tau0_closed=fit.tau0_closed)
             if "oracle" in outputs:
                 row["oracle_root"] = secular_root(model, p, mu, oracle_n)
         except FriedrichsError as exc:
             row["error"] = str(exc)
         rows.append(row)
     return rows
-
-
-def _cell(v):
-    """A sweep.csv number at %.17g; csv writes None as "" and text as is."""
-    return v if v is None or isinstance(v, str) else "%.17g" % v
 
 
 def _sample_path(waypoints, samples):
@@ -322,8 +325,7 @@ def cmd_sweep(args, model, spec, metadata):
             raise ConfigError("sample count must be >= 1")
         waypoints = _parse_path(args.path)
         points = _sample_path(waypoints, args.samples)
-        path_desc = {"path": [list(w) for w in waypoints],
-                     "samples": args.samples}
+        path_desc = {"path": waypoints, "samples": args.samples}
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         groups = list(pool.map(
@@ -335,16 +337,13 @@ def cmd_sweep(args, model, spec, metadata):
     n_ok = sum(not row["error"] for row in rows)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell(row.get(col)) for col in columns]
-                         for row in rows)
+    _write_csv(csv_path, columns, ([row.get(c) for c in columns]
+                                   for row in rows))
     manifest = {
         "csv": "sweep.csv",
         "columns": columns,
         "outputs": outputs,
-        "mu_specs": [("x%g" % v) if k == "multiple" else ("%.17g" % v)
+        "mu_specs": [("x" if k == "multiple" else "") + "%.17g" % v
                      for k, v in mu_specs],
         "rows": len(rows),
         "rows_succeeded": n_ok,
@@ -352,10 +351,8 @@ def cmd_sweep(args, model, spec, metadata):
         **metadata,
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps({"csv": csv_path, "rows": manifest["rows"],
-                      "rows_succeeded": n_ok}, indent=2, sort_keys=True))
+        fh.write(_json(manifest) + "\n")
+    print(_json({"csv": csv_path, "rows": len(rows), "rows_succeeded": n_ok}))
     return 0 if n_ok >= 1 else 2
 
 

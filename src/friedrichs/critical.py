@@ -15,10 +15,8 @@ import numpy as np
 
 from .errors import (
     DegenerateMaximumError,
-    InvalidInputError,
     NewtonConvergenceError,
     NonUniqueMaximumError,
-    UnsupportedFamilyError,
 )
 from .torus import grid_axis, tensor_grid, torus_distance, wrap_angles
 
@@ -51,9 +49,6 @@ class CriticalPointInfo:
 
 
 def _grid_values(model, p):
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("p = %s is not finite"
-                                % (np.asarray(p, dtype=float).tolist(),))
     ax = grid_axis(GRID_N, offset=0)
     return ax, np.broadcast_to(model.w(p, tensor_grid(ax)), (GRID_N,) * 3)
 
@@ -108,7 +103,7 @@ def find_minimum(model, p) -> float:
     """Global minimum m(p) of w_p by grid scan plus Newton on -w_p.
 
     Degeneracy of the minimizer is tolerated; only the value is reported.
-    A p with a nan or infinite component raises InvalidInputError.
+    A p with some |p_i| > 2 pi, nan or inf raises InvalidInputError.
     """
     return _minimum(model, p, *_grid_values(model, p))
 
@@ -126,7 +121,7 @@ def find_maximizer(model, p) -> CriticalPointInfo:
       separated torus point.
 
     Raises DegenerateMaximumError / NonUniqueMaximumError otherwise, and
-    InvalidInputError for a p with a nan or infinite component.
+    InvalidInputError for a p with some |p_i| > 2 pi, nan or inf.
     """
     ax, vals = _grid_values(model, p)
     window = _CANDIDATE_WINDOW * float(vals.max() - vals.min())
@@ -170,12 +165,6 @@ def find_maximizer(model, p) -> CriticalPointInfo:
         hessian_eigenvalues=eigs)
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    q0_delta: float
-    M_delta: float
-
-
 def two_particle_closed_forms(hopping, p):
     """Closed forms for the builtin family: maximizer p/2 + pi, band edge
     and Hessian diag(-2 c_i cos(p_i/2))."""
@@ -186,15 +175,3 @@ def two_particle_closed_forms(hopping, p):
     m = float(np.sum(c * (2.0 - 2.0 * np.abs(np.cos(half)))))
     A = np.diag(-2.0 * c * np.abs(np.cos(half)))
     return q0, M, m, A
-
-
-def closed_form_check(model, p) -> ClosedFormCheck:
-    """Regression guard: numeric maximizer vs. the builtin closed form."""
-    if model.family != "two_particle":
-        raise UnsupportedFamilyError(
-            "closed_form_check requires the two_particle family")
-    info = find_maximizer(model, p)
-    q0_cf, M_cf, _, _ = two_particle_closed_forms(model.hopping, p)
-    return ClosedFormCheck(
-        q0_delta=torus_distance(info.q0, q0_cf),
-        M_delta=abs(info.M - M_cf))

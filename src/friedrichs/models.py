@@ -13,7 +13,7 @@ derivatives are exact and real-analyticity holds by construction.
   sin: optional sin coefficient}.
 
 Internally every model is lowered to Fourier tables; the family tag is
-kept so closed-form checks can be attached to ``two_particle``.  One
+kept so that ``two_particle`` fibres can take the Laplace-Bessel route.  One
 pass over a table's terms gives both its gradient and its Hessian.
 """
 
@@ -31,7 +31,7 @@ from .errors import (
     InvalidInputError,
     TrivialFormFactorError,
 )
-from .torus import grid_axis, tensor_grid
+from .torus import check_momentum, grid_axis, tensor_grid
 
 _PHI_SCALE_GRID = 24  # grid used for max|phi| normalisation
 
@@ -277,8 +277,9 @@ class DispersionModel:
     def w(self, p, q):
         """w_p(q); q may be a single point, an (..., 3) array or a
         3-tuple of broadcastable coordinate arrays.  The result broadcasts
-        against q (on a tensor grid it spans the axes the table reads)."""
-        p1, p2, p3 = _components(p)
+        against q (on a tensor grid it spans the axes the table reads).
+        p, here and in w_derivatives, passes torus.check_momentum."""
+        p1, p2, p3 = _components(check_momentum(p))
         x1, x2, x3 = _components(q)
         return (self._w_block.value(x1, x2, x3)
                 + self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
@@ -286,7 +287,7 @@ class DispersionModel:
     def w_derivatives(self, p, q):
         """Exact q-gradient and exactly symmetric q-Hessian of w_p, shapes
         (..., 3) and (..., 3, 3): one table pass at q and one at p - q."""
-        p1, p2, p3 = _components(p)
+        p1, p2, p3 = _components(check_momentum(p))
         x1, x2, x3 = _components(q)
         g, h = self._w_block.derivatives(x1, x2, x3)
         g_m, h_m = self._w_block.derivatives(p1 - x1, p2 - x2, p3 - x3)

@@ -207,17 +207,13 @@ class ConvergenceReport:
     deviation is at or below the floor the sequence counts as converged.
     """
 
+    columns = ("N", "root", "abs_dev", "rel_dev")  # the entries of a row
+
     mu: float
     E_continuum: float
-    rows: tuple  # (N, root, abs_dev, rel_dev)
+    rows: tuple
     floor: float
     trend_ok: bool
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("N,root,abs_dev,rel_dev\n")
-            for N, root, adev, rdev in self.rows:
-                fh.write("%d,%.17g,%.17g,%.17g\n" % (N, root, adev, rdev))
 
 
 def convergence_report(model, p, mu, N_list, E_continuum,

@@ -74,7 +74,7 @@ from .errors import (
 )
 from .laplace import laplace_omega, laplace_table
 from .sums import BLOCK, _sum_over
-from .torus import grid_axis, tensor_grid, wrap_angles
+from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
 RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
@@ -248,7 +248,7 @@ class OmegaEvaluator:
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
         self.model = model
-        self.p = np.asarray(p, dtype=float)
+        self.p = check_momentum(p)  # the route reads p without w_p
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
         self.rho = (self.spec.rho if self.spec.rho is not None

@@ -20,7 +20,7 @@ evaluator.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,9 +352,6 @@ class SpectralReport:
     tau0_fit: float | None = None
     tau0_closed: float | None = None
     l2_growth_rate: float | None = None
-
-    def to_json_dict(self):
-        return dict(asdict(self), classification=self.classification.value)
 
 
 def analyze(model, p, cp: CriticalPointInfo, mu,

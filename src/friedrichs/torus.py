@@ -26,6 +26,18 @@ def wrap_angles(x):
     return arr - TWO_PI * np.ceil((arr - np.pi) / TWO_PI)
 
 
+def check_momentum(p):
+    """p as a float array; InvalidInputError unless every |p_i| <= 2 pi
+    (nan and inf fail too): w_p evaluates p - q, which loses q to rounding
+    once |p_i| is large."""
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.abs(p) <= TWO_PI):
+        raise InvalidInputError("p = %s is %s" % (p.tolist(), (
+            "outside [-2 pi, 2 pi]^3" if np.all(np.isfinite(p))
+            else "not finite")))
+    return p
+
+
 def grid_axis(n, offset=0.5):
     """Nodes -pi + 2 pi (j + offset)/n; offset 0.5 is the midpoint grid."""
     return -np.pi + TWO_PI * (np.arange(n) + offset) / n

@@ -80,6 +80,13 @@ def test_non_finite_p_exit_1(capsys, tmp_path):
         "", "p = [inf, 0.0, 0.0] is not finite"]
 
 
+def test_momentum_beyond_two_pi_exit_1(capsys):
+    # at p1 = 1e17, p - q has lost q: mu(p) came out 49 % off with exit 0
+    code, out, err = _run(capsys, ["threshold", "--p", "1e17,0.3,-0.2"])
+    assert (code, out) == (1, "")
+    assert err == "friedrichs: p = [1e+17, 0.3, -0.2] is outside [-2 pi, 2 pi]^3\n"
+
+
 def test_missing_config_exit_1(capsys, tmp_path):
     code, _, err = _run(capsys, ["threshold", "--config",
                                  str(tmp_path / "nope.json")])
@@ -305,6 +312,78 @@ def test_sweep_csv_quotes_an_error_text_with_a_comma(capsys, tmp_path,
     assert len(rows) == 2
     assert all(len(row) == len(header) for row in rows)
     assert [row[header.index("error")] for row in rows] == ["a, b", "a, b"]
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_sweep_and_convergence_csv_write_cells_alike(capsys, tmp_path):
+    # one writer for both files: N as an integer, every number as the
+    # exact float of the JSON, None as an empty cell
+    p = "0.7,-0.3,1.1"
+    code, out, _ = _run(capsys, ["oracle", "--p", p, "--mu", "x2",
+                                 "--N", "16,32", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads(out)
+    conv = _csv_rows(tmp_path / "oracle_convergence.csv")
+    assert len(conv) == len(payload["convergence"]) == 2
+    for cells, entry in zip(conv, payload["convergence"]):
+        assert cells["N"] == "%d" % entry["N"]
+        for key in ("root", "abs_dev", "rel_dev"):
+            assert float(cells[key]) == entry[key]
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", p, "--samples", "1", "--mu", "x0.5,x2",
+        "--outputs", "eigenvalue,oracle", "--oracle-n", "16",
+        "--out", str(tmp_path)])
+    assert code == 0
+    below, above = _csv_rows(tmp_path / "sweep.csv")
+    assert below["E"] == below["error"] == ""  # E is None below mu(p)
+    assert float(above["E"]) == payload["E_continuum"]
+    assert above["oracle_root"] == conv[0]["root"]  # N = 16, the same bytes
+    assert float(above["mu"]) == payload["mu"]
+
+
+def test_failed_expansion_fit_keeps_the_rows(capsys, tmp_path, monkeypatch):
+    # at p1 = 3.14159 the fit fails (residual 7.8e-2), but the fibre, mu(p)
+    # and E stand; the fit runs once for the point, not once per row
+    fits = []
+    fit = cli.expansion_fit
+
+    def counted(*args, **kwargs):
+        fits.append(args[1])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expansion_fit", counted)
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "3.14159,0.1,-0.12", "--samples", "1",
+        "--mu", "x0.5,x2", "--outputs", "threshold,eigenvalue,expansion",
+        "--out", str(tmp_path)])
+    assert code == 2  # every row carries the fit's error
+    rows = _csv_rows(tmp_path / "sweep.csv")
+    assert len(rows) == 2 and len(fits) == 1
+    for row in rows:
+        assert row["error"].startswith(
+            "expansion fit failed: relative residual")
+        assert all(row[k] for k in ("M", "m", "mu_threshold", "mu"))
+        assert row["tau0_fit"] == row["tau0_closed"] == ""
+    assert rows[0]["E"] == ""
+    assert float(rows[1]["E"]) > float(rows[1]["M"])
+
+
+def test_manifest_keeps_every_digit_of_a_mu_spec(capsys, tmp_path):
+    specs = ["x1.00000001", "x1.00000002", "x0.5", "x1", "x2", "0.25"]
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "0,0,0", "--samples", "1", "--mu",
+        ",".join(specs), "--outputs", "threshold", "--out", str(tmp_path)])
+    assert code == 0
+    written = json.loads((tmp_path / "manifest.json").read_text())["mu_specs"]
+    assert written[0] != written[1]
+    assert [float(s.lstrip("x")) for s in written] == [
+        float(s.lstrip("x")) for s in specs]
+    assert written[2:] == specs[2:]
 
 
 def test_module_entry_point():

@@ -27,6 +27,45 @@ def test_non_finite_p_rejected(model_one, p):
             call(model_one, np.array(p))
 
 
+TWO_PI = 2.0 * np.pi
+
+
+@pytest.mark.parametrize("p", [
+    (0.7 + TWO_PI * 1e4, 0.3, -0.2), (0.7 + TWO_PI * 1e8, 0.3, -0.2),
+    (1e17, 0.3, -0.2), (0.0, -1e308, 0.0),
+    (np.nextafter(TWO_PI, np.inf), 0.0, 0.0)])
+@pytest.mark.parametrize("kind", ["one", "off_axis"])
+def test_momentum_beyond_two_pi_rejected(kind, p):
+    # w_p evaluates p - q, which loses q once |p_i| is large: every entry
+    # point that takes p refuses |p_i| > 2 pi rather than answer wrongly
+    model = model_kinds()[kind]
+    p = np.array(p)
+    cp = fr.find_maximizer(model, P0)
+    calls = [
+        lambda: model.w(p, P0), lambda: model.w_derivatives(p, P0),
+        lambda: fr.find_maximizer(model, p),
+        lambda: fr.find_minimum(model, p),
+        lambda: fr.OmegaEvaluator(model, p, cp),
+        lambda: fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(rho=0.5)),
+        lambda: fr.secular_root(model, p, 1.0, 16),
+        lambda: fr.dense_spectrum(model, p, 1.0, 4),
+        lambda: fr.discrete_omega(model, p, 20.0, 16),
+        lambda: fr.richardson_omega_threshold(model, p, 20.0, (8, 16)),
+        lambda: fr.convergence_report(model, p, 1.0, [16], 20.0)]
+    for call in calls:
+        with pytest.raises(fr.InvalidInputError,
+                           match=r"is outside \[-2 pi, 2 pi\]\^3$"):
+            call()
+
+
+def test_momentum_at_two_pi_answers(model_one, cp_one):
+    # w_p is 2 pi-periodic in p: the fibres at the ends of the range are
+    # the fibre at p = 0
+    cp = fr.find_maximizer(model_one, np.array([TWO_PI, -TWO_PI, 0.0]))
+    assert cp.M == pytest.approx(cp_one.M, abs=1e-12)
+    assert fr.torus_distance(cp.q0, cp_one.q0) <= 1e-10
+
+
 def test_maximizer_at_p_zero(cp_one):
     assert np.allclose(cp_one.q0, [np.pi, np.pi, np.pi], atol=1e-10)
     assert cp_one.M == pytest.approx(12.0, abs=1e-10)
@@ -79,23 +118,12 @@ def test_minimum_bounds_random_samples(model_one):
 
 def test_closed_form_check(model_one):
     for p in (P0, np.array([0.3, -0.7, 1.1])):
-        chk = fr.closed_form_check(model_one, p)
-        assert chk.q0_delta <= 1e-10
-        assert chk.M_delta <= 1e-10
+        cp = fr.find_maximizer(model_one, p)
+        q0, M, _, _ = two_particle_closed_forms(model_one.hopping, p)
+        assert fr.torus_distance(cp.q0, q0) <= 1e-10
+        assert abs(cp.M - M) <= 1e-10
     with pytest.raises(fr.DegenerateMaximumError):
-        fr.closed_form_check(model_one, np.array([np.pi, np.pi, np.pi]))
-
-
-def test_closed_form_check_family_mismatch():
-    tp = fr.DispersionModel(fr.ModelConfig(
-        family="trig_poly",
-        w_table=[{"index": [0, 0, 0], "value": 3.0},
-                 {"index": [1, 0, 0], "value": -1.0},
-                 {"index": [0, 1, 0], "value": -1.0},
-                 {"index": [0, 0, 1], "value": -1.0}],
-        phi_table=[{"index": [0, 0, 0], "value": 1.0}]))
-    with pytest.raises(fr.UnsupportedFamilyError):
-        fr.closed_form_check(tp, P0)
+        fr.find_maximizer(model_one, np.array([np.pi, np.pi, np.pi]))
 
 
 def test_maximizer_continuity_along_path(model_one):

@@ -6,6 +6,7 @@ import pytest
 
 import friedrichs as fr
 from conftest import model_kinds
+from friedrichs.cli import _write_csv
 from friedrichs.oracle import EDGE_RESOLUTION_FRACTION, _lattice, _secular_det
 from friedrichs.roots import brentq
 from friedrichs.torus import grid_axis, tensor_grid
@@ -146,7 +147,7 @@ def test_convergence_report_csv(tmp_path, model_one, cp_one, ev_one, mu_one):
     rep = fr.convergence_report(model_one, P0, mu, [16, 32], e_cont,
                                 floor=1e-6)
     out = tmp_path / "conv.csv"
-    rep.to_csv(out)
+    _write_csv(out, rep.columns, rep.rows)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,root,abs_dev,rel_dev"
     assert len(lines) == 3

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import friedrichs as fr
 from conftest import bessel_omega
+from friedrichs.cli import _json
 
 P0 = np.zeros(3)
 
@@ -293,7 +296,7 @@ def test_expansion_fit_at_nonzero_momentum(model_one):
 def test_analyze_report_fields(model_one, cp_one, ev_one, mu_one):
     rep = fr.analyze(model_one, P0, cp_one, 2.0 * mu_one, evaluator=ev_one,
                      with_expansion=True)
-    d = rep.to_json_dict()
+    d = json.loads(_json(dataclasses.asdict(rep)))
     for key in ("mu_threshold", "E", "delta_at_threshold", "classification",
                 "tau0_fit", "tau0_closed"):
         assert key in d
@@ -306,7 +309,7 @@ def test_analyze_report_fields(model_one, cp_one, ev_one, mu_one):
                          evaluator=ev_one)
     assert rep_low.E is None
     assert rep_low.classification is fr.Classification.REGULAR
-    assert rep_low.to_json_dict()["E"] is None
+    assert json.loads(_json(dataclasses.asdict(rep_low)))["E"] is None
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1.0])
