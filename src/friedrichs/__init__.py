@@ -33,7 +33,6 @@ from .oracle import (
     secular_root,
 )
 from .quadrature import (
-    NormDiagnostics,
     OmegaEvaluator,
     OmegaValue,
     QuadratureSpec,
@@ -61,20 +60,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BelowThresholdError", "BracketingError", "Classification",
-    "ClassificationResult", "ConfigError",
-    "ConvergenceReport", "CriticalPointInfo", "DegenerateMaximumError",
-    "DispersionModel", "EigenfunctionEval", "ExpansionFit",
-    "ExpansionFitError", "FriedrichsError", "InvalidDispersionError",
-    "InvalidInputError", "ModelConfig", "ModelValidityError",
-    "NewtonConvergenceError", "NonUniqueMaximumError", "NormDiagnostics",
-    "OmegaEvaluator", "OmegaValue", "OracleResult", "QuadratureError",
-    "QuadratureNotConvergedError", "QuadratureSpec", "SpectralReport",
-    "TrivialFormFactorError", "UnsupportedFamilyError",
-    "analyze", "classify_threshold",
-    "convergence_report", "coupling_threshold", "dense_spectrum",
-    "discrete_omega", "eigenfunction", "eigenvalue_error_estimate",
-    "expansion_fit", "find_maximizer", "find_minimum", "fredholm_det",
-    "richardson_omega_threshold", "secular_root", "solve_eigenvalue",
-    "state_norm_diagnostics", "tau0_closed_form", "torus_distance",
-    "two_particle_model", "__version__",
+    "ClassificationResult", "ConfigError", "ConvergenceReport",
+    "CriticalPointInfo", "DegenerateMaximumError", "DispersionModel",
+    "EigenfunctionEval", "ExpansionFit", "ExpansionFitError",
+    "FriedrichsError", "InvalidDispersionError", "InvalidInputError",
+    "ModelConfig", "ModelValidityError", "NewtonConvergenceError",
+    "NonUniqueMaximumError", "OmegaEvaluator", "OmegaValue", "OracleResult",
+    "QuadratureError", "QuadratureNotConvergedError", "QuadratureSpec",
+    "SpectralReport", "TrivialFormFactorError", "UnsupportedFamilyError",
+    "analyze", "classify_threshold", "convergence_report",
+    "coupling_threshold", "dense_spectrum", "discrete_omega", "eigenfunction",
+    "eigenvalue_error_estimate", "expansion_fit", "find_maximizer",
+    "find_minimum", "fredholm_det", "richardson_omega_threshold",
+    "secular_root", "solve_eigenvalue", "state_norm_diagnostics",
+    "tau0_closed_form", "torus_distance", "two_particle_model", "__version__",
 ]

@@ -286,14 +286,13 @@ def _sample_path(waypoints, samples):
 
 
 def _threads():
-    """Sweep worker count: FRIEDRICHS_THREADS, else min(4, CPU count)."""
+    """Sweep worker count: FRIEDRICHS_THREADS, else 4, capped at the CPU
+    count, beyond which CPU-bound fibres add memory but no throughput."""
     text = os.environ.get("FRIEDRICHS_THREADS")
-    if not text:
-        return min(4, os.cpu_count() or 1)
-    if not text.strip().isdecimal() or int(text) < 1:
+    if text and (not text.strip().isdecimal() or int(text) < 1):
         raise ConfigError("FRIEDRICHS_THREADS must be an integer >= 1, got %r"
                           % text)
-    return int(text)
+    return min(int(text) if text else 4, os.cpu_count() or 1)
 
 
 def cmd_sweep(args, model, spec, metadata):
@@ -321,9 +320,11 @@ def cmd_sweep(args, model, spec, metadata):
     else:
         if not args.path:
             raise ConfigError("sweep requires --path or --p-grid")
-        if args.samples < 1:
-            raise ConfigError("sample count must be >= 1")
         waypoints = _parse_path(args.path)
+        least = 2 if len(waypoints) > 1 else 1  # a segment has two ends
+        if args.samples < least:
+            raise ConfigError("a path of %d waypoint(s) needs --samples >= %d"
+                              % (len(waypoints), least))
         points = _sample_path(waypoints, args.samples)
         path_desc = {"path": waypoints, "samples": args.samples}
 
@@ -379,8 +380,7 @@ def build_parser():
                         "Omega")
     common.add_argument("--rho", type=float,
                         help="near-field ball radius of the split quadrature "
-                        "and the scale of the classification radii "
-                        "rho/2^5..rho/2^8")
+                        "(unused by two_particle fibres)")
     point = argparse.ArgumentParser(add_help=False, parents=[common])
     point.add_argument("--p", default="0,0,0")
 

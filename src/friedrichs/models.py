@@ -31,9 +31,7 @@ from .errors import (
     InvalidInputError,
     TrivialFormFactorError,
 )
-from .torus import check_momentum, grid_axis, tensor_grid
-
-_PHI_SCALE_GRID = 24  # grid used for max|phi| normalisation
+from .torus import check_momentum
 
 
 def _components(q):
@@ -270,7 +268,6 @@ class DispersionModel:
             raise ConfigError("unknown model family: %r" % (config.family,))
         if self._phi.is_zero():
             raise TrivialFormFactorError("trivial form factor: phi is zero")
-        self._phi_max_abs = None
 
     # -- dispersion ---------------------------------------------------
 
@@ -303,13 +300,6 @@ class DispersionModel:
     def phi_l2_norm_sq(self):
         """Exact L2(T^3) norm squared of phi."""
         return self._phi.l2_norm_sq()
-
-    def phi_max_abs(self):
-        """max |phi| sampled on a coarse grid (cached)."""
-        if self._phi_max_abs is None:
-            v = self.phi(tensor_grid(grid_axis(_PHI_SCALE_GRID, offset=0)))
-            self._phi_max_abs = float(np.max(np.abs(v)))
-        return self._phi_max_abs
 
     def scaled_phi(self, factor):
         """A copy of the model with phi replaced by factor * phi."""

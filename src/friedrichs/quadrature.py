@@ -23,16 +23,16 @@ second_moment share one moment path, the only place that chooses the
 backend: it answers two_particle fibres from the route, with the route's
 error bar and no node level, and trig_poly fibres from the split
 quadrature.  value_at_level keeps the split quadrature for every family;
-state_norm_diagnostics reads only evaluate.
+state_norm_diagnostics reads only evaluate, at the fixed LADDER_RADII.
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
-owns the bump radius, the node data per refinement level and the threshold
-value Omega(p) = Omega(p; M(p)), computed once on first read.  Evaluating
-at many spectral parameters z (root finding, expansion fits) costs one
-vectorised reduction per z, and values at different z share identical
-node sets, which the second moment int phi^2 / (z - w_p)^2 (-dOmega/dz)
-shares.  The solver functions and state_norm_diagnostics take an
-evaluator and read p, M(p), the spec and Omega(p) from it.
+owns the node data per refinement level, their bump radius and the
+threshold value Omega(p) = Omega(p; M(p)), each computed on first read.
+Evaluating at many spectral parameters z (root finding, expansion fits)
+costs one vectorised reduction per z, and values at different z share
+identical node sets, which the second moment int phi^2 / (z - w_p)^2
+(-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
+take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
 Memory: a level keeps its node arrays and nothing else.  The build
 streams the far field through slabs of torus planes and the near field
@@ -62,7 +62,7 @@ callers of the root, is not evaluated again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,6 +80,8 @@ RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
+# radii r_j of the classification ladder, RHO_CAP / 2^5 .. RHO_CAP / 2^8
+LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,9 @@ class OmegaEvaluator:
     fibre is answered from the z-independent table of the Laplace-Bessel
     route (built here, about 1-3 ms), any other by the refinement loop of
     the spec.  The spec's rel_tol bounds the route's bar; on the route
-    n_grid and rho shape only value_at_level, and rho also sets the radii
-    of state_norm_diagnostics.  Levels of node data are built lazily;
+    n_grid and rho shape only value_at_level.  The bump radius rho is
+    computed on first read, so a fibre that builds no level never runs
+    auto_rho's probe.  Levels of node data are built lazily;
     level L uses node counts scaled by 2^L relative to the base spec, and
     values at a fixed level are deterministic functions of z (fixed-order
     reductions).  The threshold value Omega(p; M(p)) is
@@ -251,8 +254,6 @@ class OmegaEvaluator:
         self.p = check_momentum(p)  # the route reads p without w_p
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
-        self.rho = (self.spec.rho if self.spec.rho is not None
-                    else auto_rho(model, self.p, cp))
         self.q0 = cp.q0
         self.M = cp.M
         self._phi0_sq = float(model.phi(self.q0)) ** 2
@@ -263,6 +264,12 @@ class OmegaEvaluator:
         self._recent = ()  # the last two (z, OmegaValue), newest first
         self._laplace = (laplace_table(model, self.p)
                          if model.family == "two_particle" else None)
+
+    @cached_property
+    def rho(self):
+        """Bump radius of the split quadrature: spec.rho, else auto_rho."""
+        return (self.spec.rho if self.spec.rho is not None
+                else auto_rho(self.model, self.p, self.cp))
 
     @property
     def threshold(self) -> OmegaValue:
@@ -449,41 +456,27 @@ class OmegaEvaluator:
         return value
 
 
-@dataclass(frozen=True)
-class NormDiagnostics:
-    """Growth of the L2 mass of f = phi / (z - w_p) near the maximizer.
+def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> float:
+    """The L2 growth exponent of f = phi / (z - w_p) near the maximizer,
+    ~1 for a resonance-type threshold state (f not in L2), ~0 when f is
+    square integrable: the slope of log m_j against log(1/r_j).
 
-    l2_growth_rate is the log-log slope of moments against 1/radii: ~1 for
-    a resonance-type threshold state (f not in L2), ~0 when f is square
-    integrable.
-    """
-
-    l2_growth_rate: float
-    radii: np.ndarray
-    moments: np.ndarray
-
-
-def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> NormDiagnostics:
-    """The L2 growth exponent of f at z, from four Omega differences.
-
-    moments[j] = (Omega(z) - Omega(z + d_j)) / d_j, d_j = k r_j^2, is the
-    mean second moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j],
-    with r_j = rho / 2^j (j = 5..8) and k the largest eigenvalue of -A/2.
-    It grows like 1/r_j exactly when phi(q0) != 0 at z = M(p), as the L2
-    mass of f outside the ball of radius r_j does.  Every value is read
-    from evaluator.evaluate, on the fibre's route or node levels.  Moments
-    that vanish next to a huge z raise QuadratureError.
+    m_j = (Omega(z) - Omega(z + d_j)) / d_j, d_j = k r_j^2, is the mean
+    second moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j], with r_j
+    the LADDER_RADII and k the largest eigenvalue of -A/2.  It grows like
+    1/r_j exactly when phi(q0) != 0 at z = M(p), as the L2 mass of f
+    outside the ball of radius r_j does.  Every value is read from
+    evaluator.evaluate, on the fibre's route or node levels.  Moments that
+    vanish next to a huge z raise QuadratureError.
     """
     ev = evaluator
     k = -0.5 * ev.cp.hessian_eigenvalues[0]
-    radii = ev.rho / 2.0 ** np.arange(5, 9)
-    deltas = k * radii ** 2
     omega = ev.evaluate(z).value
     moments = np.array([(omega - ev.evaluate(z + d).value) / d
-                        for d in deltas])
+                        for d in k * LADDER_RADII ** 2])
     if not np.all((moments > 0.0) & np.isfinite(moments)):
         raise QuadratureError(
             "state norm diagnostics undefined at z = %r: moments %s are not "
             "positive and finite" % (float(z), moments.tolist()))
-    slope = float(np.polyfit(np.log(1.0 / radii), np.log(moments), 1)[0])
-    return NormDiagnostics(l2_growth_rate=slope, radii=radii, moments=moments)
+    slope = np.polyfit(np.log(1.0 / LADDER_RADII), np.log(moments), 1)[0]
+    return float(slope)

@@ -36,7 +36,7 @@ from .roots import brentq
 from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
-PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of max|phi| is zero
+PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of phi's RMS is zero
 FIT_WINDOW = (1e-4, 1e-2)
 FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
@@ -107,7 +107,9 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
     determinant is still not positive BracketingError is raised.  brentq
     raises it too, for a NaN determinant or no convergence in 200 steps,
     and so does a coupling whose bracket M(p) + 2 mu ||phi||^2 is not
-    finite (mu above about 9e307 / ||phi||^2).
+    finite (mu above about 9e307 / ||phi||^2), or whose root is not above
+    M(p) (for phi = 1, mu/mu(p) - 1 up to about 1e-8, where E - M(p) is
+    below brentq's tolerance).
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
@@ -127,8 +129,13 @@ def solve_eigenvalue(model, p, cp: CriticalPointInfo, mu,
         if not _det(z_hi, ev, mu) > 0.0:
             raise BracketingError(
                 "failed to bracket the determinant root above the band edge")
-    return brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=ROOT_XTOL,
+    root = brentq(_det, ev.M, z_hi, args=(ev, mu), xtol=ROOT_XTOL,
                   rtol=ROOT_RTOL, maxiter=200)
+    if not root > ev.M:
+        raise BracketingError(
+            "mu/mu(p) - 1 = %.3g: the bound state lies within the root "
+            "tolerance of M(p)" % (mu / mu_p - 1.0))
+    return root
 
 
 def eigenvalue_error_estimate(model, p, cp: CriticalPointInfo, mu, energy,
@@ -220,7 +227,6 @@ class ClassificationResult:
     mu: float
     mu_threshold: float
     phi_at_q0: float
-    phi_scale: float
     l2_growth_rate: float | None
 
 
@@ -228,7 +234,8 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
                        evaluator: OmegaEvaluator | None = None
                        ) -> ClassificationResult:
     """Classify (mu, p): Regular / BoundState off the threshold coupling,
-    Resonance / ThresholdEigenvalue at it (by phi(q0) = 0 or not).
+    Resonance / ThresholdEigenvalue at it, by |phi(q0)| against PHI_REL_TOL
+    times the RMS of phi, sqrt(||phi||^2 / (2 pi)^3), exact by Parseval.
 
     For the two at-threshold classes the L2 growth exponent of the
     threshold state, from the evaluator's own Omega values
@@ -238,20 +245,19 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
     ev = _evaluator(model, p, cp, evaluator)
     mu_p = coupling_threshold(model, p, cp, evaluator=ev)
     phi_q0 = float(ev.model.phi(ev.q0))
-    phi_scale = ev.model.phi_max_abs()
+    rate = None
     if abs(mu - mu_p) > MU_REL_TOL * mu_p:
         label = (Classification.BOUND_STATE if mu > mu_p
                  else Classification.REGULAR)
-        rate = None
     else:
-        if abs(phi_q0) > PHI_REL_TOL * phi_scale:
-            label = Classification.RESONANCE
-        else:
-            label = Classification.THRESHOLD_EIGENVALUE
-        rate = state_norm_diagnostics(ev, ev.M).l2_growth_rate
+        phi_rms = np.sqrt(ev.model.phi_l2_norm_sq() / (2.0 * np.pi) ** 3)
+        label = (Classification.RESONANCE
+                 if abs(phi_q0) > PHI_REL_TOL * phi_rms
+                 else Classification.THRESHOLD_EIGENVALUE)
+        rate = state_norm_diagnostics(ev, ev.M)
     return ClassificationResult(
         label=label, mu=float(mu), mu_threshold=mu_p, phi_at_q0=phi_q0,
-        phi_scale=phi_scale, l2_growth_rate=rate)
+        l2_growth_rate=rate)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +322,55 @@ def _csv_rows(path):
     return [dict(zip(header, row)) for row in rows]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigenvalue", "--mu", "x1.00000001"],
+    ["oracle", "--mu", "x1.00000001", "--N", "16"]])
+def test_root_at_the_band_edge_exits_1(capsys, argv):
+    # the root brentq returns is M(p) itself: neither "requires E > M(p)"
+    # (the eigenfunction) nor a diverging second moment (the oracle's bar)
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("friedrichs: mu/mu(p) - 1 = 1e-08")
+    assert "within the root tolerance of M(p)" in err
+    assert "requires E > M(p)" not in err
+
+
+def test_sweep_row_at_the_band_edge_keeps_the_threshold(capsys, tmp_path):
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "0,0,0", "--samples", "1",
+        "--mu", "x2,x1.00000001", "--outputs", "threshold,eigenvalue,classify",
+        "--out", str(tmp_path)])
+    assert code == 0
+    ok, edge = _csv_rows(tmp_path / "sweep.csv")
+    assert ok["error"] == "" and ok["classification"] == "BoundState"
+    assert edge["error"].startswith("mu/mu(p) - 1 = 1e-08")
+    assert "within the root tolerance of M(p)" in edge["error"]
+    assert edge["E"] == edge["classification"] == ""
+    assert (edge["M"], edge["mu_threshold"]) == (ok["M"], ok["mu_threshold"])
+
+
+@pytest.mark.parametrize("threads, workers", [("64", 3), ("2", 2), (None, 3)])
+def test_sweep_workers_capped_at_the_cpu_count(capsys, monkeypatch, tmp_path,
+                                               threads, workers):
+    # a stand-in pool records max_workers and maps in this thread
+    recorded = []
+
+    def pool(max_workers):
+        recorded.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    if threads is None:
+        monkeypatch.delenv("FRIEDRICHS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FRIEDRICHS_THREADS", threads)
+    code, _, _ = _run(capsys, ["sweep", "--path", "0,0,0", "--samples", "1",
+                               "--mu", "x2", "--out", str(tmp_path)])
+    assert code == 0
+    assert recorded == [workers]
+
+
 def test_sweep_and_convergence_csv_write_cells_alike(capsys, tmp_path):
     # one writer for both files: N as an integer, every number as the
     # exact float of the JSON, None as an empty cell
@@ -484,6 +535,10 @@ def _no_fiber(model, spec, p):
     (["oracle", "--N", "16,258"], None, "N <= 256"),
     (["sweep", "--path", "0,0,0", "--outputs", "threshold,oracle",
       "--oracle-n", "258"], None, "N <= 256"),
+    (["sweep", "--path", "0,0,0:1,0,0:2,0,0", "--samples", "1"], None,
+     "needs --samples >= 2"),
+    (["sweep", "--path", "0,0,0", "--samples", "0"], None,
+     "needs --samples >= 1"),
 ])
 def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
                                           threads, fragment):

@@ -8,7 +8,9 @@ import pytest
 
 import friedrichs as fr
 from conftest import model_kinds, mp_laplace_omega, quadrature_twin
+from friedrichs import quadrature
 from friedrichs.quadrature import (
+    LADDER_RADII,
     MAX_CONTRACTION,
     _radial_closed_form,
     bump_profile,
@@ -170,26 +172,34 @@ def test_bump_profile_shape():
     assert np.all(np.diff(b) <= 1e-12)
 
 
+def _ladder(ev, z):
+    """The mean second moments (Omega(z) - Omega(z + d_j)) / d_j that
+    state_norm_diagnostics fits, d_j = k r_j^2 at r_j = LADDER_RADII."""
+    k = -0.5 * ev.cp.hessian_eigenvalues[0]
+    omega = ev.evaluate(z).value
+    return np.array([(omega - ev.evaluate(z + k * r * r).value) / (k * r * r)
+                     for r in LADDER_RADII])
+
+
 def test_state_norm_diagnostics_off_threshold(cp_one, ev_one):
-    d = fr.state_norm_diagnostics(ev_one, cp_one.M + 1.0)
-    assert d.l2_growth_rate <= 0.1
-    assert np.all(np.isfinite(d.moments))
+    assert fr.state_norm_diagnostics(ev_one, cp_one.M + 1.0) <= 0.1
+    assert np.all(np.isfinite(_ladder(ev_one, cp_one.M + 1.0)))
 
 
 def test_state_norm_diagnostics_resonance(cp_one, ev_one):
-    d = fr.state_norm_diagnostics(ev_one, cp_one.M)
+    rate = fr.state_norm_diagnostics(ev_one, cp_one.M)
+    moments = _ladder(ev_one, cp_one.M)
     # |f|^2 ~ 1/r^4 near q0: the mean second moment over [M, M + k r^2]
     # grows like 1/r, as the L2 mass outside the ball of radius r does
-    assert 0.8 <= d.l2_growth_rate <= 1.2
-    assert np.all(np.isfinite(d.moments))
-    assert np.all(np.diff(d.moments) > 0.0)
+    assert 0.8 <= rate <= 1.2
+    assert np.all(np.isfinite(moments))
+    assert np.all(np.diff(moments) > 0.0)
 
 
 def test_state_norm_diagnostics_square_integrable(cp_vanishing,
                                                   ev_vanishing):
-    d = fr.state_norm_diagnostics(ev_vanishing, cp_vanishing.M)
-    assert d.l2_growth_rate <= 0.1
-    assert np.all(np.isfinite(d.moments))
+    assert fr.state_norm_diagnostics(ev_vanishing, cp_vanishing.M) <= 0.1
+    assert np.all(np.isfinite(_ladder(ev_vanishing, cp_vanishing.M)))
 
 
 @pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
@@ -202,7 +212,7 @@ def test_state_norm_exponent_route_equals_twin(kind, p):
     for m in (model, quadrature_twin(model)):
         cp = fr.find_maximizer(m, p)
         ev = fr.OmegaEvaluator(m, p, cp)
-        rates.append(fr.state_norm_diagnostics(ev, cp.M).l2_growth_rate)
+        rates.append(fr.state_norm_diagnostics(ev, cp.M))
     assert abs(rates[0] - rates[1]) <= 1e-6, rates
 
 
@@ -210,11 +220,11 @@ def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
     # truth from the mpmath Laplace-Bessel integral: the quad-based Bessel
     # reference is 3e-10 off at the threshold, which over d = 1.5e-5 would
     # exceed the bars of the moments a hundredfold
-    d = fr.state_norm_diagnostics(ev_one, cp_one.M)
+    moments = _ladder(ev_one, cp_one.M)
     k = -0.5 * cp_one.hessian_eigenvalues[0]
     bar0 = ev_one.evaluate(cp_one.M).estimated_error
     truth0 = mp_laplace_omega(model_one, P0, 0.0, dps=17)
-    for r, moment in zip(d.radii, d.moments):
+    for r, moment in zip(LADDER_RADII, moments):
         delta = k * r * r
         truth = (truth0
                  - mp_laplace_omega(model_one, P0, delta, dps=17)) / delta
@@ -240,7 +250,7 @@ def test_state_norm_diagnostics_refuse_vanishing_moments(twin, dz):
         fr.state_norm_diagnostics(ev, z)
     assert fr.classify_threshold(model, P0, cp, 1.0 / ev.threshold.value,
                                  evaluator=ev).l2_growth_rate == (
-        fr.state_norm_diagnostics(ev, cp.M).l2_growth_rate)
+        fr.state_norm_diagnostics(ev, cp.M))
 
 
 def test_state_norm_diagnostics_builds_no_level():
@@ -253,9 +263,39 @@ def test_state_norm_diagnostics_builds_no_level():
     ev = fr.OmegaEvaluator(model, p, cp)
     ev.threshold
     built = len(ev._levels)
-    d = fr.state_norm_diagnostics(ev, cp.M)
+    rate = fr.state_norm_diagnostics(ev, cp.M)
     assert len(ev._levels) == built
-    assert 0.8 <= d.l2_growth_rate <= 1.2
+    assert 0.8 <= rate <= 1.2
+
+
+@pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
+def test_classification_exponent_ignores_rho_on_the_route(model_one, p):
+    # rho shapes only the split quadrature: the ladder's radii are fixed
+    cp = fr.find_maximizer(model_one, p)
+    rates = []
+    for spec in (fr.QuadratureSpec(), fr.QuadratureSpec(rho=0.5)):
+        ev = fr.OmegaEvaluator(model_one, p, cp, spec)
+        rates.append(fr.classify_threshold(
+            model_one, p, cp, 1.0 / ev.threshold.value,
+            evaluator=ev).l2_growth_rate)
+    assert rates[0] == rates[1]
+
+
+def test_route_fibre_never_probes_rho(monkeypatch, model_vanishing):
+    def no_probe(*args):
+        raise AssertionError("auto_rho probed on the route")
+
+    monkeypatch.setattr(quadrature, "auto_rho", no_probe)
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model_vanishing, p)
+    ev = fr.OmegaEvaluator(model_vanishing, p, cp)
+    mu_p = fr.coupling_threshold(model_vanishing, p, cp, evaluator=ev)
+    report = fr.analyze(model_vanishing, p, cp, 2.0 * mu_p, evaluator=ev,
+                        with_expansion=True)
+    assert report.E > cp.M and report.tau0_fit is not None
+    cls = fr.classify_threshold(model_vanishing, p, cp, mu_p, evaluator=ev)
+    assert cls.label is fr.Classification.RESONANCE
+    assert np.isfinite(cls.l2_growth_rate)
 
 
 def test_spec_validation():

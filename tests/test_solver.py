@@ -419,6 +419,33 @@ def test_analyze_evaluates_the_threshold_at_most_twice(twin_one,
     assert len(threshold_evaluations) <= 2
 
 
+@pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
+@pytest.mark.parametrize("eps", [2e-9, 1e-8])
+def test_root_within_the_tolerance_of_the_band_edge_refused(model_one, p,
+                                                           eps):
+    # mu/mu(p) - 1 just outside MU_REL_TOL: E - M(p), about 1e-15, lies
+    # below brentq's tolerance, which returned M(p) itself as the root
+    cp = fr.find_maximizer(model_one, p)
+    ev = fr.OmegaEvaluator(model_one, p, cp)
+    mu_p = fr.coupling_threshold(model_one, p, cp, evaluator=ev)
+    mu = (1.0 + eps) * mu_p
+    with pytest.raises(fr.BracketingError) as info:
+        fr.solve_eigenvalue(model_one, p, cp, mu, evaluator=ev)
+    assert str(info.value) == (
+        "mu/mu(p) - 1 = %.3g: the bound state lies within the root "
+        "tolerance of M(p)" % (mu / mu_p - 1.0))
+
+
+def test_vanishing_phi_answers_just_above_its_threshold(
+        model_vanishing, cp_vanishing, ev_vanishing):
+    # at phi(q0) = 0 the root leaves M(p) linearly: E - M = 6 eps
+    mu = (1.0 + 2e-9) * fr.coupling_threshold(
+        model_vanishing, P0, cp_vanishing, evaluator=ev_vanishing)
+    energy = fr.solve_eigenvalue(model_vanishing, P0, cp_vanishing, mu,
+                                 evaluator=ev_vanishing)
+    assert energy - cp_vanishing.M == pytest.approx(1.2e-8, rel=1e-3)
+
+
 def test_root_reads_the_cached_threshold_at_the_bracket_end(
         twin_one, threshold_evaluations):
     p = np.array([0.7, -0.3, 1.1])
