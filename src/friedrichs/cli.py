@@ -2,8 +2,8 @@
 
 Subcommands: threshold, eigenvalue, classify, expansion, oracle, sweep.
 Exit codes: 0 success, 1 usage/config error, 2 model-validity error
-(degenerate or non-unique band maximum at the requested p).  The
-FRIEDRICHS_THREADS environment variable caps sweep parallelism.
+(degenerate or non-unique band maximum at the requested p) or a sweep in
+which no row succeeded.  FRIEDRICHS_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -380,7 +380,7 @@ def build_parser():
                         "Omega")
     common.add_argument("--rho", type=float,
                         help="near-field ball radius of the split quadrature "
-                        "(unused by two_particle fibres)")
+                        "(default 1; unused by two_particle fibres)")
     point = argparse.ArgumentParser(add_help=False, parents=[common])
     point.add_argument("--p", default="0,0,0")
 

@@ -21,7 +21,7 @@ from .errors import (
 from .torus import grid_axis, tensor_grid, torus_distance, wrap_angles
 
 GRID_N = 24              # coarse scan nodes per axis
-GRAD_TOL = 1e-12
+GRAD_TOL = 1e-12         # gradient bound, scaled by _grad_tol past spread 100
 MAX_NEWTON_ITERS = 50
 NONDEG_TOL = 1e-8        # largest Hessian eigenvalue must be <= -tol*(M-m)
 UNIQUENESS_GAP = 1e-9    # two maxima within gap*(M-m) => non-unique
@@ -43,10 +43,6 @@ class CriticalPointInfo:
     grad_norm: float
     hessian_eigenvalues: np.ndarray
 
-    @property
-    def spread(self):
-        return self.M - self.m
-
 
 def _grid_values(model, p):
     ax = grid_axis(GRID_N, offset=0)
@@ -63,14 +59,20 @@ def _local_maxima_mask(vals):
     return vals >= peak
 
 
-def _polish(model, p, x, sign):
+def _grad_tol(vals):
+    """GRAD_TOL, scaled by the scan's max - min beyond 100: the gradient's
+    rounding floor grows with the magnitude of w_p."""
+    return GRAD_TOL * max(1.0, float(vals.max() - vals.min()) / 100.0)
+
+
+def _polish(model, p, x, sign, grad_tol):
     """Newton iteration for a critical point of sign*w_p from x (not
     written), wrapped to the torus.  Returns (x, value, grad_norm, Hessian)."""
     for it in range(MAX_NEWTON_ITERS + 1):
         grad, hess = model.w_derivatives(p, x)
         g = sign * grad
         gn = float(np.linalg.norm(g))
-        if gn <= GRAD_TOL:
+        if gn <= grad_tol:
             return x, float(model.w(p, x)), gn, hess
         if it == MAX_NEWTON_ITERS:
             raise NewtonConvergenceError(
@@ -93,7 +95,8 @@ def _minimum(model, p, ax, vals):
     """m(p) by Newton on -w_p from the lowest node of the scan vals."""
     i, j, k = np.unravel_index(np.argmin(vals), vals.shape)
     try:
-        value = _polish(model, p, np.array([ax[i], ax[j], ax[k]]), -1.0)[1]
+        value = _polish(model, p, np.array([ax[i], ax[j], ax[k]]), -1.0,
+                        _grad_tol(vals))[1]
     except NewtonConvergenceError:
         value = float(vals.min())
     return min(value, float(vals.min()))
@@ -115,7 +118,7 @@ def find_maximizer(model, p) -> CriticalPointInfo:
     to the grid maximum), each is polished by torus-wrapped Newton
     iteration, and the best is certified:
 
-    * gradient norm <= GRAD_TOL at q0,
+    * gradient norm <= _grad_tol at q0 (GRAD_TOL up to a scan spread 100),
     * Hessian negative definite (largest eigenvalue <= -NONDEG_TOL*(M-m)),
     * no second polished maximizer within UNIQUENESS_GAP*(M-m) of M at a
       separated torus point.
@@ -130,10 +133,11 @@ def find_maximizer(model, p) -> CriticalPointInfo:
     order = np.argsort(vals[ii, jj, kk])[::-1][:16]
     starts = [np.array([ax[ii[t]], ax[jj[t]], ax[kk[t]]]) for t in order]
 
+    grad_tol = _grad_tol(vals)
     polished = []
     for x0 in starts:
         try:
-            polished.append(_polish(model, p, x0, +1.0))
+            polished.append(_polish(model, p, x0, +1.0, grad_tol))
         except NewtonConvergenceError:
             if len(starts) == 1:
                 raise

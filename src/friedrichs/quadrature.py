@@ -26,22 +26,25 @@ quadrature.  value_at_level keeps the split quadrature for every family;
 state_norm_diagnostics reads only evaluate, at the fixed LADDER_RADII.
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
-owns the node data per refinement level, their bump radius and the
-threshold value Omega(p) = Omega(p; M(p)), each computed on first read.
+owns the node data per refinement level and the threshold value
+Omega(p) = Omega(p; M(p)), each computed on first read.  Its bump radius
+rho is the spec's, else RHO_CAP: the certified unique non-degenerate
+maximum keeps M - w_p > 0 on that ball, and _build_level refuses a ball
+that reaches the band edge.
 Evaluating at many spectral parameters z (root finding, expansion fits)
 costs one vectorised reduction per z, and values at different z share
 identical node sets, which the second moment int phi^2 / (z - w_p)^2
 (-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
 take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
-Memory: a level keeps its node arrays and nothing else.  The build
-streams the far field through slabs of torus planes and the near field
-through blocks of radii, about BLOCK nodes each, writing the kept nodes
-straight into the level's arrays; the bump is evaluated only on its shell
-dist < rho (it is 0 beyond).  A per-z reduction forms and sums its
-integrand one block at a time, along NumPy's pairwise-summation split
-(friedrichs.sums), so every node array and every sum is bitwise the one of
-a full-grid pass.
+Memory: a level keeps its node arrays and nothing else, at most
+MAX_LEVEL_BYTES, checked before any is allocated.  The build streams the
+far field through slabs of torus planes and the near field through blocks
+of radii, about BLOCK nodes each, writing the kept nodes straight into the
+level's arrays; the bump is evaluated only on its shell dist < rho (it is
+0 beyond).  A per-z reduction forms and sums its integrand one block at a
+time, along NumPy's pairwise-summation split (friedrichs.sums), so every
+node array and every sum is bitwise the one of a full-grid pass.
 The Gauss-Legendre and sphere rules are cached per node count and
 returned read-only.
 
@@ -62,7 +65,7 @@ callers of the root, is not evaluated again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,10 +79,11 @@ from .laplace import laplace_omega, laplace_table
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
-RHO_CAP = 1.0  # ball radius cap (must stay below pi/2)
+RHO_CAP = 1.0  # ball radius unless the spec sets one (below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
+MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 383 MiB)
 # radii r_j of the classification ladder, RHO_CAP / 2^5 .. RHO_CAP / 2^8
 LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
 
@@ -89,7 +93,7 @@ class QuadratureSpec:
     """Base node counts and the tolerance of the split quadrature.
 
     n_grid     torus trapezoid nodes per axis (far field)
-    rho        bump support radius; None selects it automatically
+    rho        bump support radius; None means RHO_CAP
     n_radial   Gauss-Legendre nodes on [0, rho]
     n_angular  polar nodes in cos(theta); 2*n_angular azimuthal nodes
     rel_tol    target relative tolerance for the refinement loop, which
@@ -212,20 +216,6 @@ def _dist2_to(grid, q0):
     return d1 + d2 + d3
 
 
-def auto_rho(model, p, cp):
-    """Bump support radius: the largest r <= RHO_CAP with M - w_p > 0 along
-    a sampled bundle of rays from q0 (halved at the first sign dip)."""
-    nu, _ = sphere_product_rule(8)
-    radii = np.linspace(0.02, RHO_CAP, 50)
-    pts = cp.q0[None, None, :] + radii[:, None, None] * nu[None, :, :]
-    u = cp.M - model.w(p, pts)
-    floor = 1e-12 * max(cp.spread, 1.0)
-    bad = np.nonzero(np.min(u, axis=1) <= floor)[0]
-    if bad.size == 0:
-        return float(RHO_CAP)
-    return float(max(0.5 * radii[bad[0]], 0.05))
-
-
 class OmegaEvaluator:
     """Evaluator of Omega(p; .) for one (model, p, spec).
 
@@ -233,12 +223,10 @@ class OmegaEvaluator:
     fibre is answered from the z-independent table of the Laplace-Bessel
     route (built here, about 1-3 ms), any other by the refinement loop of
     the spec.  The spec's rel_tol bounds the route's bar; on the route
-    n_grid and rho shape only value_at_level.  The bump radius rho is
-    computed on first read, so a fibre that builds no level never runs
-    auto_rho's probe.  Levels of node data are built lazily;
-    level L uses node counts scaled by 2^L relative to the base spec, and
-    values at a fixed level are deterministic functions of z (fixed-order
-    reductions).  The threshold value Omega(p; M(p)) is
+    n_grid and rho shape only value_at_level.  Levels of node data are
+    built lazily; level L uses node counts scaled by 2^L relative to the
+    base spec, and values at a fixed level are deterministic functions of
+    z (fixed-order reductions).  The threshold value Omega(p; M(p)) is
     evaluated on the first read of `threshold` and kept; evaluate(M(p))
     returns it, and at either of the last two z it reduced, evaluate(z)
     returns the kept value without reducing again.  Lazy level
@@ -254,6 +242,7 @@ class OmegaEvaluator:
         self.p = check_momentum(p)  # the route reads p without w_p
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
+        self.rho = self.spec.rho if self.spec.rho is not None else RHO_CAP
         self.q0 = cp.q0
         self.M = cp.M
         self._phi0_sq = float(model.phi(self.q0)) ** 2
@@ -264,12 +253,6 @@ class OmegaEvaluator:
         self._recent = ()  # the last two (z, OmegaValue), newest first
         self._laplace = (laplace_table(model, self.p)
                          if model.family == "two_particle" else None)
-
-    @cached_property
-    def rho(self):
-        """Bump radius of the split quadrature: spec.rho, else auto_rho."""
-        return (self.spec.rho if self.spec.rho is not None
-                else auto_rho(self.model, self.p, self.cp))
 
     @property
     def threshold(self) -> OmegaValue:
@@ -285,6 +268,13 @@ class OmegaEvaluator:
         n_grid = s.n_grid * 2 ** level
         n_rad = s.n_radial * 2 ** level
         n_ang = s.n_angular * 2 ** level
+        # 2 far arrays of n_grid^3, 4 near of n_rad x 2 n_ang^2, 2 of 2n_ang^2
+        nbytes = 8 * (2 * n_grid ** 3 + (4 * n_rad + 2) * 2 * n_ang ** 2)
+        if nbytes > MAX_LEVEL_BYTES:
+            raise QuadratureError(
+                "level %d would keep %.4g MiB of nodes (n_grid %d), above "
+                "the %d MiB bound; decrease n_grid" % (
+                    level, nbytes / 2 ** 20, n_grid, MAX_LEVEL_BYTES >> 20))
         rho = self.rho
 
         # far field: midpoint torus grid, weight h^3 (1-chi) phi^2, built in

@@ -31,9 +31,9 @@ from .errors import (
     InvalidInputError,
     check_coupling,
 )
+from .oracle import _lattice
 from .quadrature import OmegaEvaluator, state_norm_diagnostics
 from .roots import brentq
-from .torus import grid_axis, tensor_grid
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of phi's RMS is zero
@@ -173,11 +173,9 @@ class EigenfunctionEval:
                 / (self.energy - self.model.w(self.p, q)))
 
     def _on_check_grid(self):
-        """(w, phi, psi) on the CHECK_GRID^3 midpoint grid: the one model
-        evaluation behind both grid checks."""
-        grid = tensor_grid(grid_axis(CHECK_GRID))
-        w = np.asarray(self.model.w(self.p, grid))
-        phi = np.broadcast_to(np.asarray(self.model.phi(grid)), w.shape)
+        """(w, phi, psi) on the CHECK_GRID^3 midpoint grid, flattened (phi
+        0-d when constant): the one model evaluation behind both checks."""
+        w, phi = _lattice(self.model, self.p, CHECK_GRID)
         return w, phi, self.normalization * self.mu * phi / (self.energy - w)
 
     def norm_on_grid(self):

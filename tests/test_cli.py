@@ -68,6 +68,18 @@ def test_zone_edge_refused_on_the_twin(capsys, tmp_path, twin_one):
     assert err.startswith("friedrichs: quadrature not converged")
 
 
+def test_oversized_grid_refused_on_the_twin(capsys, tmp_path, twin_one):
+    # a level whose node arrays exceed quadrature.MAX_LEVEL_BYTES exits 1
+    # before any array is allocated, not in a MemoryError traceback
+    path = tmp_path / "twin.json"
+    twin_one.config.save(path)
+    code, out, err = _run(capsys, ["threshold", "--config", str(path),
+                                   "--grid", "1000000", "--p", "0.7,-0.3,1.1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("friedrichs: level 0 would keep ")
+    assert "(n_grid 1000000)" in err
+
+
 def test_non_finite_p_exit_1(capsys, tmp_path):
     code, out, err = _run(capsys, ["threshold", "--p", "nan,0,0"])
     assert (code, out) == (1, "")

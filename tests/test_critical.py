@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import friedrichs as fr
-from conftest import model_kinds
+from conftest import model_kinds, quadrature_twin
 from friedrichs.critical import (
     GRID_N,
     _grid_values,
@@ -216,3 +216,26 @@ def test_find_maximizer_scans_the_grid_once(name, monkeypatch):
         fr.find_maximizer(model, p)
         assert shapes.count((GRID_N,) * 3) == 1
         assert all(s == (3,) for s in shapes if s != (GRID_N,) * 3)
+
+
+@pytest.mark.parametrize("p", [(0.7, -0.3, 1.1), (-1.3, 0.4, 2.2)])
+@pytest.mark.parametrize("twin", [False, True])
+def test_threshold_scales_with_the_hopping(twin, p):
+    # w -> c w scales mu(p) by c: the gradient tolerance of the Newton
+    # polish follows the scan's max - min, so a model with a bandwidth in
+    # the thousands certifies like the unit one (an absolute 1e-12 lies
+    # below the gradient's rounding floor from c = 1500 on)
+    p = np.array(p)
+
+    def threshold(c):
+        model = fr.two_particle_model(hopping=[c] * 3)
+        model = quadrature_twin(model) if twin else model
+        cp = fr.find_maximizer(model, p)
+        return fr.OmegaEvaluator(model, p, cp).threshold
+
+    unit = threshold(1.0)
+    for c in (1e3, 3e3, 1e4, 1e6):
+        got = threshold(c)
+        bar = max(got.estimated_error / got.value,
+                  unit.estimated_error / unit.value)
+        assert abs(unit.value / (c * got.value) - 1.0) <= 2.0 * bar

@@ -5,13 +5,16 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import friedrichs as fr
 from conftest import model_kinds, mp_laplace_omega, quadrature_twin
-from friedrichs import quadrature
 from friedrichs.quadrature import (
     LADDER_RADII,
     MAX_CONTRACTION,
+    MAX_LEVEL_BYTES,
+    RHO_CAP,
     _radial_closed_form,
     bump_profile,
 )
@@ -281,11 +284,7 @@ def test_classification_exponent_ignores_rho_on_the_route(model_one, p):
     assert rates[0] == rates[1]
 
 
-def test_route_fibre_never_probes_rho(monkeypatch, model_vanishing):
-    def no_probe(*args):
-        raise AssertionError("auto_rho probed on the route")
-
-    monkeypatch.setattr(quadrature, "auto_rho", no_probe)
+def test_route_fibre_builds_no_level(model_vanishing):
     p = np.array([0.7, -0.3, 1.1])
     cp = fr.find_maximizer(model_vanishing, p)
     ev = fr.OmegaEvaluator(model_vanishing, p, cp)
@@ -296,6 +295,67 @@ def test_route_fibre_never_probes_rho(monkeypatch, model_vanishing):
     cls = fr.classify_threshold(model_vanishing, p, cp, mu_p, evaluator=ev)
     assert cls.label is fr.Classification.RESONANCE
     assert np.isfinite(cls.l2_growth_rate)
+    assert ev._levels == []
+
+
+def test_bump_radius_is_rho_cap_unless_the_spec_sets_one():
+    model = model_kinds()["off_axis"]
+    p = np.array([3.1, 0.1, -0.12])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    assert ev.rho == RHO_CAP
+    assert fr.OmegaEvaluator(model, p, cp,
+                             fr.QuadratureSpec(rho=0.5)).rho == 0.5
+    # the threshold here is level 2's value; levels 0 and 1 carry the same
+    # rho at a fraction of the cost, so their node sums are compared
+    capped = fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(rho=RHO_CAP))
+    for level in (0, 1):
+        assert ev.value_at_level(cp.M, level) == capped.value_at_level(cp.M,
+                                                                       level)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(kind=st.sampled_from(["off_axis", "twin"]),
+       sign=st.sampled_from([-1.0, 1.0]), log_gap=st.floats(-9.0, -1.0),
+       p23=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2))
+def test_certified_fibre_keeps_the_capped_ball_below_the_edge(kind, sign,
+                                                              log_gap, p23):
+    # on a certified maximum near the zone edge the default ball, of radius
+    # RHO_CAP, stays below the band edge: _build_level's guard does not fire
+    model = (model_kinds()["off_axis"] if kind == "off_axis"
+             else quadrature_twin(fr.two_particle_model()))
+    p = np.array([sign * (np.pi - 10.0 ** log_gap)] + p23)
+    try:
+        cp = fr.find_maximizer(model, p)
+    except fr.ModelValidityError:
+        return
+    ev = fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(n_grid=16))
+    ev._build_level(0)
+
+
+@pytest.mark.parametrize("n_grid, level", [(10 ** 6, 0), (512, 0),
+                                           (256, 1), (128, 2)])
+def test_oversized_level_refused_before_allocation(twin_one, cp_twin_one,
+                                                   n_grid, level):
+    # the level's node arrays would exceed MAX_LEVEL_BYTES: refused before
+    # any is allocated (tracemalloc sees less than a MiB)
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one,
+                           fr.QuadratureSpec(n_grid=n_grid))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fr.QuadratureError,
+                           match=r"^level %d would keep .* MiB of nodes "
+                                 r"\(n_grid %d\), above the %d MiB bound"
+                                 % (level, n_grid * 2 ** level,
+                                    MAX_LEVEL_BYTES >> 20)):
+            if level == 0:
+                ev.threshold
+            else:
+                ev._build_level(level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_spec_validation():
