@@ -15,13 +15,17 @@ int_T e^{-2 alpha t (1 - cos s)} e^{i n s} ds = 2 pi ive(|n|, 2 alpha t),
         = (2 pi)^3 int_0^inf t^(power - 1) e^{-t delta} G(t) dt,
     G(t) = sum_m Re[a_m e^{i m.q0}] prod_j ive(|m_j|, 2 alpha_j t).
 
-The t-integral is split in three:
+The t-integral is split in three at t0 = e^HEAD_U / max(1, max_j alpha_j)
+and T:
 
-* head [0, e^HEAD_U]: G(t) is G(0) = a_0 (the mean of phi^2) up to
+* head [0, t0]: G(t) is G(0) = a_0 (the mean of phi^2) up to
   t 2 sum_j alpha_j sum_m |a_m|, so the head is a_0 times the exact
   int t^(power-1) e^{-t delta}, and that slope times
-  int t^power e^{-t delta} bounds its error;
-* body [e^HEAD_U, T], T >= TAIL_X / min_j alpha_j: fixed Gauss-Legendre
+  int t^power e^{-t delta} bounds its error.  G depends on t only
+  through alpha_j t, so t0 shrinks with the largest alpha_j: the bound
+  keeps its relative size as w -> c w scales Omega by 1/c, and t0 is
+  e^HEAD_U exactly when every alpha_j <= 1;
+* body [t0, T], T >= TAIL_X / min_j alpha_j: fixed Gauss-Legendre
   in u = log t, panels PANEL wide with PANEL_NODES nodes each;
 * tail [T, inf): every x_j = 2 alpha_j t >= 2 TAIL_X, where
   ive(n, x) = (2 pi x)^(-1/2) sum_k s_k(n) x^-k, s_k(n) = (-1)^k
@@ -64,7 +68,7 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 
-HEAD_U = -30.0         # the body rule starts at t = e^HEAD_U
+HEAD_U = -30.0         # log t0, the head's end, when every alpha_j <= 1
 PANEL = 0.5            # panel width in u = log t
 PANEL_NODES = 32       # Gauss-Legendre nodes per panel
 TAIL_X = 1e3           # the tail starts at T >= TAIL_X / min_j alpha_j
@@ -128,11 +132,11 @@ def _ive_orders(top, x):
 
 
 @lru_cache(maxsize=32)
-def _log_rule(n_panels, nodes):
-    """Gauss-Legendre in u = log t over n_panels panels from HEAD_U:
+def _log_rule(u0, n_panels, nodes):
+    """Gauss-Legendre in u = log t over n_panels panels from u0:
     (t, weights of dt), read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    u = HEAD_U + PANEL * (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0))
+    u = u0 + PANEL * (np.arange(n_panels)[:, None] + 0.5 * (x + 1.0))
     t = np.exp(u).ravel()
     wt = np.broadcast_to(0.5 * PANEL * w, u.shape).ravel() * t
     t.flags.writeable = wt.flags.writeable = False
@@ -163,7 +167,7 @@ class LaplaceTable:
 
     t, wg, wh    body nodes, weights times G(t), weights times the
                  mode-by-mode magnitude H(t) >= |G(t)|
-    T            start of the tail
+    t0, T        end of the head, start of the tail
     a0, slope    G(0) and the bound 2 sum_j alpha_j sum_m |a_m| on |G'|
     tail         SERIES_TERMS coefficients of t^(-3/2-K) in G(t)
     omitted      the magnitude of the first omitted coefficient
@@ -172,6 +176,7 @@ class LaplaceTable:
     t: np.ndarray
     wg: np.ndarray
     wh: np.ndarray
+    t0: float
     T: float
     a0: float
     slope: float
@@ -197,10 +202,12 @@ def laplace_table(model, p) -> LaplaceTable:
         coef[key] = coef.get(key, 0.0) + (a * np.exp(1j * np.dot(m, q0))).real
         size[key] = size.get(key, 0.0) + abs(a)
 
-    n_panels = max(1, math.ceil((math.log(TAIL_X / alpha.min()) - HEAD_U)
+    # log t0: HEAD_U exactly when every alpha_j <= 1
+    u0 = HEAD_U - math.log(max(1.0, float(alpha.max())))
+    n_panels = max(1, math.ceil((math.log(TAIL_X / alpha.min()) - u0)
                                 / PANEL))
-    t, wt = _log_rule(n_panels, PANEL_NODES)
-    T = math.exp(HEAD_U + PANEL * n_panels)
+    t, wt = _log_rule(u0, n_panels, PANEL_NODES)
+    T = math.exp(u0 + PANEL * n_panels)
     orders = [{key[j] for key in coef} for j in range(3)]
     # per order and axis, factors[n][j]: ive at the body nodes, all three
     # axes in one array; per axis and order, the series coefficients of
@@ -224,7 +231,8 @@ def laplace_table(model, p) -> LaplaceTable:
         omitted += size[key] * np.abs(terms[power_of_t == SERIES_TERMS]).sum()
     lead = (2.0 * np.pi) ** -1.5 / math.sqrt(8.0 * float(np.prod(alpha)))
     return LaplaceTable(
-        t=t, wg=wt * G, wh=wt * H, T=T, a0=coef.get((0, 0, 0), 0.0),
+        t=t, wg=wt * G, wh=wt * H, t0=math.exp(u0), T=T,
+        a0=coef.get((0, 0, 0), 0.0),
         slope=2.0 * float(np.sum(alpha)) * sum(size.values()),
         tail=lead * tail, omitted=lead * omitted)
 
@@ -244,14 +252,13 @@ def _tail_integrals(delta, T, n):
     return J
 
 
-def _head_moment(k, delta):
+def _head_moment(k, delta, eps):
     """int_0^eps t^(k-1) e^{-t delta} dt = eps^k gamma(k, x) / x^k for
-    k = 1, 2, 3, eps = e^HEAD_U and x = delta eps: the alternating series
+    k = 1, 2, 3, the head's end eps and x = delta eps: the alternating series
     sum_j (-x)^j / (j! (k + j)) below x = 1, and
     gamma(k, x) = (k-1)! (1 - sum_{j<k} e^-x x^j / j!) above, with the
     terms formed as exp(j log x - x) and the prefactor as (eps / x)^k so
     that no intermediate overflows at any finite delta."""
-    eps = math.exp(HEAD_U)
     x = delta * eps
     if x < 1.0:
         # the sum is above 1/12, and the terms fall below x^j / j!
@@ -279,8 +286,8 @@ def laplace_omega(table: LaplaceTable, delta, power=1):
     body_abs = float(e @ table.wh)
     # head: a_0 int_0^eps t^(power-1) e^{-t delta} dt, and the slope of G
     # times the next moment bounds its error
-    head = table.a0 * _head_moment(power, delta)
-    head_bound = table.slope * _head_moment(power + 1, delta)
+    head = table.a0 * _head_moment(power, delta, table.t0)
+    head_bound = table.slope * _head_moment(power + 1, delta, table.t0)
     J = _tail_integrals(delta, table.T, SERIES_TERMS + 2)
     tail = sum(table.tail[K] * J[K + 2 - power]
                for K in range(SERIES_TERMS)

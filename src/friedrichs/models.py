@@ -59,6 +59,15 @@ def _phase(k, x1, x2, x3):
     return sum(terms[1:], terms[0]) if terms else 0.0
 
 
+def _add_into(acc, term):
+    """acc + term, written into acc when acc is an array that already has
+    the broadcast shape (the same bits, one array fewer)."""
+    if isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(
+            acc.shape, np.shape(term)):
+        return np.add(acc, term, out=acc)
+    return acc + term
+
+
 class HarmonicTable:
     """Real trigonometric polynomial sum_k [c_k cos(k.x) + s_k sin(k.x)].
 
@@ -94,6 +103,9 @@ class HarmonicTable:
         return bool(np.all(self.cos == 0.0) and np.all(self.sin == 0.0))
 
     def value(self, x1, x2, x3):
+        """The sum at the broadcast of x1, x2, x3, added term by term in
+        index order; a term is added into the running sum once that sum
+        spans the broadcast shape."""
         out = 0.0
         for k, c, s in zip(self.indices, self.cos, self.sin):
             phase = _phase(k, x1, x2, x3)
@@ -101,8 +113,8 @@ class HarmonicTable:
             if c != 0.0:
                 term = c * np.cos(phase)
             if s != 0.0:
-                term = term + s * np.sin(phase)
-            out = out + term
+                term = _add_into(term, s * np.sin(phase))
+            out = _add_into(out, term)
         return out
 
     def derivatives(self, x1, x2, x3):
@@ -278,8 +290,8 @@ class DispersionModel:
         p, here and in w_derivatives, passes torus.check_momentum."""
         p1, p2, p3 = _components(check_momentum(p))
         x1, x2, x3 = _components(q)
-        return (self._w_block.value(x1, x2, x3)
-                + self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
+        return _add_into(self._w_block.value(x1, x2, x3),
+                         self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
 
     def w_derivatives(self, p, q):
         """Exact q-gradient and exactly symmetric q-Hessian of w_p, shapes

@@ -15,10 +15,11 @@ sum phi^2/(z - w) is formed block by block in one scratch buffer along
 NumPy's pairwise-summation split, so it is bitwise the sum of the full N^3
 temporary while no N^3 temporary is made per evaluation.  One helper,
 _lattice, evaluates w and phi on the grid for every routine.  phi (and
-phi^2) stays a scalar when phi is constant, so secular_root peaks at 2.0
-float64 N^3 arrays for phi = 1, 2.3 for the vanishing phi and 3.1 for an
-off-axis trig_poly phi (tracemalloc at N = 64: w, phi^2 and the
-temporaries of evaluating w).
+phi^2) stays a scalar when phi is constant, and the model adds its terms
+and its p - q table in place, so secular_root peaks at 2.0 float64 N^3
+arrays for phi = 1 and 2.3 for the vanishing phi and for an off-axis
+trig_poly (tracemalloc at N = 64: w, phi^2 and the temporaries of
+evaluating w); _lattice alone peaks at 2.0 at N = 128 for all three.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .sums import _sum_over
 from .torus import grid_axis, tensor_grid
 
 DENSE_N_MAX = 12
-SECULAR_N_MAX = 256      # secular_root peaks at 2.0-3.1 float64 N^3 arrays
+SECULAR_N_MAX = 256      # secular_root peaks at 2.0-2.3 float64 N^3 arrays
 
 
 def _secular_size(N):

@@ -21,9 +21,26 @@ For the two_particle family the denominator separates axis by axis and
 Omega is the exact 1-D Laplace-Bessel integral of laplace.py.  evaluate and
 second_moment share one moment path, the only place that chooses the
 backend: it answers two_particle fibres from the route, with the route's
-error bar and no node level, and trig_poly fibres from the split
-quadrature.  value_at_level keeps the split quadrature for every family;
-state_norm_diagnostics reads only evaluate, at the fixed LADDER_RADII.
+error bar and no node level, and trig_poly fibres from the plain torus sum
+once delta = z - M(p) passes the fibre's first crossover, else from the
+split quadrature.  value_at_level keeps the split quadrature for every
+family; state_norm_diagnostics reads only evaluate, at the fixed
+LADDER_RADII.
+
+Torus sum: for delta of order one, phi^2 / (z - w_p)^power is analytic in
+a strip about the real torus, and the midpoint sum h^3 sum phi^2 /
+(z - w_p)^power on the N^3 grid (the lattice sum of oracle.discrete_omega:
+oracle._lattice and sums._sum_over) converges like e^(-kappa N) (Trefethen
+and Weideman, SIAM Review 56, 2014).  Each SUM_GRIDS grid N but the last
+has a crossover delta_c(N), a closed form in the amplitudes of the w table
+(_crossovers) past which the strip is at least ln(SUM_STRIP) / N wide.  At
+the first crossover delta meets, the value is the sum on the next grid and
+the bar is its distance from the sum on N, plus 64 eps of the value.  The
+split quadrature answers, unchanged, where that bar exceeds rel_tol
+|value| and below every crossover: at delta = 0 always, and across the
+fit window and the classification ladder for w tables of order-one
+amplitudes.  The fibre keeps w and phi^2 of the two grids in use only (at
+most 48^3 and 64^3 nodes, 5.7 MiB).
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the node data per refinement level and the threshold value
@@ -75,7 +92,8 @@ from .errors import (
     QuadratureError,
     QuadratureNotConvergedError,
 )
-from .laplace import laplace_omega, laplace_table
+from .laplace import ROUNDING, laplace_omega, laplace_table
+from .oracle import _lattice
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
@@ -86,6 +104,8 @@ MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
 MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 383 MiB)
 # radii r_j of the classification ladder, RHO_CAP / 2^5 .. RHO_CAP / 2^8
 LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
+SUM_GRIDS = (16, 24, 32, 48, 64)  # torus-sum grids: N and the next one
+SUM_STRIP = 1e6  # e^(kappa_N N) of the strip each crossover keeps
 
 
 @dataclass(frozen=True)
@@ -123,10 +143,12 @@ class QuadratureSpec:
 class OmegaValue:
     """Value of Omega with its error bar.
 
-    estimated_error is the route's bar on a two_particle fibre and
-    |dnear| + |dfar| between the last two levels on the split quadrature;
-    n_grid is the far-field grid of the level that answered (the spec's
-    base grid on the route, which answers at level 0).
+    estimated_error is the route's bar on a two_particle fibre,
+    |dnear| + |dfar| between the last two levels on the split quadrature
+    and the torus sum's bar; n_grid is the far-field grid of the level that
+    answered (the spec's base grid on the route, which answers at level 0),
+    and on the torus sum the grid N whose crossover was met (the value is
+    the sum on the next SUM_GRIDS grid).
     """
 
     value: float
@@ -216,13 +238,27 @@ def _dist2_to(grid, q0):
     return d1 + d2 + d3
 
 
+def _crossovers(table):
+    """delta_c(N) of a trig_poly w table for each SUM_GRIDS grid N but the
+    last: |w_p(q + i s e_j) - w_p(q)| <= sum_k 2 A_k (e^(s |k_j|) - 1),
+    A_k = hypot(cos_k, sin_k) (the 2: the table at q and at p - q), so at
+    z - M(p) >= delta_c(N) no z - w_p vanishes within kappa_N =
+    ln(SUM_STRIP) / N of the real torus along any axis, and the midpoint
+    sum on N^3 nodes converges like e^(-kappa_N N) = 1 / SUM_STRIP."""
+    kappa = np.log(SUM_STRIP) / np.array(SUM_GRIDS[:-1], dtype=float)
+    grow = np.expm1(kappa[:, None, None] * np.abs(table.indices))
+    amp = 2.0 * np.hypot(table.cos, table.sin)
+    return np.max(np.einsum("k,nkj->nj", amp, grow), axis=1)
+
+
 class OmegaEvaluator:
     """Evaluator of Omega(p; .) for one (model, p, spec).
 
     evaluate() and second_moment() share one moment path: a two_particle
     fibre is answered from the z-independent table of the Laplace-Bessel
-    route (built here, about 1-3 ms), any other by the refinement loop of
-    the spec.  The spec's rel_tol bounds the route's bar; on the route
+    route (built here, about 1-3 ms), any other by the plain torus sum
+    past the crossovers computed here, else by the refinement loop of the
+    spec.  The spec's rel_tol bounds the route's bar; on the route
     n_grid and rho shape only value_at_level.  Levels of node data are
     built lazily; level L uses node counts scaled by 2^L relative to the
     base spec, and values at a fixed level are deterministic functions of
@@ -233,8 +269,9 @@ class OmegaEvaluator:
     construction is not synchronised: share an evaluator across threads
     only after its levels are built.  A reduction's scratch block is
     allocated per call and not stored on the evaluator, and the two recent
-    values are one tuple replaced in a single assignment, so threads that
-    share a built evaluator never share a buffer or see half an update.
+    values and the torus-sum grids in use are each replaced in a single
+    assignment, so threads that share a built evaluator never share a
+    buffer or see half an update.
     """
 
     def __init__(self, model, p, cp, spec: QuadratureSpec | None = None):
@@ -253,6 +290,9 @@ class OmegaEvaluator:
         self._recent = ()  # the last two (z, OmegaValue), newest first
         self._laplace = (laplace_table(model, self.p)
                          if model.family == "two_particle" else None)
+        self._crossovers = (None if self._laplace is not None
+                            else _crossovers(model._w_block))
+        self._grids = {}  # N -> (w, phi^2) of the torus-sum grids in use
 
     @property
     def threshold(self) -> OmegaValue:
@@ -367,10 +407,36 @@ class OmegaEvaluator:
         """(total, near, far) at a fixed refinement level."""
         return self._sums(z, level, 1)
 
+    def _torus_sum(self, z, delta, power):
+        """(value, bar, N) of the plain torus sum h^3 sum phi^2 / (z -
+        w_p)^power, or None below every crossover: N is the first
+        SUM_GRIDS grid whose crossover delta reaches, the value is the sum
+        on the next grid, and the bar is its distance from the sum on N
+        plus ROUNDING times the value (the terms are positive, and the two
+        sums can agree to the last bit).  Only the two grids in use keep
+        their w and phi^2."""
+        met = np.flatnonzero(self._crossovers <= delta)
+        if not (delta > 0.0 and met.size):
+            return None
+        pair = SUM_GRIDS[met[0]:met[0] + 2]
+        grids = {N: g for N, g in self._grids.items() if N in pair}
+        self._grids = dict(grids)  # grids out of use go before a build
+        for N in pair:
+            if N not in grids:
+                w, phi = _lattice(self.model, self.p, N)
+                grids[N] = w, np.multiply(phi, phi, out=phi)
+        self._grids = grids
+        coarse, fine = ((2.0 * np.pi / N) ** 3
+                        * _sum_over(grids[N][1], z, np.subtract, grids[N][0],
+                                    power) for N in pair)
+        return fine, abs(fine - coarse) + ROUNDING * fine, pair[0]
+
     def _moment(self, z, power, what):
-        """(value, estimate, level) of int phi^2 / (z - w_p)^power, the one
-        place that chooses the backend: the Laplace-Bessel route, at level 0
-        with its bar, for a two_particle fibre, else the refinement loop.
+        """(value, estimate, n_grid) of int phi^2 / (z - w_p)^power, the one
+        place that chooses the backend: the Laplace-Bessel route, with its
+        bar and the spec's n_grid, for a two_particle fibre; for a trig_poly
+        fibre the plain torus sum past its first crossover, if its bar is
+        within the spec's relative tolerance, else the refinement loop.
 
         The loop doubles all node counts until |dnear| + |dfar| between
         consecutive levels (the change of the total can cancel between the
@@ -379,13 +445,18 @@ class OmegaEvaluator:
         bring within it, each shrinking it at most MAX_CONTRACTION times,
         raises QuadratureNotConvergedError before the next level is built.
         """
+        delta = self._delta(z)
         if self._laplace is not None:
-            value, est = laplace_omega(self._laplace, self._delta(z), power)
+            value, est = laplace_omega(self._laplace, delta, power)
             bound = self.spec.rel_tol * abs(value)
             if est <= bound:
-                return value, est, 0
+                return value, est, self.spec.n_grid
             where = "on the Laplace-Bessel route"
         else:
+            summed = self._torus_sum(z, delta, power)
+            if summed is not None and (
+                    summed[1] <= self.spec.rel_tol * abs(summed[0])):
+                return summed
             prev = None
             for level in range(MAX_REFINEMENTS + 1):
                 sums = (self.value_at_level(z, level) if power == 1
@@ -395,7 +466,7 @@ class OmegaEvaluator:
                     est = abs(sums[1] - prev[1]) + abs(sums[2] - prev[2])
                     bound = self.spec.rel_tol * max(abs(value), 1e-300)
                     if est <= bound:
-                        return value, est, level
+                        return value, est, self.spec.n_grid * 2 ** level
                     left = MAX_REFINEMENTS - level
                     if not est <= bound * MAX_CONTRACTION ** left:
                         break
@@ -423,9 +494,7 @@ class OmegaEvaluator:
         for z_seen, value in recent:
             if z_seen == z:
                 return value
-        total, est, level = self._moment(z, 1, "quadrature")
-        value = OmegaValue(value=total, estimated_error=est,
-                           n_grid=self.spec.n_grid * 2 ** level)
+        value = OmegaValue(*self._moment(z, 1, "quadrature"))
         self._recent = ((z, value),) + recent[:1]
         return value
 

@@ -224,7 +224,9 @@ def test_threshold_scales_with_the_hopping(twin, p):
     # w -> c w scales mu(p) by c: the gradient tolerance of the Newton
     # polish follows the scan's max - min, so a model with a bandwidth in
     # the thousands certifies like the unit one (an absolute 1e-12 lies
-    # below the gradient's rounding floor from c = 1500 on)
+    # below the gradient's rounding floor from c = 1500 on).  On the route
+    # the head [0, t0] shrinks with the hopping, whose head bound once
+    # read 8.9e-10, 8.9e-6 and 8.3e-2 relative at c = 1e8, 1e10, 1e12
     p = np.array(p)
 
     def threshold(c):
@@ -234,7 +236,7 @@ def test_threshold_scales_with_the_hopping(twin, p):
         return fr.OmegaEvaluator(model, p, cp).threshold
 
     unit = threshold(1.0)
-    for c in (1e3, 3e3, 1e4, 1e6):
+    for c in (1e3, 3e3, 1e4, 1e6) + (() if twin else (1e8, 1e10, 1e12)):
         got = threshold(c)
         bar = max(got.estimated_error / got.value,
                   unit.estimated_error / unit.value)

@@ -197,14 +197,14 @@ HEAD_X = [0.0, *np.logspace(-20.0, 3.0, 47),
 def test_head_moment_against_mpmath(k):
     # int_0^eps t^(k-1) e^{-t delta} dt at x = delta eps from 0 to 1e3,
     # both sides of the switch at x = 1
-    eps = math.exp(HEAD_U)  # as _head_moment takes it
+    eps = math.exp(HEAD_U)  # the head's end for alpha <= 1
     for x in HEAD_X:
         delta = float(x) / eps
         with mpmath.workdps(30):
             e, d = mpmath.mpf(eps), mpmath.mpf(delta)
             want = (e ** k / k if delta == 0.0
                     else mpmath.gammainc(k, 0, d * e) / d ** k)
-            assert abs(_head_moment(k, delta) / want - 1) <= 4e-15, x
+            assert abs(_head_moment(k, delta, eps) / want - 1) <= 4e-15, x
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -216,7 +216,7 @@ def test_head_moment_at_huge_delta(k):
         with mpmath.workdps(30):
             d = mpmath.mpf(delta)
             want = float(mpmath.gammainc(k, 0, d * eps) / d ** k)
-        got = _head_moment(k, delta)
+        got = _head_moment(k, delta, eps)
         if want >= np.finfo(float).tiny:
             assert abs(got / want - 1) <= 4e-15, delta
         else:

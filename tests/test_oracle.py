@@ -283,7 +283,9 @@ def test_discrete_omega_equals_full_temporary_sum(name):
 @pytest.mark.parametrize("name", KINDS)
 def test_secular_root_peak_memory(name):
     # the routine with full temporaries peaked at 5.0 N^3 float arrays;
-    # the streamed one at 2.0 (phi = 1), 2.3 (vanishing) and 3.1 (off-axis)
+    # the streamed one at 2.0 (phi = 1), 2.3 (vanishing) and 3.1 (off-axis),
+    # and at 2.0, 2.3 and 2.3 once the model adds its terms and its p - q
+    # table in place
     model = model_kinds()[name]
     mu = 2.0 * _threshold_coupling(model, P1)
     fr.secular_root(model, P1, mu, 64)  # warm numpy's caches
@@ -295,7 +297,7 @@ def test_secular_root_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert root is not None
-    assert peak - start <= 3.5 * 8 * 64 ** 3
+    assert peak - start <= 2.5 * 8 * 64 ** 3
 
 
 @pytest.mark.parametrize("name", KINDS)

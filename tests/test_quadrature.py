@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from conftest import model_kinds, mp_laplace_omega, quadrature_twin
+from conftest import (mixed_model, model_kinds, mp_laplace_omega,
+                      quadrature_twin)
 from friedrichs.quadrature import (
     LADDER_RADII,
     MAX_CONTRACTION,
     MAX_LEVEL_BYTES,
     RHO_CAP,
+    SUM_GRIDS,
     _radial_closed_form,
     bump_profile,
 )
+from friedrichs.solver import FIT_POINTS, FIT_WINDOW
 
 P0 = np.zeros(3)
 
@@ -546,3 +549,122 @@ def test_second_moment_at_the_edge_where_phi_vanishes(cp_twin_one,
     assert gaps[2] <= 1e-9 * at_edge
     with pytest.raises(fr.BelowThresholdError, match="diverges"):
         ev_twin_one.second_moment(cp_twin_one.M)
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing", "mixed"])
+def test_torus_sum_within_its_bar_of_the_route(kind):
+    # past each crossover the twin's moments come from the plain torus sum
+    # (the oracle's lattice sum on the next grid) and no node level is
+    # built; the route's value is exact to about 1e-14
+    model = mixed_model() if kind == "mixed" else model_kinds()[kind]
+    twin = quadrature_twin(model)
+    rng = np.random.default_rng(24)
+    for p in rng.uniform(-2.8, 2.8, (3, 3)):
+        cp = fr.find_maximizer(twin, p)
+        ev = fr.OmegaEvaluator(twin, p, cp)
+        route = fr.OmegaEvaluator(model, p, fr.find_maximizer(model, p))
+        for N, crossover in zip(SUM_GRIDS, ev._crossovers):
+            # z - M rounds: 1.001 keeps delta past the crossover of N
+            for delta in crossover * np.array([1.001, 1.5, 4.0]):
+                for power in (1, 2):
+                    value, bar, n = ev._moment(cp.M + delta, power, "")
+                    want = route._moment(route.M + delta, power, "")[0]
+                    assert n in SUM_GRIDS[:-1]
+                    assert abs(value - want) <= bar
+                    assert bar <= ev.spec.rel_tol * value
+            z = cp.M + 1.001 * crossover
+            got = ev.evaluate(z)
+            nxt = SUM_GRIDS[SUM_GRIDS.index(N) + 1]
+            assert got.n_grid == N
+            assert got.value == fr.discrete_omega(twin, p, z, nxt)
+        assert ev._levels == [] and len(ev._grids) == 2
+
+
+def test_torus_sum_keeps_only_the_grids_in_use(twin_one, cp_twin_one):
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one)
+    for delta, kept in ((ev._crossovers[0], [16, 24]),
+                        (ev._crossovers[3], [48, 64]),
+                        (ev._crossovers[2], [32, 48])):
+        ev.evaluate(cp_twin_one.M + delta)
+        assert sorted(ev._grids) == kept
+    # below every crossover the refinement loop answers
+    got = ev.evaluate(cp_twin_one.M + 0.5 * ev._crossovers[-1])
+    assert got.n_grid == 2 * ev.spec.n_grid and len(ev._levels) == 2
+
+
+def test_torus_sum_bar_above_rel_tol_falls_back_to_the_loop(twin_one,
+                                                           cp_twin_one):
+    # the sum's bar includes 64 eps of its value: rel_tol 1e-15 refuses it,
+    # and the split quadrature, which cannot reach 1e-15 either, answers
+    spec = fr.QuadratureSpec(n_grid=16, n_radial=8, n_angular=8,
+                             rel_tol=1e-15)
+    ev = fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
+    with pytest.raises(fr.QuadratureNotConvergedError, match="at level 1"):
+        ev.evaluate(cp_twin_one.M + 2.0 * ev._crossovers[0])
+    assert len(ev._levels) == 2
+
+
+# the off-axis fibres whose second moment at 2 mu(p) (E - M = 1.27 and
+# 1.30) built the 383 MiB level 2 on the split quadrature
+LEVEL_2_FIBRES = [(1.858, 1.287, -2.259), (-1.672, -2.048, 1.476)]
+
+
+@pytest.mark.parametrize("p", LEVEL_2_FIBRES)
+def test_far_second_moment_builds_no_level_2(p):
+    model = model_kinds()["off_axis"]
+    p = np.array(p)
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    report = fr.analyze(model, p, cp, 2.0 / ev.threshold.value,
+                        evaluator=ev, with_expansion=True)
+    assert report.E > cp.M and report.tau0_fit is not None
+    assert len(ev._levels) == 2
+
+
+# (mu(p), E, normalisation, tau0_fit, growth exponent) at p = (0.7, -0.3,
+# 1.1): the route's bits, which no torus-sum change may move
+ROUTE_OUTPUTS = {
+    "one": ("0x1.e3e6d5c99dfd7p-7", "0x1.c23f8197512cbp+3",
+            "0x1.da99596a44a5cp+3", "0x1.1fafb0a0de422p+0",
+            "0x1.fefc60ab06c67p-1"),
+    "vanishing": ("0x1.3c708f44a1536p-9", "0x1.16cde22fe85ebp+4",
+                  "0x1.928c06ae12c68p+5", "0x1.b9e636dac771fp-5",
+                  "0x1.1422a6086c1e4p-1"),
+}
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing"])
+def test_route_fibre_keeps_no_torus_grid(kind, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a two_particle fibre evaluated a torus grid")
+
+    monkeypatch.setattr("friedrichs.quadrature._lattice", no_grid)
+    model = model_kinds()[kind]
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    mu_p = fr.coupling_threshold(model, p, cp, evaluator=ev)
+    report = fr.analyze(model, p, cp, 2.0 * mu_p, evaluator=ev,
+                        with_expansion=True)
+    cls = fr.classify_threshold(model, p, cp, mu_p, evaluator=ev)
+    got = (mu_p, report.E, report.eigenfunction_norm, report.tau0_fit,
+           cls.l2_growth_rate)
+    assert tuple(float(v).hex() for v in got) == ROUTE_OUTPUTS[kind]
+    assert ev._grids == {} and ev._levels == []
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing", "off_axis"])
+def test_edge_and_fit_window_stay_on_the_refinement_loop(kind):
+    model = _quadrature_kinds()[kind]
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    deltas = np.logspace(np.log10(FIT_WINDOW[0]), np.log10(FIT_WINDOW[1]),
+                         FIT_POINTS)
+    assert deltas[-1] < min(ev._crossovers)
+    for z in [cp.M] + list(cp.M + deltas):
+        got = ev.evaluate(z)
+        level = (got.n_grid // ev.spec.n_grid).bit_length() - 1
+        assert got.n_grid == ev.spec.n_grid * 2 ** level
+        assert got.value == ev.value_at_level(z, level)[0]
+    assert ev._grids == {}

@@ -127,15 +127,23 @@ def test_eigenvalue_strong_coupling_asymptote(model_one, cp_one, ev_one):
                                evaluator=ev_one)) <= 1e-10
 
 
-def test_bracket_safeguard_doubling(twin_one):
-    # at mu = 1e11 mu(p) the quadrature error exceeds the margin
+def test_bracket_safeguard_doubling(twin_one, monkeypatch):
+    # at mu = 1e11 mu(p) the split quadrature's error exceeds the margin
     # 1 - mu Omega(z_hi) of the bound z_hi = M + mu ||phi||^2, so the
-    # first bracket end fails and the one doubling brackets the root
+    # first bracket end fails and the one doubling brackets the root.  By
+    # default the torus sum answers at z_hi, within rounding of the true
+    # Omega < ||phi||^2 / (z_hi - M), and the bound holds; it is switched
+    # off to reach the doubling
     p = np.array([0.7, -0.3, 1.1])
     cp = fr.find_maximizer(twin_one, p)
     ev = fr.OmegaEvaluator(twin_one, p, cp)
     mu = 1e11 * fr.coupling_threshold(twin_one, p, cp, evaluator=ev)
     gap = mu * twin_one.phi_l2_norm_sq()
+    assert fr.fredholm_det(twin_one, p, cp, mu, cp.M + gap,
+                           evaluator=ev) > 0.0
+    monkeypatch.setattr(fr.OmegaEvaluator, "_torus_sum",
+                        lambda self, z, delta, power: None)
+    ev = fr.OmegaEvaluator(twin_one, p, cp)
     assert fr.fredholm_det(twin_one, p, cp, mu, cp.M + gap,
                            evaluator=ev) <= 0.0
     e = fr.solve_eigenvalue(twin_one, p, cp, mu, evaluator=ev)
