@@ -15,10 +15,24 @@ derivatives are exact and real-analyticity holds by construction.
 Internally every model is lowered to Fourier tables; the family tag is
 kept so that ``two_particle`` fibres can take the Laplace-Bessel route.  One
 pass over a table's terms gives both its gradient and its Hessian.
+
+``DispersionModel.w`` evaluates both tables term by term, one cos or sin
+of the full phase per term and node; it is the evaluator of the
+critical-point certification, the lattice oracle, the torus sum and the
+eigenfunction, whose bits it keeps.  The split quadrature's level build
+reads w_p instead from ``fibre_table(p)``, the one table in q of
+T(q) + T(p - q), and evaluates it with phi by ``harmonic_values``: one
+np.cos and one np.sin of n x_i per axis and distinct n = |k_i|, each term
+by angle addition, summed per axis support.  On a tensor grid those
+harmonics are 1-D; at the near field's polar nodes axes 1 and 2 are full
+and axis 3 takes one value per radius and cos(theta), so a node of the
+off-axis benchmark model costs 4 full-size transcendental calls instead
+of 12.  The two evaluations differ by rounding only.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -144,6 +158,72 @@ class HarmonicTable:
             else:
                 total += 0.5 * (c * c + s * s)
         return (2.0 * np.pi) ** 3 * total
+
+
+def _rotated(a, b, k, axes, harmonics):
+    """a cos(k.x) + b sin(k.x), k.x summed over the given axes, by angle
+    addition from the per-axis harmonics: with u = |k_i| x_i on the first
+    axis i, sign sg of k_i, and v the rest of the phase,
+    a cos(sg u + v) + b sin(sg u + v)
+        = cos u (a cos v + b sin v) + sin u (sg b cos v - sg a sin v).
+    A term is formed in the broadcast shape of its own axes only."""
+    axis, rest = axes[0], axes[1:]
+    cos_u, sin_u = harmonics[axis][abs(k[axis])]
+    sg = 1.0 if k[axis] > 0 else -1.0
+    if rest:
+        out = cos_u * _rotated(a, b, k, rest, harmonics)
+        return _add_into(out, sin_u * _rotated(sg * b, -sg * a, k, rest,
+                                               harmonics))
+    if b == 0.0:
+        return a * cos_u
+    if a == 0.0:
+        return (sg * b) * sin_u
+    return _add_into(a * cos_u, (sg * b) * sin_u)
+
+
+def harmonic_values(tables, x1, x2, x3):
+    """The value of each table at the broadcast of x1, x2, x3, from one
+    np.cos and one np.sin of n x_i per axis i and distinct nonzero n =
+    |k_i| of all the tables (the 1-D axes of a tensor grid cost next to
+    nothing).  Each term is formed by angle addition (_rotated), the terms
+    are summed per axis support, and the support sums are added in a fixed
+    order (most axes first, then by axes), so a value does not depend on
+    the shape of the block it is evaluated in.  The values differ from
+    HarmonicTable.value by rounding only.  On a tensor-grid slab a support
+    sum spans its own axes, and adding it costs one broadcast add."""
+    harmonics = []
+    for i, x in enumerate((x1, x2, x3)):
+        harmonics.append({})
+        for n in {abs(int(k[i])) for t in tables for k in t.indices} - {0}:
+            nx = x if n == 1 else n * x
+            harmonics[i][n] = np.cos(nx), np.sin(nx)
+    return [_table_sum(table, harmonics) for table in tables]
+
+
+def _support(entry):
+    """Sort key of a table entry (k, c, s): its axis support, most axes
+    first."""
+    axes = tuple(int(i) for i in np.flatnonzero(entry[0]))
+    return -len(axes), axes
+
+
+def _table_sum(table, harmonics):
+    """One table's sum from the per-axis harmonics: the terms of each axis
+    support added in the support's own broadcast shape, and each support
+    sum added into the running total before the next support starts, so
+    at most two sums are alive besides the term being formed."""
+    entries = sorted(((k, c, s) for k, c, s in zip(
+        table.indices, table.cos, table.sin) if c != 0.0 or s != 0.0),
+        key=_support)
+    out = None
+    for (_, axes), group in itertools.groupby(entries, key=_support):
+        total = None
+        for k, c, s in group:
+            term = _rotated(c, s, k, axes, harmonics) if axes else c
+            total = term if total is None else _add_into(total, term)
+            del term  # no term outlives its addition
+        out = total if out is None else _add_into(out, total)
+    return 0.0 if out is None else out
 
 
 def _real(value, name):
@@ -292,6 +372,18 @@ class DispersionModel:
         x1, x2, x3 = _components(q)
         return _add_into(self._w_block.value(x1, x2, x3),
                          self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
+
+    def fibre_table(self, p):
+        """w_p as one table in q: T(q) + T(p - q) = sum_k a_k cos(k.q) +
+        b_k sin(k.q) with a_k = c_k (1 + cos k.p) + s_k sin k.p and
+        b_k = s_k (1 - cos k.p) + c_k sin k.p.  It equals w(p, .) up to
+        rounding; w stays the evaluator wherever its bits are kept."""
+        t = self._w_block
+        kp = t.indices @ check_momentum(p)
+        cos_kp, sin_kp = np.cos(kp), np.sin(kp)
+        return HarmonicTable(t.indices,
+                             t.cos * (1.0 + cos_kp) + t.sin * sin_kp,
+                             t.sin * (1.0 - cos_kp) + t.cos * sin_kp)
 
     def w_derivatives(self, p, q):
         """Exact q-gradient and exactly symmetric q-Hessian of w_p, shapes

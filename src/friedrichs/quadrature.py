@@ -54,14 +54,28 @@ identical node sets, which the second moment int phi^2 / (z - w_p)^2
 (-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
 take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
+Model evaluation: a level reads w_p from the evaluator's fibre table
+(model.fibre_table, built once, on the first level build) and phi from
+its table, both through models.harmonic_values, which forms every term
+by angle addition from one cos and one sin of n x_i per axis and
+distinct n = |k_i|.  On a far-field slab those harmonics are 1-D and
+each axis support costs one broadcast add; a near-field block is
+(radii, n_ang, 2 n_ang), axis 3 is kept at the n_ang distinct
+cos(theta) per radius (_polar_block), so only axes 1 and 2 take
+full-size cos and sin (4 calls per node for the off-axis benchmark
+model, which model.w evaluates with 12).  The values differ from model.w
+by rounding only; model.w stays the evaluator of find_maximizer, the
+torus sum and the oracle.
+
 Memory: a level keeps its node arrays and nothing else, at most
 MAX_LEVEL_BYTES, checked before any is allocated.  The build streams the
-far field through slabs of torus planes and the near field through blocks
-of radii, about BLOCK nodes each, writing the kept nodes straight into the
-level's arrays; the bump is evaluated only on its shell dist < rho (it is
-0 beyond).  A per-z reduction forms and sums its integrand one block at a
-time, along NumPy's pairwise-summation split (friedrichs.sums), so every
-node array and every sum is bitwise the one of a full-grid pass.
+far field through slabs of torus planes, about BLOCK nodes each, and the
+near field through blocks of radii of about BLOCK / 2 nodes, writing the
+kept nodes straight into the level's arrays; the bump is evaluated only on
+its shell dist < rho (it is 0 beyond).  A per-z reduction forms and sums
+its integrand one block at a time, along NumPy's pairwise-summation split
+(friedrichs.sums), so every node array and every sum is bitwise the one of
+a full-grid pass.
 The Gauss-Legendre and sphere rules are cached per node count and
 returned read-only.
 
@@ -82,7 +96,7 @@ callers of the root, is not evaluated again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,6 +107,7 @@ from .errors import (
     QuadratureNotConvergedError,
 )
 from .laplace import ROUNDING, laplace_omega, laplace_table
+from .models import harmonic_values
 from .oracle import _lattice
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
@@ -238,6 +253,15 @@ def _dist2_to(grid, q0):
     return d1 + d2 + d3
 
 
+def _polar_block(q0, r, nu, block):
+    """The coordinates of q0 + r nu for radii r (a column) and the sphere
+    rule's directions nu, in the block shape (radii, n_ang, 2 n_ang): axes
+    1 and 2 full, axis 3 (radii, n_ang, 1), one value per cos(theta)."""
+    x1, x2 = ((c + r * nu[:, i]).reshape(block)
+              for i, c in zip((0, 1), q0[:2]))
+    return x1, x2, (q0[2] + r * nu[::block[2], 2])[:, :, None]
+
+
 def _crossovers(table):
     """delta_c(N) of a trig_poly w table for each SUM_GRIDS grid N but the
     last: |w_p(q + i s e_j) - w_p(q)| <= sum_k 2 A_k (e^(s |k_j|) - 1),
@@ -294,6 +318,12 @@ class OmegaEvaluator:
                             else _crossovers(model._w_block))
         self._grids = {}  # N -> (w, phi^2) of the torus-sum grids in use
 
+    @cached_property
+    def _w_fibre(self):
+        """w_p as one table in q (model.fibre_table), read by the level
+        builds; a route fibre builds none and never reads it."""
+        return self.model.fibre_table(self.p)
+
     @property
     def threshold(self) -> OmegaValue:
         """Omega(p) = Omega(p; M(p)), evaluated once."""
@@ -326,6 +356,7 @@ class OmegaEvaluator:
         far_weight = np.empty(n_grid ** 3)
         far_w = np.empty(n_grid ** 3)
         kept = 0
+        tables = (self._w_fibre, self.model._phi)
         planes = max(1, BLOCK // n_grid ** 2)
         for i in range(0, n_grid, planes):
             slab = (grid[0][i:i + planes],) + grid[1:]
@@ -334,16 +365,18 @@ class OmegaEvaluator:
             shell = dist < rho
             chi = np.zeros(dist.shape)
             chi[shell] = bump_profile(dist[shell] / rho)
-            weight = h3 * (1.0 - chi) * np.asarray(self.model.phi(slab)) ** 2
+            w, phi = harmonic_values(tables, *slab)
+            weight = h3 * (1.0 - chi) * np.asarray(phi) ** 2
             keep = weight > 0.0
             n_keep = np.count_nonzero(keep)
             far_weight[kept:kept + n_keep] = weight[keep]
-            far_w[kept:kept + n_keep] = np.broadcast_to(
-                self.model.w(self.p, slab), dist.shape)[keep]
+            far_w[kept:kept + n_keep] = np.broadcast_to(w, dist.shape)[keep]
             kept += n_keep
         far_weight, far_w = far_weight[:kept], far_w[:kept]
 
-        # near field: polar nodes about q0, built in blocks of radii
+        # near field: polar nodes about q0, built in blocks of radii; a
+        # block is (radii, n_ang polar, 2 n_ang azimuthal nodes), and axis 3
+        # takes only the n_ang distinct cos(theta) of each radius
         xr, wr = _gauss_legendre(n_rad)
         r = 0.5 * rho * (xr + 1.0)
         wr = 0.5 * rho * wr
@@ -351,13 +384,18 @@ class OmegaEvaluator:
         radial = wr * bump_profile(r / rho) * r * r
         u = np.empty((n_rad, nu.shape[0]))
         P = np.empty(u.shape)
-        rows = max(1, BLOCK // nu.shape[0])
+        # half a BLOCK of nodes per block: harmonic_values keeps the two
+        # coordinates, four harmonics, two sums and a term of block size
+        rows = max(1, BLOCK // 2 // nu.shape[0])
         for i in range(0, n_rad, rows):
-            pts = (self.q0[None, None, :]
-                   + r[i:i + rows, None, None] * nu[None, :, :])
-            u[i:i + rows] = self.M - np.asarray(self.model.w(self.p, pts))
-            P[i:i + rows] = (radial[i:i + rows, None] * wa[None, :]
-                             * np.asarray(self.model.phi(pts)) ** 2)
+            ri = r[i:i + rows, None]
+            block = (len(ri), n_ang, 2 * n_ang)
+            w, phi = harmonic_values(tables, *_polar_block(self.q0, ri, nu,
+                                                           block))
+            weight = (radial[i:i + rows, None] * wa[None, :]).reshape(block)
+            np.subtract(self.M, w, out=u[i:i + rows].reshape(block))
+            np.multiply(weight, np.asarray(phi) ** 2,
+                        out=P[i:i + rows].reshape(block))
         if np.min(u) <= 0.0:
             raise QuadratureError(
                 "near-field ball of radius %.3f contains points at or above "

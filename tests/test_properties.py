@@ -1,13 +1,15 @@
-"""Property tests: certification of random tables, and symmetries,
-monotonicity in z and phi-scaling of Omega."""
+"""Property tests: certification of random tables, the fibre table against
+the model, and symmetries, monotonicity in z and phi-scaling of Omega."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from conftest import model_kinds, quadrature_twin
+from conftest import mixed_model, model_kinds, quadrature_twin
 from friedrichs.critical import GRAD_TOL
+from friedrichs.models import harmonic_values
+from friedrichs.quadrature import _polar_block, sphere_product_rule
 from friedrichs.torus import grid_axis, tensor_grid
 
 _settings = settings(derandomize=True, database=None, deadline=None)
@@ -22,6 +24,17 @@ _momentum = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
 _inner_momentum = st.lists(st.floats(-2.5, 2.5), min_size=3, max_size=3)
 _axis_coeffs = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
 _kind = st.sampled_from(["one", "vanishing", "off_axis"])
+# coefficients of random tables: sin-only terms and -0.0 among them
+_coeff = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]))
+_rows = st.lists(
+    st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+              _coeff, _coeff), min_size=1, max_size=5)
+_wide_momentum = st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi),
+                          min_size=3, max_size=3)
+# |harmonic_values - model.w or model.phi| <= C eps sum_k (|c_k| + |s_k|) of
+# the model's table; 3,000 random tables of this strategy's kind, with p
+# and q as here, reached C = 60 for w and 12 for phi
+FIBRE_TABLE_C = 128
 
 
 @_settings
@@ -40,6 +53,47 @@ def test_random_trig_poly_certifies_or_raises(hopping, harmonics, p):
     scan = np.max(model.w(p, tensor_grid(grid_axis(64))))
     assert cp.M >= scan - 1e-9 * max(1.0, cp.M - cp.m)
     assert cp.grad_norm <= GRAD_TOL
+
+
+def _table_model(w_rows, phi_rows):
+    def entries(rows):
+        return [{"index": k, "value": c, "sin": s} for k, c, s in rows]
+    try:
+        return fr.DispersionModel(fr.ModelConfig.from_dict({
+            "family": "trig_poly", "w_table": entries(w_rows),
+            "phi_table": entries(phi_rows)}))
+    except (fr.InvalidDispersionError, fr.TrivialFormFactorError):
+        return None  # a table whose terms all vanish
+
+
+@settings(_settings, max_examples=80)
+@given(w_rows=_rows, phi_rows=_rows, mixed=st.booleans(), p=_wide_momentum,
+       q=_momentum, radii=st.lists(st.floats(0.0, 1.0), min_size=2,
+                                   max_size=2))
+def test_fibre_table_matches_the_model(w_rows, phi_rows, mixed, p, q, radii):
+    # the level build's evaluation (w_p from model.fibre_table, phi from its
+    # table, both by harmonic_values) against model.w and model.phi, on a
+    # tensor-grid slab, a near-field block of rays and a single point
+    model = mixed_model() if mixed else _table_model(w_rows, phi_rows)
+    assume(model is not None)
+    p, q = np.array(p), np.array(q)
+    tables = (model.fibre_table(p), model._phi)
+    grid = tensor_grid(grid_axis(16))
+    nu, _ = sphere_product_rule(4)
+    blocks = ((grid[0][5:9],) + grid[1:],
+              _polar_block(q, np.array(radii)[:, None], nu, (2, 4, 8)),
+              tuple(q))
+    eps = np.finfo(float).eps
+    for x in blocks:
+        shape = np.broadcast(*x).shape
+        w, phi = harmonic_values(tables, *x)
+        point = x if shape else q
+        for got, want, table in ((w, model.w(p, point), model._w_block),
+                                 (phi, model.phi(point), model._phi)):
+            bound = FIBRE_TABLE_C * eps * np.sum(np.abs(table.cos)
+                                                 + np.abs(table.sin))
+            diff = np.broadcast_to(got, shape) - np.broadcast_to(want, shape)
+            assert np.all(np.abs(diff) <= bound)
 
 
 def _even_phi_model(hopping, constant, cos1, cos2):
