@@ -13,26 +13,24 @@ derivatives are exact and real-analyticity holds by construction.
   sin: optional sin coefficient}.
 
 Internally every model is lowered to Fourier tables; the family tag is
-kept so that ``two_particle`` fibres can take the Laplace-Bessel route.  One
-pass over a table's terms gives both its gradient and its Hessian.
+kept so that ``two_particle`` fibres can take the Laplace-Bessel route.
 
-``DispersionModel.w`` evaluates both tables term by term, one cos or sin
-of the full phase per term and node; it is the evaluator of the
-critical-point certification, the lattice oracle, the torus sum and the
-eigenfunction, whose bits it keeps.  The split quadrature's level build
-reads w_p instead from ``fibre_table(p)``, the one table in q of
-T(q) + T(p - q), and evaluates it with phi by ``harmonic_values``: one
-np.cos and one np.sin of n x_i per axis and distinct n = |k_i|, each term
-by angle addition, summed per axis support.  On a tensor grid those
-harmonics are 1-D; at the near field's polar nodes axes 1 and 2 are full
-and axis 3 takes one value per radius and cos(theta), so a node of the
-off-axis benchmark model costs 4 full-size transcendental calls instead
-of 12.  The two evaluations differ by rounding only.
+One code forms a Fourier term: ``harmonic_values`` takes one np.cos and
+one np.sin of n x_i per axis i and distinct n = |k_i|, forms each term by
+angle addition (``_rotated``) and sums the terms per axis support, in the
+order of the table's evaluation plan (built once, with the table).  On a
+tensor grid those harmonics are 1-D, and a support sum spans its own axes
+only.  ``DispersionModel.w`` is T(q) + T(p - q) from it, ``phi`` its phi
+table, and ``HarmonicTable.derivatives`` takes each term's cos and sin
+from the same harmonics.  The split quadrature's level build reads w_p
+from ``fibre_table(p)``, the one table in q of T(q) + T(p - q), with phi
+in one ``harmonic_values`` call; at the near field's polar nodes axis 3
+takes one value per radius and cos(theta), so a node of the off-axis
+benchmark model costs 4 full-size transcendental calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -46,6 +44,8 @@ from .errors import (
     TrivialFormFactorError,
 )
 from .torus import check_momentum
+
+MAX_INDEX = 2 ** 31  # |k_i| below it, so k_i k_j stays an int64
 
 
 def _components(q):
@@ -65,14 +65,6 @@ def _components(q):
     return arr[..., 0], arr[..., 1], arr[..., 2]
 
 
-def _phase(k, x1, x2, x3):
-    """k.x summed over the nonzero components of k only: an axis harmonic
-    on a tensor grid costs one axis, and the exact zeros left out change
-    no rounding.  0.0 for k = 0."""
-    terms = [ki * xi for ki, xi in zip(k, (x1, x2, x3)) if ki != 0]
-    return sum(terms[1:], terms[0]) if terms else 0.0
-
-
 def _add_into(acc, term):
     """acc + term, written into acc when acc is an array that already has
     the broadcast shape (the same bits, one array fewer)."""
@@ -86,10 +78,17 @@ class HarmonicTable:
     """Real trigonometric polynomial sum_k [c_k cos(k.x) + s_k sin(k.x)].
 
     Indices are canonicalised so that -k entries are folded onto k (with the
-    sine coefficient negated) and duplicates merged.
+    sine coefficient negated) and duplicates merged.  The evaluation plan
+    is built once: ``supports`` holds the nonzero entries (k, c_k, s_k),
+    in index order, grouped by axis support, and ``orders`` the distinct
+    nonzero |k_i| of each axis.  The supports are ordered as the binary
+    numbers (k_1 != 0, k_2 != 0, k_3 != 0): the constant, axis 3, axis 2,
+    axes 2 and 3, axis 1, ...  For a table of axis harmonics that is index
+    order, and on a tensor grid a running sum reaches the full grid only
+    at the first support that reads axis 1.
     """
 
-    __slots__ = ("indices", "cos", "sin")
+    __slots__ = ("indices", "cos", "sin", "supports", "orders")
 
     def __init__(self, indices, cos, sin=None):
         idx = np.atleast_2d(np.asarray(indices, dtype=int))
@@ -112,52 +111,57 @@ class HarmonicTable:
         self.indices = np.array(keys, dtype=int).reshape(-1, 3)
         self.cos = np.array([merged[k][0] for k in keys], dtype=float)
         self.sin = np.array([merged[k][1] for k in keys], dtype=float)
+        groups = {}
+        for k, ck, sk in zip(keys, self.cos, self.sin):
+            if ck != 0.0 or sk != 0.0:
+                axes = tuple(i for i in range(3) if k[i] != 0)
+                groups.setdefault(axes, []).append((k, ck, sk))
+        self.supports = sorted(groups.items(), key=lambda g: [
+            i in g[0] for i in range(3)])
+        self.orders = tuple(
+            frozenset(abs(k[i]) for _, terms in self.supports
+                      for k, _, _ in terms) - {0} for i in range(3))
 
     def is_zero(self):
-        return bool(np.all(self.cos == 0.0) and np.all(self.sin == 0.0))
-
-    def value(self, x1, x2, x3):
-        """The sum at the broadcast of x1, x2, x3, added term by term in
-        index order; a term is added into the running sum once that sum
-        spans the broadcast shape."""
-        out = 0.0
-        for k, c, s in zip(self.indices, self.cos, self.sin):
-            phase = _phase(k, x1, x2, x3)
-            term = 0.0
-            if c != 0.0:
-                term = c * np.cos(phase)
-            if s != 0.0:
-                term = _add_into(term, s * np.sin(phase))
-            out = _add_into(out, term)
-        return out
+        return not self.supports
 
     def derivatives(self, x1, x2, x3):
-        """(gradient, exactly symmetric Hessian) in one pass over the terms."""
+        """(gradient, Hessian) in one pass over the terms, each term's cos
+        and sin by angle addition from the per-axis harmonics; a term adds
+        k_i k_j times its curvature to both (i, j) and (j, i), so the
+        Hessian is exactly symmetric."""
         shape = np.broadcast(x1, x2, x3).shape
         grad, hess = np.zeros(shape + (3,)), np.zeros(shape + (3, 3))
-        for k, c, s in zip(self.indices, self.cos, self.sin):
-            if k[0] == 0 and k[1] == 0 and k[2] == 0:
-                continue
-            phase = _phase(k, x1, x2, x3)
-            sin, cos = np.sin(phase), np.cos(phase)
-            radial, curv = -c * sin + s * cos, -c * cos - s * sin
-            for i in range(3):
-                if k[i] != 0:
+        harmonics = _harmonics((self,), (x1, x2, x3))
+        for axes, terms in self.supports:
+            if not axes:
+                continue  # the constant term
+            for k, c, s in terms:
+                radial = _rotated(s, -c, k, axes, harmonics)
+                curv = _rotated(-c, -s, k, axes, harmonics)
+                for i in axes:
                     grad[..., i] += k[i] * radial
-                for j in range(3):
-                    if k[i] * k[j] != 0:
+                    for j in axes:
                         hess[..., i, j] += k[i] * k[j] * curv
         return grad, hess
 
     def l2_norm_sq(self):
         """Exact integral of the square over the torus (Parseval)."""
-        total = 0.0
-        for k, c, s in zip(self.indices, self.cos, self.sin):
-            if k[0] == 0 and k[1] == 0 and k[2] == 0:
-                total += c * c
-            else:
-                total += 0.5 * (c * c + s * s)
+        total = sum(0.5 * (c * c + s * s) if axes else c * c
+                    for axes, terms in self.supports for _, c, s in terms)
         return (2.0 * np.pi) ** 3 * total
+
+
+def _harmonics(tables, xs):
+    """Per axis i, {n: (cos n x_i, sin n x_i)} for the distinct nonzero
+    n = |k_i| of the tables."""
+    harmonics = []
+    for i, x in enumerate(xs):
+        harmonics.append({})
+        for n in frozenset().union(*(t.orders[i] for t in tables)):
+            nx = x if n == 1 else n * x
+            harmonics[i][n] = np.cos(nx), np.sin(nx)
+    return harmonics
 
 
 def _rotated(a, b, k, axes, harmonics):
@@ -185,49 +189,29 @@ def harmonic_values(tables, x1, x2, x3):
     """The value of each table at the broadcast of x1, x2, x3, from one
     np.cos and one np.sin of n x_i per axis i and distinct nonzero n =
     |k_i| of all the tables (the 1-D axes of a tensor grid cost next to
-    nothing).  Each term is formed by angle addition (_rotated), the terms
-    are summed per axis support, and the support sums are added in a fixed
-    order (most axes first, then by axes), so a value does not depend on
-    the shape of the block it is evaluated in.  The values differ from
-    HarmonicTable.value by rounding only.  On a tensor-grid slab a support
-    sum spans its own axes, and adding it costs one broadcast add."""
-    harmonics = []
-    for i, x in enumerate((x1, x2, x3)):
-        harmonics.append({})
-        for n in {abs(int(k[i])) for t in tables for k in t.indices} - {0}:
-            nx = x if n == 1 else n * x
-            harmonics[i][n] = np.cos(nx), np.sin(nx)
-    return [_table_sum(table, harmonics) for table in tables]
-
-
-def _support(entry):
-    """Sort key of a table entry (k, c, s): its axis support, most axes
-    first."""
-    axes = tuple(int(i) for i in np.flatnonzero(entry[0]))
-    return -len(axes), axes
-
-
-def _table_sum(table, harmonics):
-    """One table's sum from the per-axis harmonics: the terms of each axis
-    support added in the support's own broadcast shape, and each support
-    sum added into the running total before the next support starts, so
-    at most two sums are alive besides the term being formed."""
-    entries = sorted(((k, c, s) for k, c, s in zip(
-        table.indices, table.cos, table.sin) if c != 0.0 or s != 0.0),
-        key=_support)
-    out = None
-    for (_, axes), group in itertools.groupby(entries, key=_support):
-        total = None
-        for k, c, s in group:
-            term = _rotated(c, s, k, axes, harmonics) if axes else c
-            total = term if total is None else _add_into(total, term)
-            del term  # no term outlives its addition
-        out = total if out is None else _add_into(out, total)
-    return 0.0 if out is None else out
+    nothing).  The terms of each axis support are summed in the support's
+    own broadcast shape, and the support sums are added in plan order, so
+    a value does not depend on the shape of the block it is evaluated in.
+    A table of axis harmonics, at most one per axis, is summed in index
+    order, with the bits of the plain term-by-term sum; at most two sums
+    are alive besides the term being formed."""
+    harmonics = _harmonics(tables, (x1, x2, x3))
+    values = []
+    for table in tables:
+        out = None
+        for axes, terms in table.supports:
+            total = None
+            for k, c, s in terms:
+                term = _rotated(c, s, k, axes, harmonics) if axes else c
+                total = term if total is None else _add_into(total, term)
+                del term  # no term outlives its addition
+            out = total if out is None else _add_into(out, total)
+        values.append(0.0 if out is None else out)
+    return values
 
 
 def _real(value, name):
-    if isinstance(value, numbers.Real):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigError("%s must be a number, got %r" % (name, value))
 
@@ -238,6 +222,23 @@ def _reals(values, name):
     raise ConfigError("%s must be 3 numbers, got %r" % (name, values))
 
 
+def _index(values, name):
+    """A Fourier index: 3 integers of magnitude below MAX_INDEX; 0.9 is
+    refused rather than truncated to 0."""
+    k = _reals(values, name)
+    if all(v.is_integer() and abs(v) < MAX_INDEX for v in k):
+        return [int(v) for v in k]
+    raise ConfigError("%s must be 3 integers of magnitude below 2^31, got %r"
+                      % (name, values))
+
+
+def _check_keys(d, allowed, name):
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise ConfigError("%s: unknown key %r (expected %s)" % (
+            name, unknown[0], ", ".join(allowed)))
+
+
 def _table_from_entries(entries, name):
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ConfigError("%s must be a non-empty list: %r" % (name, entries))
@@ -245,10 +246,20 @@ def _table_from_entries(entries, name):
     for e in entries:
         if not isinstance(e, dict) or "index" not in e:
             raise ConfigError("%s entry without an \"index\": %r" % (name, e))
-        idx.append(_reals(e["index"], name + " index"))
+        _check_keys(e, ("index", "value", "cos", "sin"), "%s entry %r" % (
+            name, e))
+        if "value" in e and "cos" in e:
+            raise ConfigError("%s entry %r gives both \"value\" and \"cos\""
+                              % (name, e))
+        idx.append(_index(e["index"], name + " index"))
         cos.append(_real(e.get("value", e.get("cos", 0.0)), name + " value"))
         sin.append(_real(e.get("sin", 0.0), name + " sin"))
     return HarmonicTable(idx, cos, sin)
+
+
+FAMILY_KEYS = {"two_particle": ("family", "hopping", "phi"),
+               "trig_poly": ("family", "w_table", "phi_table")}
+PHI_KEYS = ("constant", "cos1", "sin1", "cos2", "sin2")
 
 
 @dataclass
@@ -258,7 +269,8 @@ class ModelConfig:
     For ``two_particle``: ``hopping`` are the weights c_i > 0 and ``phi``
     holds {"constant": a0, "cos1": [a_i], "sin1": [b_i], "cos2": ...,
     "sin2": ...} (harmonic blocks may be omitted).  For ``trig_poly``:
-    ``w_table`` / ``phi_table`` are lists of Fourier entries.
+    ``w_table`` / ``phi_table`` are lists of Fourier entries.  A key that
+    is not one of these is a ConfigError, not ignored.
     """
 
     family: str
@@ -284,6 +296,8 @@ class ModelConfig:
         if not isinstance(d, dict):
             raise ConfigError("model config must be an object: %r" % (d,))
         family = d.get("family")
+        if family in FAMILY_KEYS:
+            _check_keys(d, FAMILY_KEYS[family], "%s config" % family)
         if family == "two_particle":
             return cls(family=family,
                        hopping=d.get("hopping", (1.0, 1.0, 1.0)),
@@ -294,11 +308,6 @@ class ModelConfig:
             return cls(family=family, w_table=d["w_table"],
                        phi_table=d["phi_table"])
         raise ConfigError("unknown model family: %r" % (family,))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path):
@@ -314,6 +323,7 @@ def _phi_table_from_coeffs(phi):
     """Lower the two_particle phi coefficient blocks to a Fourier table."""
     if not isinstance(phi, dict):
         raise ConfigError("phi must be an object, got %r" % (phi,))
+    _check_keys(phi, PHI_KEYS, "phi")
     idx = [(0, 0, 0)]
     cos = [_real(phi.get("constant", 0.0), "phi.constant")]
     sin = [0.0]
@@ -370,14 +380,17 @@ class DispersionModel:
         p, here and in w_derivatives, passes torus.check_momentum."""
         p1, p2, p3 = _components(check_momentum(p))
         x1, x2, x3 = _components(q)
-        return _add_into(self._w_block.value(x1, x2, x3),
-                         self._w_block.value(p1 - x1, p2 - x2, p3 - x3))
+        (t_q,) = harmonic_values((self._w_block,), x1, x2, x3)
+        (t_pq,) = harmonic_values((self._w_block,), p1 - x1, p2 - x2, p3 - x3)
+        return _add_into(t_q, t_pq)
 
     def fibre_table(self, p):
         """w_p as one table in q: T(q) + T(p - q) = sum_k a_k cos(k.q) +
         b_k sin(k.q) with a_k = c_k (1 + cos k.p) + s_k sin k.p and
-        b_k = s_k (1 - cos k.p) + c_k sin k.p.  It equals w(p, .) up to
-        rounding; w stays the evaluator wherever its bits are kept."""
+        b_k = s_k (1 - cos k.p) + c_k sin k.p, read by the level build.
+        It equals w(p, .) up to rounding; w keeps the sum T(q) + T(p - q),
+        which for a table of axis harmonics has the bits of the plain
+        term-by-term sum."""
         t = self._w_block
         kp = t.indices @ check_momentum(p)
         cos_kp, sin_kp = np.cos(kp), np.sin(kp)
@@ -398,28 +411,12 @@ class DispersionModel:
 
     def phi(self, q):
         """phi(q); broadcasts like w, so a constant phi is 0-d."""
-        x1, x2, x3 = _components(q)
-        return self._phi.value(x1, x2, x3)
+        (phi,) = harmonic_values((self._phi,), *_components(q))
+        return phi
 
     def phi_l2_norm_sq(self):
         """Exact L2(T^3) norm squared of phi."""
         return self._phi.l2_norm_sq()
-
-    def scaled_phi(self, factor):
-        """A copy of the model with phi replaced by factor * phi."""
-        cfg = ModelConfig.from_dict(self.config.to_dict())
-        if cfg.family == "two_particle":
-            cfg.phi = {
-                k: ([factor * x for x in v] if isinstance(v, (list, tuple))
-                    else factor * v)
-                for k, v in cfg.phi.items()}
-        else:
-            cfg.phi_table = [
-                {"index": e["index"],
-                 "value": factor * e.get("value", e.get("cos", 0.0)),
-                 "sin": factor * e.get("sin", 0.0)}
-                for e in cfg.phi_table]
-        return DispersionModel(cfg)
 
 
 def two_particle_model(hopping=(1.0, 1.0, 1.0), phi=None) -> DispersionModel:

@@ -15,11 +15,11 @@ sum phi^2/(z - w) is formed block by block in one scratch buffer along
 NumPy's pairwise-summation split, so it is bitwise the sum of the full N^3
 temporary while no N^3 temporary is made per evaluation.  One helper,
 _lattice, evaluates w and phi on the grid for every routine.  phi (and
-phi^2) stays a scalar when phi is constant, and the model adds its terms
-and its p - q table in place, so secular_root peaks at 2.0 float64 N^3
-arrays for phi = 1 and 2.3 for the vanishing phi and for an off-axis
-trig_poly (tracemalloc at N = 64: w, phi^2 and the temporaries of
-evaluating w); _lattice alone peaks at 2.0 at N = 128 for all three.
+phi^2) stays a scalar when phi is constant, and model.w adds its axis
+support sums and its p - q table in place, so secular_root peaks at 2.0
+float64 N^3 arrays for phi = 1 and 2.3 for the vanishing phi and for an
+off-axis trig_poly (tracemalloc at N = 64: w, phi^2 and the temporaries
+of evaluating w); _lattice alone peaks at 2.0 at N = 128 for all three.
 """
 
 from __future__ import annotations

@@ -56,16 +56,14 @@ take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
 Model evaluation: a level reads w_p from the evaluator's fibre table
 (model.fibre_table, built once, on the first level build) and phi from
-its table, both through models.harmonic_values, which forms every term
-by angle addition from one cos and one sin of n x_i per axis and
-distinct n = |k_i|.  On a far-field slab those harmonics are 1-D and
-each axis support costs one broadcast add; a near-field block is
+its table, both in one models.harmonic_values call, the evaluator of
+every Fourier table.  On a far-field slab the per-axis harmonics are 1-D
+and each axis support costs one broadcast add; a near-field block is
 (radii, n_ang, 2 n_ang), axis 3 is kept at the n_ang distinct
 cos(theta) per radius (_polar_block), so only axes 1 and 2 take
 full-size cos and sin (4 calls per node for the off-axis benchmark
-model, which model.w evaluates with 12).  The values differ from model.w
-by rounding only; model.w stays the evaluator of find_maximizer, the
-torus sum and the oracle.
+model).  The fibre table differs from model.w's T(q) + T(p - q) by
+rounding only; find_maximizer, the torus sum and the oracle read model.w.
 
 Memory: a level keeps its node arrays and nothing else, at most
 MAX_LEVEL_BYTES, checked before any is allocated.  The build streams the

@@ -111,6 +111,20 @@ def quadrature_twin(model):
         "phi_table": _entries(model._phi)}))
 
 
+def scaled_phi(model, factor):
+    """A copy of the model with phi replaced by factor * phi."""
+    d = model.config.to_dict()
+    if d["family"] == "two_particle":
+        d["phi"] = {k: ([factor * x for x in v] if isinstance(v, list)
+                        else factor * v) for k, v in d["phi"].items()}
+    else:
+        d["phi_table"] = [
+            {"index": e["index"],
+             "value": factor * e.get("value", e.get("cos", 0.0)),
+             "sin": factor * e.get("sin", 0.0)} for e in d["phi_table"]]
+    return fr.DispersionModel(fr.ModelConfig.from_dict(d))
+
+
 def mixed_model():
     """A two_particle model with sin1 and cos2 harmonics and anisotropic
     hopping (1, 1, 3)."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
+from conftest import scaled_phi
 
 P0 = np.zeros(3)
 
@@ -206,7 +207,7 @@ def test_criterion_9_scaling_covariance(model_one, cp_one, ev_one, mu_one):
     ok = True
     worst = 0.0
     for c in (2.0, 10.0):
-        scaled = model_one.scaled_phi(c)
+        scaled = scaled_phi(model_one, c)
         cp_s = fr.find_maximizer(scaled, P0)
         ev_s = fr.OmegaEvaluator(scaled, P0, cp_s)
         mu_s = mu / c ** 2

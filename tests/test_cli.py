@@ -61,7 +61,7 @@ def test_zone_edge_threshold_from_the_route(capsys):
 
 def test_zone_edge_refused_on_the_twin(capsys, tmp_path, twin_one):
     path = tmp_path / "twin.json"
-    twin_one.config.save(path)
+    path.write_text(json.dumps(twin_one.config.to_dict()))
     code, _, err = _run(capsys, ["threshold", "--config", str(path),
                                  "--p", EDGE_P])
     assert code == 1
@@ -72,7 +72,7 @@ def test_oversized_grid_refused_on_the_twin(capsys, tmp_path, twin_one):
     # a level whose node arrays exceed quadrature.MAX_LEVEL_BYTES exits 1
     # before any array is allocated, not in a MemoryError traceback
     path = tmp_path / "twin.json"
-    twin_one.config.save(path)
+    path.write_text(json.dumps(twin_one.config.to_dict()))
     code, out, err = _run(capsys, ["threshold", "--config", str(path),
                                    "--grid", "1000000", "--p", "0.7,-0.3,1.1"])
     assert (code, out) == (1, "")
@@ -115,12 +115,34 @@ def test_bad_usage_exit_1(capsys):
     assert code == 1
 
 
+def _twin(**keys):
+    """The config of the phi = 1 model as trig_poly tables, with keys
+    replaced or added."""
+    return dict(quadrature_twin(fr.two_particle_model()).config.to_dict(),
+                **keys)
+
+
 @pytest.mark.parametrize("config, field", [
     ({"family": "two_particle", "hopping": "abc"}, "hopping"),
     ([1, 2], "model config"),
     ({"family": "two_particle", "phi": {"cos1": [1]}}, "phi.cos1"),
     ({"family": "trig_poly", "w_table": [{"value": 3.0}],
       "phi_table": [{"index": [0, 0, 0], "value": 1.0}]}, "index"),
+    # an index that is not an integer was truncated (0.9 -> 0, so phi = 1
+    # and the run exited 0), overflowed (1e30, a traceback) or read true as
+    # 1, and a key outside the schema was ignored
+    (_twin(phi_table=[{"index": [0, 0, 0], "value": 0.5},
+                      {"index": [0.9, 0, 0], "value": 0.5}]), "[0.9, 0, 0]"),
+    (_twin(phi_table=[{"index": [1e30, 0, 0], "value": 1.0}]), "1e+30"),
+    (_twin(phi_table=[{"index": [True, 0, 0], "value": 1.0}]), "True"),
+    (_twin(phi_table=[{"index": [0, 0, 0], "value": 1.0},
+                      {"index": [1, 0, 0], "valu": 0.5}]), "'valu'"),
+    (_twin(phi_table=[{"index": [0, 0, 0], "value": 1.0, "cos": 1.0}]),
+     "both"),
+    (_twin(hopping=[1.0, 1.0, 1.0]), "'hopping'"),
+    ({"family": "two_particle", "phi": {"constant": 1.0, "cos3": [1, 1, 1]}},
+     "'cos3'"),
+    ({"family": "two_particle", "hoping": [2.0, 1.0, 1.0]}, "'hoping'"),
 ])
 def test_malformed_config_exit_1(capsys, tmp_path, config, field):
     path = tmp_path / "model.json"
@@ -176,8 +198,8 @@ def test_classify_negative_mu_exit_1(capsys):
 
 def test_classify_vanishing_phi(capsys, tmp_path):
     cfg = tmp_path / "vanishing.json"
-    fr.two_particle_model(
-        phi={"constant": 3.0, "cos1": [1.0, 1.0, 1.0]}).config.save(cfg)
+    cfg.write_text(json.dumps(fr.two_particle_model(
+        phi={"constant": 3.0, "cos1": [1.0, 1.0, 1.0]}).config.to_dict()))
     code, out, _ = _run(capsys, ["classify", "--p", "0,0,0", "--mu", "x1",
                                  "--config", str(cfg)])
     assert code == 0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from conftest import mixed_model, model_kinds, quadrature_twin
+from conftest import mixed_model, model_kinds, quadrature_twin, scaled_phi
 from friedrichs.critical import GRAD_TOL
 from friedrichs.models import harmonic_values
 from friedrichs.quadrature import _polar_block, sphere_product_rule
@@ -155,7 +155,7 @@ def test_omega_is_strictly_decreasing_in_z(kind, p):
 @given(kind=_kind, p=_inner_momentum, a=st.floats(0.05, 20.0))
 def test_scaled_phi_scales_omega_by_its_square(kind, p, a):
     model, p, cp, ev = _fibre(kind, p)
-    scaled = fr.OmegaEvaluator(model.scaled_phi(a), p, cp)
+    scaled = fr.OmegaEvaluator(scaled_phi(model, a), p, cp)
     want = a * a * ev.value_at_level(cp.M, 0)[0]
     got = scaled.value_at_level(cp.M, 0)[0]
     assert abs(got - want) <= 1e-13 * abs(want)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import friedrichs as fr
 from conftest import (mixed_model, model_kinds, mp_laplace_omega,
-                      quadrature_twin)
+                      quadrature_twin, scaled_phi)
 from friedrichs.quadrature import (
     LADDER_RADII,
     MAX_CONTRACTION,
@@ -79,7 +79,7 @@ def test_omega_monotone_decreasing_in_z(ev_twin_one, cp_twin_one):
 
 
 def test_scaling_in_phi(twin_one, cp_twin_one):
-    doubled = twin_one.scaled_phi(2.0)
+    doubled = scaled_phi(twin_one, 2.0)
     cp2 = fr.find_maximizer(doubled, P0)
     v1 = fr.OmegaEvaluator(twin_one, P0, cp_twin_one).threshold
     v2 = fr.OmegaEvaluator(doubled, P0, cp2).threshold

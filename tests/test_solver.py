@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from conftest import bessel_omega
+from conftest import bessel_omega, scaled_phi
 from friedrichs.cli import _json
 
 P0 = np.zeros(3)
@@ -24,7 +24,7 @@ def test_threshold_against_lattice_extrapolation(model_one, cp_one, ev_one,
 
 
 def test_threshold_scaling_quarter(model_one, cp_one, mu_one):
-    doubled = model_one.scaled_phi(2.0)
+    doubled = scaled_phi(model_one, 2.0)
     cp = fr.find_maximizer(doubled, P0)
     mu_scaled = fr.coupling_threshold(doubled, P0, cp)
     assert mu_scaled == pytest.approx(mu_one / 4.0, rel=1e-12)
@@ -213,7 +213,7 @@ def test_scaling_covariance_of_states(model_one, cp_one, ev_one, mu_one):
     # (phi, mu) -> (2 phi, mu/4) leaves E and |psi| unchanged
     mu = 2.0 * mu_one
     e1 = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
-    scaled = model_one.scaled_phi(2.0)
+    scaled = scaled_phi(model_one, 2.0)
     cp2 = fr.find_maximizer(scaled, P0)
     ev2 = fr.OmegaEvaluator(scaled, P0, cp2)
     e2 = fr.solve_eigenvalue(scaled, P0, cp2, mu / 4.0, evaluator=ev2)
@@ -282,7 +282,7 @@ def test_expansion_sqrt_term_collapses_when_phi_vanishes(model_vanishing,
 
 
 def test_expansion_tau0_scales_with_phi(model_one, cp_one):
-    doubled = model_one.scaled_phi(2.0)
+    doubled = scaled_phi(model_one, 2.0)
     cp2 = fr.find_maximizer(doubled, P0)
     t1 = fr.tau0_closed_form(model_one, cp_one)
     t2 = fr.tau0_closed_form(doubled, cp2)
