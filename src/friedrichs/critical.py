@@ -1,12 +1,13 @@
 """Band-edge critical points of the dispersion w_p on the torus.
 
-Locates the global maximizer q0(p) (coarse grid scan + torus-wrapped
-Newton polish), certifies non-degeneracy of the Hessian and uniqueness of
-the maximum, and computes the band edges M(p) = max w_p and m(p) = min w_p.
-One GRID_N^3 scan seeds both the maximum and the minimum search, and each
-Newton step reads the gradient and Hessian from one pass over the model.
+find_maximizer locates the global maximizer q0(p), certifies that the
+maximum is unique and non-degenerate, and computes the band edges
+M(p) = max w_p and m(p) = min w_p.  A two_particle fibre takes q0, the
+minimizer and the curvatures from closed forms, with no scan.  Any other
+takes a GRID_N^3 scan, which seeds both the maximum and the minimum
+search, and torus-wrapped Newton polish, each step reading the gradient
+and Hessian from one pass over the model.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,12 +19,19 @@ from .errors import (
     NewtonConvergenceError,
     NonUniqueMaximumError,
 )
-from .torus import grid_axis, tensor_grid, torus_distance, wrap_angles
+from .torus import (
+    check_momentum,
+    grid_axis,
+    tensor_grid,
+    torus_distance,
+    wrap_angles,
+)
 
 GRID_N = 24              # coarse scan nodes per axis
 GRAD_TOL = 1e-12         # gradient bound, scaled by _grad_tol past spread 100
 MAX_NEWTON_ITERS = 50
 NONDEG_TOL = 1e-8        # largest Hessian eigenvalue must be <= -tol*(M-m)
+SPREAD_FLOOR = 64.0 * np.finfo(float).eps  # times sum_j 4 c_j: rounding
 UNIQUENESS_GAP = 1e-9    # two maxima within gap*(M-m) => non-unique
 _DISTINCT_DIST = 1e-5    # torus distance separating distinct maximizers
 _CANDIDATE_WINDOW = 0.05  # grid local maxima within window*(M-m) get polished
@@ -103,16 +111,59 @@ def _minimum(model, p, ax, vals):
 
 
 def find_minimum(model, p) -> float:
-    """Global minimum m(p) of w_p by grid scan plus Newton on -w_p.
+    """Global minimum m(p) of w_p: for two_particle w_p at the closed-form
+    minimizer, otherwise by grid scan plus Newton on -w_p.
 
     Degeneracy of the minimizer is tolerated; only the value is reported.
     A p with some |p_i| > 2 pi, nan or inf raises InvalidInputError.
     """
+    if model.family == "two_particle":
+        _, q_min, _ = two_particle_closed_forms(model.hopping, p)
+        return float(model.w(p, q_min))
     return _minimum(model, p, *_grid_values(model, p))
 
 
 def find_maximizer(model, p) -> CriticalPointInfo:
     """Locate and certify the unique non-degenerate maximizer of w_p.
+
+    A two_particle fibre separates by axis: q0, the minimizer and alpha
+    come from two_particle_closed_forms, M and m are w_p there, and the
+    gradient and Hessian come from one w_derivatives call at q0.  It is
+    degenerate when some curvature 2 alpha_j <= NONDEG_TOL*(M-m), or when
+    M - m is at rounding level, SPREAD_FLOOR * sum_j 4 c_j (at
+    p = (pi, pi, pi) every alpha_j vanishes).  Once every alpha_j > 0
+    each axis term has one maximum, so the maximizer is unique by
+    construction and NonUniqueMaximumError cannot arise.  Any other model
+    goes through _scan_maximizer.
+
+    Raises DegenerateMaximumError / NonUniqueMaximumError when the maximum
+    is not certified, and InvalidInputError for a p with some
+    |p_i| > 2 pi, nan or inf.
+    """
+    if model.family != "two_particle":
+        return _scan_maximizer(model, p)
+    q0, q_min, alpha = two_particle_closed_forms(model.hopping, p)
+    M = float(model.w(p, q0))
+    m = float(model.w(p, q_min))
+    grad, hess = model.w_derivatives(p, q0)
+    eigs = np.linalg.eigvalsh(hess)
+    spread = max(M - m, 0.0)
+    floor = SPREAD_FLOOR * 4.0 * sum(model.hopping)
+    if not (2.0 * alpha.min() > NONDEG_TOL * spread and spread > floor):
+        _degenerate(eigs)
+    return CriticalPointInfo(
+        q0=q0, M=M, m=m, hessian=hess, det_negA=float(np.linalg.det(-hess)),
+        grad_norm=float(np.linalg.norm(grad)), hessian_eigenvalues=eigs)
+
+
+def _degenerate(eigs):
+    raise DegenerateMaximumError(
+        "degenerate maximum: largest Hessian eigenvalue %.3e exceeds "
+        "-%.1e*(M-m)" % (eigs[-1], NONDEG_TOL))
+
+
+def _scan_maximizer(model, p) -> CriticalPointInfo:
+    """find_maximizer for any model, from the grid scan.
 
     A coarse grid scan picks candidate basins (all grid-local maxima close
     to the grid maximum), each is polished by torus-wrapped Newton
@@ -122,9 +173,6 @@ def find_maximizer(model, p) -> CriticalPointInfo:
     * Hessian negative definite (largest eigenvalue <= -NONDEG_TOL*(M-m)),
     * no second polished maximizer within UNIQUENESS_GAP*(M-m) of M at a
       separated torus point.
-
-    Raises DegenerateMaximumError / NonUniqueMaximumError otherwise, and
-    InvalidInputError for a p with some |p_i| > 2 pi, nan or inf.
     """
     ax, vals = _grid_values(model, p)
     window = _CANDIDATE_WINDOW * float(vals.max() - vals.min())
@@ -151,9 +199,7 @@ def find_maximizer(model, p) -> CriticalPointInfo:
 
     eigs = np.linalg.eigvalsh(hess)
     if not eigs[-1] <= -NONDEG_TOL * spread:
-        raise DegenerateMaximumError(
-            "degenerate maximum: largest Hessian eigenvalue %.3e exceeds "
-            "-%.1e*(M-m)" % (eigs[-1], NONDEG_TOL))
+        _degenerate(eigs)
 
     for x, value, _, _ in polished[1:]:
         if (torus_distance(x, x_best) > _DISTINCT_DIST
@@ -170,12 +216,10 @@ def find_maximizer(model, p) -> CriticalPointInfo:
 
 
 def two_particle_closed_forms(hopping, p):
-    """Closed forms for the builtin family: maximizer p/2 + pi, band edge
-    and Hessian diag(-2 c_i cos(p_i/2))."""
-    c = np.asarray(hopping, dtype=float)
-    half = 0.5 * wrap_angles(p)
-    q0 = wrap_angles(half + np.pi)
-    M = float(np.sum(c * (2.0 + 2.0 * np.abs(np.cos(half)))))
-    m = float(np.sum(c * (2.0 - 2.0 * np.abs(np.cos(half)))))
-    A = np.diag(-2.0 * c * np.abs(np.cos(half)))
-    return q0, M, m, A
+    """(q0, minimizer, alpha) of the builtin family at p, wrapped into
+    (-pi, pi]^3: q0 = p/2 + pi, the minimizer p/2 and alpha_j =
+    c_j |cos(p_j/2)|, so the Hessian at q0 is diag(-2 alpha_j) and
+    M - m = sum_j 4 alpha_j."""
+    half = 0.5 * wrap_angles(check_momentum(p))
+    alpha = np.asarray(hopping, dtype=float) * np.abs(np.cos(half))
+    return wrap_angles(half + np.pi), half, alpha

@@ -51,10 +51,11 @@ to x = IVE_SWITCH = 20 (POWER_TERMS terms, the next below 1e-18 of the
 sum there), and the Hankel series above (HANKEL_TERMS terms of s_k(n),
 the next below 5e-18 at x = 20); for n = 0..4 it is within 1.2e-15
 relative of mpmath (40 digits) over x in [1e-13, 1e12].  laplace_table
-takes the two highest orders of the fibre from _ive, for the three axes
-in one array, and the lower ones from the downward recurrence
-I_{n-1} = I_{n+1} + (2n/x) I_n, which only adds positive terms.  The head moments are eps^k gamma(k, x) / x^k from
-math alone, within 2e-15 relative of mpmath.
+takes the two highest orders of the fibre from _ives, for the three axes
+in one array and with the split and prefactors formed once, and the
+lower ones from the downward recurrence I_{n-1} = I_{n+1} + (2n/x) I_n,
+which only adds positive terms.  The head moments are
+eps^k gamma(k, x) / x^k from math alone, within 2e-15 relative of mpmath.
 """
 
 from __future__ import annotations
@@ -108,23 +109,33 @@ def _ive(n, x):
     """ive(n, x) = I_n(x) e^-x for 0 <= n <= 4 and an array x > 0: the
     power series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) up to
     IVE_SWITCH, the Hankel series sum_k s_k(n) x^-k / sqrt(2 pi x) above."""
-    out = np.empty_like(x)
+    return _ives((n,), x)[0]
+
+
+def _ives(orders, x):
+    """[_ive(n, x) for n in orders], with the split at IVE_SWITCH and the
+    factors that do not depend on n formed once."""
     low = x <= IVE_SWITCH
-    xs, xb = x[low], x[~low]
-    out[low] = (np.exp(-xs) * (0.5 * xs) ** n
-                * _horner(0.25 * xs * xs, _power_coeffs(n)))
-    out[~low] = (_horner(1.0 / xb, _series_coeffs(n, HANKEL_TERMS))
-                 / np.sqrt(2.0 * np.pi * xb))
-    return out
+    high = ~low
+    xs, xb = x[low], x[high]
+    decay, half, y = np.exp(-xs), 0.5 * xs, 0.25 * xs * xs
+    inv, root = 1.0 / xb, np.sqrt(2.0 * np.pi * xb)
+    values = []
+    for n in orders:
+        out = np.empty_like(x)
+        out[low] = decay * half ** n * _horner(y, _power_coeffs(n))
+        out[high] = _horner(inv, _series_coeffs(n, HANKEL_TERMS)) / root
+        values.append(out)
+    return values
 
 
 def _ive_orders(top, x):
-    """[ive(0, x), ..., ive(top, x)]: the two highest orders from _ive,
+    """[ive(0, x), ..., ive(top, x)]: the two highest orders from _ives,
     the others by the downward recurrence I_{n-1} = I_{n+1} + (2n/x) I_n,
     whose two terms are positive."""
     if top == 0:
-        return [_ive(0, x)]
-    out = [_ive(top - 1, x), _ive(top, x)]
+        return _ives((0,), x)
+    out = _ives((top - 1, top), x)
     two_over_x = 2.0 / x
     for n in range(top - 1, 0, -1):
         out.insert(0, out[1] + n * two_over_x * out[0])
@@ -143,8 +154,11 @@ def _log_rule(u0, n_panels, nodes):
     return t, wt
 
 
+@lru_cache(maxsize=8)
 def _phi_squared_modes(table):
-    """{m: a_m} of phi^2 = sum_m a_m e^{i m.q} for a HarmonicTable phi."""
+    """{m: a_m} of phi^2 = sum_m a_m e^{i m.q} for a HarmonicTable phi, as
+    (m, a_m) pairs: formed once per table (kept for the last few tables),
+    not per fibre."""
     beta = {}
     for k, c, s in zip(table.indices, table.cos, table.sin):
         k = tuple(int(v) for v in k)
@@ -158,7 +172,7 @@ def _phi_squared_modes(table):
     for (k, bk), (l, bl) in itertools.product(beta.items(), repeat=2):
         m = (k[0] + l[0], k[1] + l[1], k[2] + l[2])
         modes[m] = modes.get(m, 0.0) + bk * bl
-    return modes
+    return tuple(modes.items())
 
 
 @dataclass(frozen=True)
@@ -197,7 +211,7 @@ def laplace_table(model, p) -> LaplaceTable:
     q0 = half + np.pi * (np.cos(half) > 0.0)
 
     coef, size = {}, {}  # per (|m_1|, |m_2|, |m_3|): Re[a_m e^{i m.q0}], |a_m|
-    for m, a in _phi_squared_modes(model._phi).items():
+    for m, a in _phi_squared_modes(model._phi):
         key = tuple(abs(v) for v in m)
         coef[key] = coef.get(key, 0.0) + (a * np.exp(1j * np.dot(m, q0))).real
         size[key] = size.get(key, 0.0) + abs(a)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,9 +212,13 @@ def harmonic_values(tables, x1, x2, x3):
 
 
 def _real(value, name):
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    """A finite float: JSON NaN, Infinity and integers beyond the float
+    range are refused here, not left to surface as a quadrature that does
+    not converge (the comparison is exact for an int and false for nan)."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
         return float(value)
-    raise ConfigError("%s must be a number, got %r" % (name, value))
+    raise ConfigError("%s must be a finite number, got %r" % (name, value))
 
 
 def _reals(values, name):
@@ -246,14 +251,13 @@ def _table_from_entries(entries, name):
     for e in entries:
         if not isinstance(e, dict) or "index" not in e:
             raise ConfigError("%s entry without an \"index\": %r" % (name, e))
-        _check_keys(e, ("index", "value", "cos", "sin"), "%s entry %r" % (
-            name, e))
+        entry = "%s entry %r" % (name, e)
+        _check_keys(e, ("index", "value", "cos", "sin"), entry)
         if "value" in e and "cos" in e:
-            raise ConfigError("%s entry %r gives both \"value\" and \"cos\""
-                              % (name, e))
+            raise ConfigError("%s gives both \"value\" and \"cos\"" % entry)
         idx.append(_index(e["index"], name + " index"))
-        cos.append(_real(e.get("value", e.get("cos", 0.0)), name + " value"))
-        sin.append(_real(e.get("sin", 0.0), name + " sin"))
+        cos.append(_real(e.get("value", e.get("cos", 0.0)), entry + " value"))
+        sin.append(_real(e.get("sin", 0.0), entry + " sin"))
     return HarmonicTable(idx, cos, sin)
 
 

@@ -100,6 +100,7 @@ import numpy as np
 
 from .errors import (
     BelowThresholdError,
+    ConfigError,
     InvalidInputError,
     QuadratureError,
     QuadratureNotConvergedError,
@@ -119,6 +120,7 @@ MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 383 MiB)
 LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
 SUM_GRIDS = (16, 24, 32, 48, 64)  # torus-sum grids: N and the next one
 SUM_STRIP = 1e6  # e^(kappa_N N) of the strip each crossover keeps
+PHI0_MAX = np.sqrt(np.finfo(float).max)  # |phi(q0)|^2 stays finite
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,11 @@ class OmegaEvaluator:
         self.rho = self.spec.rho if self.spec.rho is not None else RHO_CAP
         self.q0 = cp.q0
         self.M = cp.M
-        self._phi0_sq = float(model.phi(self.q0)) ** 2
+        phi0 = float(model.phi(self.q0))
+        if not abs(phi0) <= PHI0_MAX:
+            raise ConfigError("phi(q0) = %.3e: its square overflows a float"
+                              % phi0)
+        self._phi0_sq = phi0 ** 2
         self._negA = -cp.hessian
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))

@@ -143,6 +143,23 @@ def _twin(**keys):
     ({"family": "two_particle", "phi": {"constant": 1.0, "cos3": [1, 1, 1]}},
      "'cos3'"),
     ({"family": "two_particle", "hoping": [2.0, 1.0, 1.0]}, "'hoping'"),
+    # JSON NaN and Infinity were taken as coefficients: a NaN phi value
+    # ended in "quadrature not converged: estimate nan" after numpy
+    # RuntimeWarnings, blaming the quadrature
+    (_twin(phi_table=[{"index": [0, 0, 0], "value": float("nan")}]),
+     "phi_table entry"),
+    (_twin(phi_table=[{"index": [0, 0, 0], "value": 1.0},
+                      {"index": [1, 0, 0], "value": 0.5,
+                       "sin": float("inf")}]), "sin must be a finite"),
+    (_twin(w_table=[{"index": [0, 0, 0], "value": float("inf")},
+                    {"index": [1, 0, 0], "value": -1.0}]), "w_table entry"),
+    ({"family": "two_particle", "hopping": [1.0, float("nan"), 1.0]},
+     "hopping"),
+    ({"family": "two_particle", "phi": {"constant": float("-inf")}},
+     "phi.constant"),
+    ({"family": "two_particle",
+      "phi": {"constant": 1.0, "cos1": [0.0, float("nan"), 0.0]}},
+     "phi.cos1"),
 ])
 def test_malformed_config_exit_1(capsys, tmp_path, config, field):
     path = tmp_path / "model.json"
@@ -150,6 +167,20 @@ def test_malformed_config_exit_1(capsys, tmp_path, config, field):
     code, _, err = _run(capsys, ["threshold", "--config", str(path)])
     assert code == 1
     assert err.startswith("friedrichs: ") and field in err
+
+
+@pytest.mark.parametrize("config", [
+    _twin(phi_table=[{"index": [0, 0, 0], "value": 1e300}]),
+    {"family": "two_particle", "phi": {"constant": 1e300}}])
+def test_overflowing_phi_at_q0_exit_1(capsys, tmp_path, config):
+    # phi(q0)^2 beyond the float range ended in an OverflowError traceback
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["threshold", "--config", str(path),
+                                   "--p", "0.7,-0.3,1.1"])
+    assert (code, out) == (1, "")
+    assert err == "friedrichs: phi(q0) = 1.000e+300: its square overflows " \
+                  "a float\n"
 
 
 @pytest.mark.parametrize("mu", ["inf", "nan", "xinf"])

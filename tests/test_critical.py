@@ -2,16 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import friedrichs as fr
+from friedrichs import critical
 from conftest import model_kinds, quadrature_twin
 from friedrichs.critical import (
     GRID_N,
+    NONDEG_TOL,
+    _grad_tol,
     _grid_values,
     _local_maxima_mask,
+    _scan_maximizer,
     two_particle_closed_forms,
 )
 from friedrichs.torus import wrap_angles
@@ -117,21 +121,24 @@ def test_minimum_bounds_random_samples(model_one):
 
 
 def test_closed_form_check(model_one):
+    # the scan-and-Newton path, which find_maximizer takes for trig_poly,
+    # against the closed-form fibre of the two_particle model
     for p in (P0, np.array([0.3, -0.7, 1.1])):
-        cp = fr.find_maximizer(model_one, p)
-        q0, M, _, _ = two_particle_closed_forms(model_one.hopping, p)
+        cp = _scan_maximizer(model_one, p)
+        q0, _, _ = two_particle_closed_forms(model_one.hopping, p)
+        M = fr.find_maximizer(model_one, p).M
         assert fr.torus_distance(cp.q0, q0) <= 1e-10
         assert abs(cp.M - M) <= 1e-10
     with pytest.raises(fr.DegenerateMaximumError):
-        fr.find_maximizer(model_one, np.array([np.pi, np.pi, np.pi]))
+        _scan_maximizer(model_one, np.array([np.pi, np.pi, np.pi]))
 
 
 def test_maximizer_continuity_along_path(model_one):
-    # numerical shadow of the analytic maximizer map: Lipschitz along a
-    # sweep (the closed-form slope is 1/2)
+    # numerical shadow of the analytic maximizer map: the scan path is
+    # Lipschitz along a sweep (the closed-form slope is 1/2)
     direction = np.array([0.3, -0.7, 1.1])
     ts = np.linspace(0.0, 1.0, 21)
-    infos = [fr.find_maximizer(model_one, t * direction) for t in ts]
+    infos = [_scan_maximizer(model_one, t * direction) for t in ts]
     step = np.linalg.norm(direction) * (ts[1] - ts[0])
     for a, b in zip(infos, infos[1:]):
         d = fr.torus_distance(a.q0, b.q0)
@@ -155,14 +162,95 @@ def test_non_unique_maximum_detected():
 
 
 def test_closed_forms_match_direct_formulas():
-    q0, M, m, A = two_particle_closed_forms((1.0, 2.0, 0.5),
-                                            np.array([0.6, -1.0, 0.2]))
     c = np.array([1.0, 2.0, 0.5])
+    p = np.array([0.6, -1.0, 0.2])
     half = np.array([0.3, -0.5, 0.1])
-    assert M == pytest.approx(float(np.sum(c * (2 + 2 * np.cos(half)))))
-    assert m == pytest.approx(float(np.sum(c * (2 - 2 * np.cos(half)))))
-    assert np.allclose(np.diag(A), -2 * c * np.cos(half))
+    q0, q_min, alpha = two_particle_closed_forms(c, p)
+    cp = fr.find_maximizer(fr.two_particle_model(hopping=c), p)
+    assert cp.M == pytest.approx(float(np.sum(c * (2 + 2 * np.cos(half)))))
+    assert cp.m == pytest.approx(float(np.sum(c * (2 - 2 * np.cos(half)))))
+    assert np.allclose(cp.hessian, np.diag(-2 * c * np.cos(half)))
+    assert np.allclose(2 * alpha, 2 * c * np.cos(half))
     assert np.allclose(q0, wrap_angles(half + np.pi))
+    assert np.array_equal(cp.q0, q0)
+    assert np.allclose(q_min, half)
+
+
+# -- the closed-form fibre against the scan ----------------------------------
+
+HOPPINGS = [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1e4, 1e4, 1e4)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(st.floats(-3.0, 4.0), min_size=3, max_size=3),
+       st.lists(st.floats(-2.8, 2.8), min_size=3, max_size=3))
+@example([4.0, 4.0, 4.0], [0.7, -0.3, 1.1])
+@example([-3.0, 4.0, 0.0], [0.7, -0.3, 1.1])
+def test_closed_form_fibre_matches_the_scan(log_hopping, p):
+    # hopping 1e-3 .. 1e4 per axis, p away from the degenerate set: q0 to
+    # within a few times Newton's reach, _grad_tol over the smallest
+    # |Hessian eigenvalue|; M, m within a few ulps of the bandwidth scale
+    # and the Hessian within 1e-14 of its own
+    c = 10.0 ** np.array(log_hopping)
+    p = np.array(p)
+    _, _, alpha = two_particle_closed_forms(c, p)
+    assume(2.0 * alpha.min() > 10.0 * NONDEG_TOL * 4.0 * c.sum())
+    model = fr.two_particle_model(hopping=c)
+    closed = fr.find_maximizer(model, p)
+    scan = _scan_maximizer(model, p)
+    reach = _grad_tol(_grid_values(model, p)[1]) / np.abs(
+        closed.hessian_eigenvalues).min()
+    assert fr.torus_distance(closed.q0, scan.q0) <= 4.0 * reach + 1e-13
+    scale = 4.0 * c.sum()
+    assert abs(closed.M - scan.M) <= 8.0 * np.finfo(float).eps * scale
+    assert abs(closed.m - scan.m) <= 8.0 * np.finfo(float).eps * scale
+    assert np.abs(closed.hessian - scan.hessian).max() <= 1e-14 * 2.0 * c.max()
+    assert closed.m == fr.find_minimum(model, p)
+
+
+@pytest.mark.parametrize("hopping", HOPPINGS)
+def test_two_particle_fibre_builds_no_scan(hopping, monkeypatch):
+    # a two_particle find_maximizer (and find_minimum) reads the closed
+    # forms: no scan grid and no Newton step
+    def refuse(*args):
+        raise AssertionError("scan or Newton step on a two_particle fibre")
+
+    monkeypatch.setattr(critical, "_grid_values", refuse)
+    monkeypatch.setattr(critical, "_polish", refuse)
+    model = fr.two_particle_model(hopping=hopping)
+    rng = np.random.default_rng(23)
+    for p in [P0] + list(rng.uniform(-2.8, 2.8, (4, 3))):
+        cp = fr.find_maximizer(model, p)
+        assert cp.m == fr.find_minimum(model, p)
+    with pytest.raises(fr.DegenerateMaximumError):
+        fr.find_maximizer(model, np.array([np.pi, 0.1, -0.12]))
+
+
+@pytest.mark.parametrize("hopping", HOPPINGS)
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_degenerate_edge_does_not_move(hopping, axis):
+    # p_j = pi - 3.6e-9, pi, -pi on one axis and (pi, pi, pi) are
+    # degenerate, pi - 1.5e-7 is not on unit hopping; every decision is the
+    # scan's (which may call a flat axis non-unique), so the exit-2 edge
+    # stays where the scan put it
+    model = fr.two_particle_model(hopping=hopping)
+    answered = []
+    for edge in (np.pi - 3.6e-9, np.pi, -np.pi, np.pi - 1.5e-7, None):
+        p = (np.full(3, np.pi) if edge is None
+             else np.insert(np.array([0.1, -0.12]), axis, edge))
+        try:
+            fr.find_maximizer(model, p)
+            answered.append(True)
+        except fr.DegenerateMaximumError:
+            answered.append(False)
+        try:
+            _scan_maximizer(model, p)
+            assert answered[-1], p
+        except fr.ModelValidityError:
+            assert not answered[-1], p
+    assert answered[:3] == [False] * 3 and answered[4] is False
+    if len(set(hopping)) == 1:  # on (1, 2, 3) it depends on the axis
+        assert answered[3] is True
 
 
 # -- one scan per fibre ----------------------------------------------------
@@ -199,7 +287,8 @@ def test_separable_mask_on_the_scan(name):
 @pytest.mark.parametrize("name", ["one", "vanishing", "off_axis"])
 def test_find_maximizer_scans_the_grid_once(name, monkeypatch):
     # the minimum search is seeded from the maximizer's own scan, and
-    # every other call of w is at a single Newton point
+    # every other call of w is at a single Newton point (the scan path,
+    # which a two_particle find_maximizer no longer takes)
     model = model_kinds()[name]
     w, shapes = model.w, []
 
@@ -213,7 +302,7 @@ def test_find_maximizer_scans_the_grid_once(name, monkeypatch):
     rng = np.random.default_rng(19)
     for p in [np.zeros(3)] + list(rng.uniform(-2.8, 2.8, (4, 3))):
         shapes.clear()
-        fr.find_maximizer(model, p)
+        _scan_maximizer(model, p)
         assert shapes.count((GRID_N,) * 3) == 1
         assert all(s == (3,) for s in shapes if s != (GRID_N,) * 3)
 
