@@ -1,6 +1,6 @@
 """Thresholds and bound states of rank-one perturbed dispersion models on T^3."""
 
-from .critical import CriticalPointInfo, find_maximizer, find_minimum
+from .critical import CriticalPointInfo, find_maximizer
 from .errors import (
     BelowThresholdError,
     BracketingError,
@@ -71,7 +71,7 @@ __all__ = [
     "analyze", "classify_threshold", "convergence_report",
     "coupling_threshold", "dense_spectrum", "discrete_omega", "eigenfunction",
     "eigenvalue_error_estimate", "expansion_fit", "find_maximizer",
-    "find_minimum", "fredholm_det", "richardson_omega_threshold",
-    "secular_root", "solve_eigenvalue", "state_norm_diagnostics",
-    "tau0_closed_form", "torus_distance", "two_particle_model", "__version__",
+    "fredholm_det", "richardson_omega_threshold", "secular_root",
+    "solve_eigenvalue", "state_norm_diagnostics", "tau0_closed_form",
+    "torus_distance", "two_particle_model", "__version__",
 ]

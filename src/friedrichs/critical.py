@@ -110,19 +110,6 @@ def _minimum(model, p, ax, vals):
     return min(value, float(vals.min()))
 
 
-def find_minimum(model, p) -> float:
-    """Global minimum m(p) of w_p: for two_particle w_p at the closed-form
-    minimizer, otherwise by grid scan plus Newton on -w_p.
-
-    Degeneracy of the minimizer is tolerated; only the value is reported.
-    A p with some |p_i| > 2 pi, nan or inf raises InvalidInputError.
-    """
-    if model.family == "two_particle":
-        _, q_min, _ = two_particle_closed_forms(model.hopping, p)
-        return float(model.w(p, q_min))
-    return _minimum(model, p, *_grid_values(model, p))
-
-
 def find_maximizer(model, p) -> CriticalPointInfo:
     """Locate and certify the unique non-degenerate maximizer of w_p.
 

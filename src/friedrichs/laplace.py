@@ -6,6 +6,11 @@ band-edge denominator separates axis by axis about the maximizer q0:
     M(p) - w_p(q0 + s) = sum_j 2 alpha_j (1 - cos s_j),
     alpha_j = c_j |cos(p_j / 2)|.
 
+q0 and alpha are read from critical.two_particle_closed_forms, the one
+owner of the fibre's critical point (find_maximizer reads it too), so the
+route and cp agree on q0 bit for bit, and p and p - 2 pi e_j give the same
+table.
+
 Write phi^2(q) = sum_m a_m e^{i m.q}; phi has order <= 2 per axis, so
 |m_j| <= 4 and the sum is finite.  With 1/x = int_0^inf e^{-t x} dt,
 1/x^2 = int_0^inf t e^{-t x} dt and
@@ -67,6 +72,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .critical import two_particle_closed_forms
 from .errors import UnsupportedFamilyError
 
 HEAD_U = -30.0         # log t0, the head's end, when every alpha_j <= 1
@@ -200,15 +206,11 @@ class LaplaceTable:
 
 def laplace_table(model, p) -> LaplaceTable:
     """Nodes, G(t) and tail coefficients of the fibre (model, p) for a
-    two_particle model."""
+    two_particle model, at the closed-form q0 and alpha."""
     if model.family != "two_particle":
         raise UnsupportedFamilyError(
             "the Laplace-Bessel route needs the two_particle family")
-    c = np.asarray(model.hopping, dtype=float)
-    half = 0.5 * np.asarray(p, dtype=float)
-    alpha = c * np.abs(np.cos(half))
-    # the maximizer: q0_j = p_j/2 + pi where cos(p_j/2) > 0, else p_j/2
-    q0 = half + np.pi * (np.cos(half) > 0.0)
+    q0, _, alpha = two_particle_closed_forms(model.hopping, p)
 
     coef, size = {}, {}  # per (|m_1|, |m_2|, |m_3|): Re[a_m e^{i m.q0}], |a_m|
     for m, a in _phi_squared_modes(model._phi):

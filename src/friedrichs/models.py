@@ -22,16 +22,21 @@ order of the table's evaluation plan (built once, with the table).  On a
 tensor grid those harmonics are 1-D, and a support sum spans its own axes
 only.  ``DispersionModel.w`` is T(q) + T(p - q) from it, ``phi`` its phi
 table, and ``HarmonicTable.derivatives`` takes each term's cos and sin
-from the same harmonics.  The split quadrature's level build reads w_p
-from ``fibre_table(p)``, the one table in q of T(q) + T(p - q), with phi
-in one ``harmonic_values`` call; at the near field's polar nodes axis 3
-takes one value per radius and cos(theta), so a node of the off-axis
-benchmark model costs 4 full-size transcendental calls.
+from the same harmonics.  The split quadrature's level build and the
+torus sum read w_p from ``fibre_table(p)``, the one table in q of
+T(q) + T(p - q), with phi in one ``harmonic_values`` call; at the near
+field's polar nodes axis 3 takes one value per radius and cos(theta), so
+a node of the off-axis benchmark model costs 4 full-size transcendental
+calls.  find_maximizer and the lattice oracle read ``DispersionModel.w``,
+so the oracle checks a separate evaluation of w_p.  A phi table is refused
+(ConfigError) once (2 pi)^3 (sum_k hypot(c_k, s_k))^2, the bound on every
+phi(q)^2 and on ``phi_l2_norm_sq()``, overflows a float.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -374,6 +379,15 @@ class DispersionModel:
             raise ConfigError("unknown model family: %r" % (config.family,))
         if self._phi.is_zero():
             raise TrivialFormFactorError("trivial form factor: phi is zero")
+        # Python floats overflow to inf without a numpy warning
+        amp = sum(map(math.hypot, self._phi.cos.tolist(),
+                      self._phi.sin.tolist()))
+        if not (2.0 * math.pi) ** 3 * amp * amp <= sys.float_info.max:
+            raise ConfigError(
+                "%s: sum_k hypot(cos_k, sin_k) = %.3e, and the bound (2 pi)^3 "
+                "(sum)^2 on phi^2 overflows a float" % (
+                    "phi" if self.family == "two_particle" else "phi_table",
+                    amp))
 
     # -- dispersion ---------------------------------------------------
 
@@ -391,10 +405,10 @@ class DispersionModel:
     def fibre_table(self, p):
         """w_p as one table in q: T(q) + T(p - q) = sum_k a_k cos(k.q) +
         b_k sin(k.q) with a_k = c_k (1 + cos k.p) + s_k sin k.p and
-        b_k = s_k (1 - cos k.p) + c_k sin k.p, read by the level build.
-        It equals w(p, .) up to rounding; w keeps the sum T(q) + T(p - q),
-        which for a table of axis harmonics has the bits of the plain
-        term-by-term sum."""
+        b_k = s_k (1 - cos k.p) + c_k sin k.p, read by the level build
+        and the torus sum.  It equals w(p, .) up to rounding; w keeps the
+        sum T(q) + T(p - q), which for a table of axis harmonics has the
+        bits of the plain term-by-term sum."""
         t = self._w_block
         kp = t.indices @ check_momentum(p)
         cos_kp, sin_kp = np.cos(kp), np.sin(kp)

@@ -7,19 +7,21 @@ top solve the secular equation 1 = mu h^3 sum_j phi^2(q_j)/(z - w_p(q_j)),
 which is monotone in z and solved by bracketing.  The midpoint grid keeps
 q0(p) off the nodes for generic p, so threshold sums stay finite.
 
-This module is deliberately independent of the production quadrature: it
-provides the ground truth the solver is validated against, including
-Richardson-extrapolated threshold sums.  It shares with the quadrature only
+This module is independent of the production path: it provides the
+ground truth the solver is validated against, including
+Richardson-extrapolated threshold sums.  No module that computes an answer
+imports it (only the CLI and the package namespace do), and its one grid
+helper, _lattice, evaluates w_p through model.w, where the split quadrature
+and the torus sum read the fibre table.  It shares with the quadrature only
 the summation primitive of friedrichs.sums: each lattice sum
 sum phi^2/(z - w) is formed block by block in one scratch buffer along
 NumPy's pairwise-summation split, so it is bitwise the sum of the full N^3
-temporary while no N^3 temporary is made per evaluation.  One helper,
-_lattice, evaluates w and phi on the grid for every routine.  phi (and
-phi^2) stays a scalar when phi is constant, and model.w adds its axis
-support sums and its p - q table in place, so secular_root peaks at 2.0
-float64 N^3 arrays for phi = 1 and 2.3 for the vanishing phi and for an
-off-axis trig_poly (tracemalloc at N = 64: w, phi^2 and the temporaries
-of evaluating w); _lattice alone peaks at 2.0 at N = 128 for all three.
+temporary while no N^3 temporary is made per evaluation.  phi (and phi^2)
+stays a scalar when phi is constant, and model.w adds its axis support
+sums and its p - q table in place, so secular_root peaks at 2.0 float64
+N^3 arrays for phi = 1 and 2.3 for the vanishing phi and for an off-axis
+trig_poly (tracemalloc at N = 64: w, phi^2 and the temporaries of
+evaluating w); _lattice alone peaks at 2.0 at N = 128 for all three.
 """
 
 from __future__ import annotations

@@ -29,17 +29,19 @@ LADDER_RADII.
 
 Torus sum: for delta of order one, phi^2 / (z - w_p)^power is analytic in
 a strip about the real torus, and the midpoint sum h^3 sum phi^2 /
-(z - w_p)^power on the N^3 grid (the lattice sum of oracle.discrete_omega:
-oracle._lattice and sums._sum_over) converges like e^(-kappa N) (Trefethen
-and Weideman, SIAM Review 56, 2014).  Each SUM_GRIDS grid N but the last
-has a crossover delta_c(N), a closed form in the amplitudes of the w table
-(_crossovers) past which the strip is at least ln(SUM_STRIP) / N wide.  At
-the first crossover delta meets, the value is the sum on the next grid and
-the bar is its distance from the sum on N, plus 64 eps of the value.  The
-split quadrature answers, unchanged, where that bar exceeds rel_tol
-|value| and below every crossover: at delta = 0 always, and across the
-fit window and the classification ladder for w tables of order-one
-amplitudes.  The fibre keeps w and phi^2 of the two grids in use only (at
+(z - w_p)^power on the N^3 grid (sums._sum_over) converges like
+e^(-kappa N) (Trefethen and Weideman, SIAM Review 56, 2014).  It is the
+sum of oracle.discrete_omega, but its grids are evaluated like a level,
+from the fibre table, while the oracle reads model.w: the oracle checks a
+separate computation, which agrees within 64 eps of the value.  Each
+SUM_GRIDS grid N but the last has a crossover delta_c(N), a closed form
+in the amplitudes of the w table (_crossovers) past which the strip is at
+least ln(SUM_STRIP) / N wide.  At the first crossover delta meets, the
+value is the sum on the next grid and the bar is its distance from the
+sum on N, plus 64 eps of the value.  The split quadrature answers,
+unchanged, where that bar exceeds rel_tol |value| and below every
+crossover: at delta = 0 always, and across the fit window and the
+classification ladder for w tables of order-one amplitudes.  The fibre keeps w and phi^2 of the two grids in use only (at
 most 48^3 and 64^3 nodes, 5.7 MiB).
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
@@ -54,16 +56,17 @@ identical node sets, which the second moment int phi^2 / (z - w_p)^2
 (-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
 take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
-Model evaluation: a level reads w_p from the evaluator's fibre table
-(model.fibre_table, built once, on the first level build) and phi from
-its table, both in one models.harmonic_values call, the evaluator of
-every Fourier table.  On a far-field slab the per-axis harmonics are 1-D
-and each axis support costs one broadcast add; a near-field block is
-(radii, n_ang, 2 n_ang), axis 3 is kept at the n_ang distinct
-cos(theta) per radius (_polar_block), so only axes 1 and 2 take
-full-size cos and sin (4 calls per node for the off-axis benchmark
-model).  The fibre table differs from model.w's T(q) + T(p - q) by
-rounding only; find_maximizer, the torus sum and the oracle read model.w.
+Model evaluation: a level and a torus-sum grid read w_p from the
+evaluator's fibre table (model.fibre_table, built once, on first use) and
+phi from its table, both in one models.harmonic_values call, the
+evaluator of every Fourier table.  On a far-field slab or a torus-sum
+grid the per-axis harmonics are 1-D and each axis support costs one
+broadcast add; a near-field block is (radii, n_ang, 2 n_ang), axis 3 is
+kept at the n_ang distinct cos(theta) per radius (_polar_block), so only
+axes 1 and 2 take full-size cos and sin (4 calls per node for the
+off-axis benchmark model).  The fibre table differs from model.w's
+T(q) + T(p - q) by rounding only; find_maximizer and the oracle read
+model.w.
 
 Memory: a level keeps its node arrays and nothing else, at most
 MAX_LEVEL_BYTES, checked before any is allocated.  The build streams the
@@ -100,14 +103,12 @@ import numpy as np
 
 from .errors import (
     BelowThresholdError,
-    ConfigError,
     InvalidInputError,
     QuadratureError,
     QuadratureNotConvergedError,
 )
 from .laplace import ROUNDING, laplace_omega, laplace_table
 from .models import harmonic_values
-from .oracle import _lattice
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
@@ -120,7 +121,6 @@ MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 383 MiB)
 LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
 SUM_GRIDS = (16, 24, 32, 48, 64)  # torus-sum grids: N and the next one
 SUM_STRIP = 1e6  # e^(kappa_N N) of the strip each crossover keeps
-PHI0_MAX = np.sqrt(np.finfo(float).max)  # |phi(q0)|^2 stays finite
 
 
 @dataclass(frozen=True)
@@ -306,11 +306,7 @@ class OmegaEvaluator:
         self.rho = self.spec.rho if self.spec.rho is not None else RHO_CAP
         self.q0 = cp.q0
         self.M = cp.M
-        phi0 = float(model.phi(self.q0))
-        if not abs(phi0) <= PHI0_MAX:
-            raise ConfigError("phi(q0) = %.3e: its square overflows a float"
-                              % phi0)
-        self._phi0_sq = phi0 ** 2
+        self._phi0_sq = float(model.phi(self.q0)) ** 2
         self._negA = -cp.hessian
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
@@ -325,7 +321,8 @@ class OmegaEvaluator:
     @cached_property
     def _w_fibre(self):
         """w_p as one table in q (model.fibre_table), read by the level
-        builds; a route fibre builds none and never reads it."""
+        builds and the torus-sum grids; a route fibre builds neither and
+        never reads it."""
         return self.model.fibre_table(self.p)
 
     @property
@@ -465,8 +462,14 @@ class OmegaEvaluator:
         self._grids = dict(grids)  # grids out of use go before a build
         for N in pair:
             if N not in grids:
-                w, phi = _lattice(self.model, self.p, N)
-                grids[N] = w, np.multiply(phi, phi, out=phi)
+                w, phi = harmonic_values((self._w_fibre, self.model._phi),
+                                         *tensor_grid(grid_axis(N)))
+                # squared in place; a constant phi stays 0-d
+                phi2 = np.square(phi, out=phi if np.ndim(phi) else None)
+                full = (N,) * 3
+                grids[N] = (np.broadcast_to(w, full).ravel(),
+                            np.broadcast_to(phi2, full).ravel()
+                            if phi2.ndim else phi2)
         self._grids = grids
         coarse, fine = ((2.0 * np.pi / N) ** 3
                         * _sum_over(grids[N][1], z, np.subtract, grids[N][0],

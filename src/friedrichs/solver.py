@@ -31,7 +31,6 @@ from .errors import (
     InvalidInputError,
     check_coupling,
 )
-from .oracle import _lattice
 from .quadrature import OmegaEvaluator, state_norm_diagnostics
 from .roots import brentq
 
@@ -41,8 +40,6 @@ FIT_WINDOW = (1e-4, 1e-2)
 FIT_POINTS = 8
 FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
-CHECK_GRID = 64          # midpoint nodes per axis of the eigenfunction checks
-_CHECK_H3 = (2.0 * np.pi / CHECK_GRID) ** 3  # volume of one check-grid cell
 ROOT_XTOL = 1e-14        # brentq's absolute and relative root tolerances
 ROOT_RTOL = 4.0 * np.finfo(float).eps
 TWO_PI_SQ = 2.0 * np.pi ** 2
@@ -176,29 +173,6 @@ class EigenfunctionEval:
     def __call__(self, q):
         return (self.normalization * self.mu * self.model.phi(q)
                 / (self.energy - self.model.w(self.p, q)))
-
-    def _on_check_grid(self):
-        """(w, phi, psi) on the CHECK_GRID^3 midpoint grid, flattened (phi
-        0-d when constant): the one model evaluation behind both checks."""
-        w, phi = _lattice(self.model, self.p, CHECK_GRID)
-        return w, phi, self.normalization * self.mu * phi / (self.energy - w)
-
-    def norm_on_grid(self):
-        """L2 norm via the plain midpoint rule (smooth integrand)."""
-        psi = self._on_check_grid()[2]
-        return float(np.sqrt(_CHECK_H3 * np.sum(psi * psi)))
-
-    def residual_sup(self):
-        """sup |(H_mu(p) - E) psi| with H applied on a midpoint grid.
-
-        The rank-one term uses the grid inner product, so this is an
-        independent discrete application of the operator, not a replay of
-        the quadrature that produced E.
-        """
-        w, phi, psi = self._on_check_grid()
-        inner = _CHECK_H3 * np.sum(phi * psi)
-        resid = (w - self.energy) * psi + self.mu * phi * inner
-        return float(np.max(np.abs(resid)))
 
 
 def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,

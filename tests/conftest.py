@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from scipy.special import i0e
 
 import friedrichs as fr
+from friedrichs.oracle import _lattice
 
 P0 = np.zeros(3)
 
@@ -81,6 +82,37 @@ def mp_laplace_omega(model, p, delta, power=1, dps=30):
         tail = mpmath.quad(lambda s: 2 * f(1 / s ** 2) / s ** 3,
                            [0, 0.01, 0.1, 0.3, 1])
         return float((2 * mpmath.pi) ** 3 * (body + tail))
+
+
+CHECK_GRID = 64  # midpoint nodes per axis of the eigenfunction checks
+_CHECK_H3 = (2.0 * np.pi / CHECK_GRID) ** 3  # volume of one check-grid cell
+
+
+def _on_check_grid(psi):
+    """(w, phi, psi) of an EigenfunctionEval on the CHECK_GRID^3 midpoint
+    grid, flattened (phi 0-d when constant), from the lattice oracle's model
+    evaluation: the one evaluation behind both checks."""
+    w, phi = _lattice(psi.model, psi.p, CHECK_GRID)
+    return w, phi, psi.normalization * psi.mu * phi / (psi.energy - w)
+
+
+def norm_on_grid(psi):
+    """L2 norm of psi by the plain midpoint rule (smooth integrand)."""
+    values = _on_check_grid(psi)[2]
+    return float(np.sqrt(_CHECK_H3 * np.sum(values * values)))
+
+
+def residual_sup(psi):
+    """sup |(H_mu(p) - E) psi| with H applied on a midpoint grid.
+
+    The rank-one term uses the grid inner product, so this is an
+    independent discrete application of the operator, not a replay of the
+    quadrature that produced E.
+    """
+    w, phi, values = _on_check_grid(psi)
+    inner = _CHECK_H3 * np.sum(phi * values)
+    resid = (w - psi.energy) * values + psi.mu * phi * inner
+    return float(np.max(np.abs(resid)))
 
 
 # the off-axis trig_poly model of the fresh_fibers benchmark workload

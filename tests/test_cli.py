@@ -173,14 +173,16 @@ def test_malformed_config_exit_1(capsys, tmp_path, config, field):
     _twin(phi_table=[{"index": [0, 0, 0], "value": 1e300}]),
     {"family": "two_particle", "phi": {"constant": 1e300}}])
 def test_overflowing_phi_at_q0_exit_1(capsys, tmp_path, config):
-    # phi(q0)^2 beyond the float range ended in an OverflowError traceback
+    # phi(q0)^2 beyond the float range ended in an OverflowError traceback;
+    # the model now refuses any phi whose square can overflow
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config))
     code, out, err = _run(capsys, ["threshold", "--config", str(path),
                                    "--p", "0.7,-0.3,1.1"])
     assert (code, out) == (1, "")
-    assert err == "friedrichs: phi(q0) = 1.000e+300: its square overflows " \
-                  "a float\n"
+    assert err == "friedrichs: %s: sum_k hypot(cos_k, sin_k) = 1.000e+300, " \
+                  "and the bound (2 pi)^3 (sum)^2 on phi^2 overflows a " \
+                  "float\n" % ("phi" if "phi" in config else "phi_table")
 
 
 @pytest.mark.parametrize("mu", ["inf", "nan", "xinf"])

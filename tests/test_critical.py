@@ -26,9 +26,8 @@ P0 = np.zeros(3)
 @pytest.mark.parametrize("p", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
                                (0.0, 0.0, -np.inf)])
 def test_non_finite_p_rejected(model_one, p):
-    for call in (fr.find_maximizer, fr.find_minimum):
-        with pytest.raises(fr.InvalidInputError, match="is not finite"):
-            call(model_one, np.array(p))
+    with pytest.raises(fr.InvalidInputError, match="is not finite"):
+        fr.find_maximizer(model_one, np.array(p))
 
 
 TWO_PI = 2.0 * np.pi
@@ -48,7 +47,6 @@ def test_momentum_beyond_two_pi_rejected(kind, p):
     calls = [
         lambda: model.w(p, P0), lambda: model.w_derivatives(p, P0),
         lambda: fr.find_maximizer(model, p),
-        lambda: fr.find_minimum(model, p),
         lambda: fr.OmegaEvaluator(model, p, cp),
         lambda: fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(rho=0.5)),
         lambda: fr.secular_root(model, p, 1.0, 16),
@@ -107,15 +105,15 @@ def test_fully_degenerate_momentum_rejected(model_one):
 
 
 def test_minimum_values(model_one):
-    assert fr.find_minimum(model_one, P0) == pytest.approx(0.0, abs=1e-12)
-    m = fr.find_minimum(model_one, np.array([np.pi / 2, 0.0, 0.0]))
+    assert fr.find_maximizer(model_one, P0).m == pytest.approx(0.0, abs=1e-12)
+    m = fr.find_maximizer(model_one, np.array([np.pi / 2, 0.0, 0.0])).m
     assert m == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-10)
 
 
 def test_minimum_bounds_random_samples(model_one):
     rng = np.random.default_rng(31)
     p = rng.uniform(-1.0, 1.0, 3)
-    m = fr.find_minimum(model_one, p)
+    m = fr.find_maximizer(model_one, p).m
     q = rng.uniform(-np.pi, np.pi, (1000, 3))
     assert np.all(model_one.w(p, q) >= m - 1e-12)
 
@@ -205,13 +203,12 @@ def test_closed_form_fibre_matches_the_scan(log_hopping, p):
     assert abs(closed.M - scan.M) <= 8.0 * np.finfo(float).eps * scale
     assert abs(closed.m - scan.m) <= 8.0 * np.finfo(float).eps * scale
     assert np.abs(closed.hessian - scan.hessian).max() <= 1e-14 * 2.0 * c.max()
-    assert closed.m == fr.find_minimum(model, p)
 
 
 @pytest.mark.parametrize("hopping", HOPPINGS)
 def test_two_particle_fibre_builds_no_scan(hopping, monkeypatch):
-    # a two_particle find_maximizer (and find_minimum) reads the closed
-    # forms: no scan grid and no Newton step
+    # a two_particle find_maximizer reads the closed forms: no scan grid
+    # and no Newton step
     def refuse(*args):
         raise AssertionError("scan or Newton step on a two_particle fibre")
 
@@ -220,8 +217,7 @@ def test_two_particle_fibre_builds_no_scan(hopping, monkeypatch):
     model = fr.two_particle_model(hopping=hopping)
     rng = np.random.default_rng(23)
     for p in [P0] + list(rng.uniform(-2.8, 2.8, (4, 3))):
-        cp = fr.find_maximizer(model, p)
-        assert cp.m == fr.find_minimum(model, p)
+        fr.find_maximizer(model, p)
     with pytest.raises(fr.DegenerateMaximumError):
         fr.find_maximizer(model, np.array([np.pi, 0.1, -0.12]))
 

@@ -54,6 +54,24 @@ TRUTH_POINTS = [
 
 
 @pytest.mark.parametrize("kind", ["one", "vanishing", "mixed"])
+def test_route_reads_the_closed_forms_of_the_critical_point(kind):
+    # q0 and alpha come from critical.two_particle_closed_forms alone, which
+    # wrap p first: Omega(p) and its bar are bitwise the same at p and at
+    # p - 2 pi e_j
+    model = _kinds()[kind]
+    rng = np.random.default_rng(29)
+    for i in range(40):
+        p = rng.uniform(-2.8, 2.8, 3)
+        j = i % 3
+        p[j] = rng.uniform(np.pi, 2.0 * np.pi)
+        shifted = p.copy()
+        shifted[j] -= 2.0 * np.pi
+        got = [fr.OmegaEvaluator(model, q, fr.find_maximizer(model, q))
+               .threshold for q in (p, shifted)]
+        assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing", "mixed"])
 @pytest.mark.parametrize("p, delta, power", TRUTH_POINTS)
 def test_route_within_its_bar_of_mpmath(kind, p, delta, power):
     model = _kinds()[kind]

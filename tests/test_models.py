@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,41 @@ def test_zero_phi_rejected():
             w_table=[{"index": [0, 0, 0], "value": 3.0},
                      {"index": [1, 0, 0], "value": -1.0}],
             phi_table=[{"index": [0, 0, 0], "value": 0.0}]))
+
+
+# the largest sum_k hypot(cos_k, sin_k) of a phi table whose bound
+# (2 pi)^3 (sum)^2 on every phi(q)^2 and on ||phi||^2 is a finite float
+PHI_AMP_MAX = np.sqrt(np.finfo(float).max / (2.0 * np.pi) ** 3)
+
+
+@pytest.mark.parametrize("config, name", [
+    # phi(q0) = 0 at p = 0: only a bound over all of phi catches it
+    ({"family": "two_particle",
+      "phi": {"constant": 1e200, "cos1": [1e200, 0.0, 0.0]}}, "phi"),
+    ({"family": "two_particle", "phi": {"constant": 1e153}}, "phi"),
+    ({"family": "two_particle", "phi": {"constant": 1e300}}, "phi"),
+    # each coefficient below the bound, their hypot above it
+    ({"family": "trig_poly",
+      "w_table": [{"index": [0, 0, 0], "value": 3.0},
+                  {"index": [1, 0, 0], "value": -1.0}],
+      "phi_table": [{"index": [1, 0, 1], "value": 0.75 * PHI_AMP_MAX,
+                     "sin": 0.75 * PHI_AMP_MAX}]}, "phi_table")])
+def test_phi_whose_square_can_overflow_rejected(config, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fr.ConfigError,
+                           match="^%s: .* on phi\\^2 overflows a float$"
+                           % name):
+            fr.DispersionModel(fr.ModelConfig.from_dict(config))
+
+
+def test_phi_below_the_overflow_bound_keeps_finite_squares():
+    model = fr.two_particle_model(phi={"constant": 0.5 * PHI_AMP_MAX,
+                                       "cos1": [0.49 * PHI_AMP_MAX, 0.0, 0.0]})
+    grid = tensor_grid(grid_axis(16))
+    with np.errstate(over="raise"):
+        assert np.isfinite(model.phi_l2_norm_sq())
+        assert np.all(np.isfinite(np.square(model.phi(grid))))
 
 
 def test_nonpositive_hopping_rejected():

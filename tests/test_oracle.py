@@ -1,4 +1,6 @@
+import ast
 import gc
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,29 @@ from friedrichs.torus import grid_axis, tensor_grid
 P0 = np.zeros(3)
 P1 = np.array([0.7, -0.3, 1.1])
 KINDS = ("one", "vanishing", "off_axis")
+
+def _imports_oracle(node):
+    if isinstance(node, ast.Import):
+        return any(a.name == "friedrichs.oracle" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module in ("oracle", "friedrichs.oracle"):
+            return True
+        return (module in ("", "friedrichs")
+                and any(a.name == "oracle" for a in node.names))
+    return False
+
+
+def test_only_the_cli_imports_the_oracle():
+    # the oracle is the independent truth of the production path: no
+    # module that computes an answer may read it
+    package = pathlib.Path(fr.__file__).parent
+    importers = sorted(
+        path.name for path in package.glob("*.py")
+        if any(_imports_oracle(node)
+               for node in ast.walk(ast.parse(path.read_text()))))
+    assert importers == ["__init__.py", "cli.py"]
+
 
 # Frozen midpoint-grid threshold sums for the builtin phi = 1 model at
 # p = 0 (z = M = 12).  The 1/N Richardson extrapolant of the (64, 128)

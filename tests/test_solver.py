@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from conftest import bessel_omega, scaled_phi
+from conftest import bessel_omega, norm_on_grid, residual_sup, scaled_phi
 from friedrichs.cli import _json
 
 P0 = np.zeros(3)
@@ -178,8 +178,8 @@ def test_eigenfunction_normalized_with_small_residual(model_one, cp_one,
     e = fr.solve_eigenvalue(model_one, P0, cp_one, mu, evaluator=ev_one)
     psi = fr.eigenfunction(model_one, P0, cp_one, mu, e, evaluator=ev_one)
     assert psi.normalization > 0.0
-    assert psi.norm_on_grid() == pytest.approx(1.0, abs=1e-7)
-    assert psi.residual_sup() <= 1e-8
+    assert norm_on_grid(psi) == pytest.approx(1.0, abs=1e-7)
+    assert residual_sup(psi) <= 1e-8
     # pointwise: finite everywhere, peak near q0
     vals = psi(np.array([[np.pi, np.pi, np.pi], [0.0, 0.0, 0.0]]))
     assert np.all(np.isfinite(vals))
