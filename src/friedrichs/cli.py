@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -131,9 +132,36 @@ def _metadata(cfg, spec):
     }
 
 
+def _non_finite(value, name=""):
+    """The name of the first number in value, in key order, that is not
+    finite (a.b[2] for value["a"]["b"][2]), else None."""
+    if isinstance(value, dict):
+        items = (("%s.%s" % (name, k) if name else k, value[k])
+                 for k in sorted(value))
+    elif isinstance(value, (list, tuple, np.ndarray)) and np.ndim(value):
+        items = (("%s[%d]" % (name, i), v) for i, v in enumerate(value))
+    else:
+        number = isinstance(value, (float, np.floating, np.ndarray))
+        return name if number and not math.isfinite(value) else None
+    return next(filter(None, (_non_finite(v, n) for n, v in items)), None)
+
+
+def _check_finite(payload):
+    """JSON has no NaN or Infinity: a FriedrichsError naming the first
+    number of payload that is not finite."""
+    bad = _non_finite(payload)
+    if bad is not None:
+        raise FriedrichsError(
+            "%s is not finite, and a JSON artifact holds finite numbers "
+            "only" % bad)
+
+
 def _json(payload):
-    """Every JSON artifact: sorted keys, arrays as lists, enums as values."""
-    return json.dumps(payload, indent=2, sort_keys=True,
+    """Every JSON artifact: sorted keys, arrays as lists, enums as values,
+    and finite numbers only (_check_finite), checked before anything is
+    written."""
+    _check_finite(payload)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=np.ndarray.tolist)
 
 
@@ -327,6 +355,7 @@ def cmd_sweep(args, model, spec, metadata):
                               % (len(waypoints), least))
         points = _sample_path(waypoints, args.samples)
         path_desc = {"path": waypoints, "samples": args.samples}
+    _check_finite(path_desc)  # the manifest records it: refused before a fibre
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         groups = list(pool.map(

@@ -15,7 +15,9 @@ at q0 with support radius rho:
   sharp boundary layer of width sqrt(delta) near the edge never has to be
   resolved by the radial Gauss rule.  At delta = 0 the closed form reduces
   to the removable-singularity value rho/k(nu) per ray, i.e. the r -> 0
-  limit 2 phi^2(q0) / (nu.(-A)nu).
+  limit 2 phi^2(q0) / (nu.(-A)nu).  The sphere rule is exactly antipodal
+  and k(-nu) = k(nu), so the model and its closed form are summed over
+  half the directions with twice the weights.
 
 For the two_particle family the denominator separates axis by axis and
 Omega is the exact 1-D Laplace-Bessel integral of laplace.py.  evaluate and
@@ -62,21 +64,26 @@ phi from its table, both in one models.harmonic_values call, the
 evaluator of every Fourier table.  On a far-field slab or a torus-sum
 grid the per-axis harmonics are 1-D and each axis support costs one
 broadcast add; a near-field block is (radii, n_ang, 2 n_ang), axis 3 is
-kept at the n_ang distinct cos(theta) per radius (_polar_block), so only
-axes 1 and 2 take full-size cos and sin (4 calls per node for the
-off-axis benchmark model).  The fibre table differs from model.w's
-T(q) + T(p - q) by rounding only; find_maximizer and the oracle read
-model.w.
+kept at the n_ang distinct cos(theta) per radius, and axes 1 and 2 take
+cos and sin of n (q0_i +- r nu_i) by angle addition from one np.cos and
+one np.sin of n r nu_i over the half of the azimuths whose antipodes are
+the other half (_polar_block): 2 calls per node for the off-axis
+benchmark model, whose tables have order 1.  The fibre table differs from
+model.w's T(q) + T(p - q) by rounding only; find_maximizer and the oracle
+read model.w.
 
 Memory: a level keeps its node arrays and nothing else, at most
-MAX_LEVEL_BYTES, checked before any is allocated.  The build streams the
+MAX_LEVEL_BYTES, checked before any is allocated: w_p and the far weights
+on the n_grid^3 grid, M - w_p and the near weights on all n_rad x 2 n_ang^2
+polar nodes, and the Hessian model on half of them.  The build streams the
 far field through slabs of torus planes, about BLOCK nodes each, and the
 near field through blocks of radii of about BLOCK / 2 nodes, writing the
-kept nodes straight into the level's arrays; the bump is evaluated only on
-its shell dist < rho (it is 0 beyond).  A per-z reduction forms and sums
-its integrand one block at a time, along NumPy's pairwise-summation split
-(friedrichs.sums), so every node array and every sum is bitwise the one of
-a full-grid pass.
+kept nodes straight into the level's arrays; the bump is evaluated only in
+the tensor box of axis nodes within rho of q0 (it is 0 beyond), and a
+slab whose nodes are all kept is copied without a mask.  A per-z
+reduction forms and sums its integrand one block at a time, along NumPy's
+pairwise-summation split (friedrichs.sums), so every node array and every
+sum is bitwise the one of a full-grid pass.
 The Gauss-Legendre and sphere rules are cached per node count and
 returned read-only.
 
@@ -108,7 +115,7 @@ from .errors import (
     QuadratureNotConvergedError,
 )
 from .laplace import ROUNDING, laplace_omega, laplace_table
-from .models import harmonic_values
+from .models import harmonic_orders, harmonic_values
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
@@ -116,7 +123,7 @@ RHO_CAP = 1.0  # ball radius unless the spec sets one (below pi/2)
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
-MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 383 MiB)
+MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 351 MiB)
 # radii r_j of the classification ladder, RHO_CAP / 2^5 .. RHO_CAP / 2^8
 LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
 SUM_GRIDS = (16, 24, 32, 48, 64)  # torus-sum grids: N and the next one
@@ -201,16 +208,21 @@ def sphere_product_rule(n):
     """Gauss-Legendre x trapezoid product rule on the unit sphere.
 
     n nodes in cos(theta), 2n equispaced azimuthal nodes; weights sum to
-    4*pi.  Returns (directions (m, 3), weights (m,)), cached and read-only.
+    4*pi.  The azimuths f >= n take (-cos, -sin) of azimuth f - n, and the
+    Gauss-Legendre nodes and weights are symmetric, so the antipode of
+    every direction is a node of the rule, bit for bit, with the same
+    weight.  Returns (directions (m, 3), weights (m,)), polar-major (m =
+    2n^2), cached and read-only.
     """
     xu, wu = _gauss_legendre(n)
     nphi = 2 * n
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    phi = 2.0 * np.pi * np.arange(n) / nphi
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     wphi = 2.0 * np.pi / nphi
     st = np.sqrt(np.clip(1.0 - xu * xu, 0.0, None))
     nu = np.empty((n * nphi, 3))
-    nu[:, 0] = np.outer(st, np.cos(phi)).ravel()
-    nu[:, 1] = np.outer(st, np.sin(phi)).ravel()
+    nu[:, 0] = np.outer(st, np.concatenate((cos_phi, -cos_phi))).ravel()
+    nu[:, 1] = np.outer(st, np.concatenate((sin_phi, -sin_phi))).ravel()
     nu[:, 2] = np.outer(xu, np.ones(nphi)).ravel()
     return _read_only(nu, np.outer(wu, np.full(nphi, wphi)).ravel())
 
@@ -246,20 +258,40 @@ def _radial_closed_form(delta, k, rho, power):
     return out
 
 
-def _dist2_to(grid, q0):
-    """Squared wrapped distance from the broadcastable coordinate arrays
-    grid (a tensor grid or a slab of one) to q0."""
-    d1, d2, d3 = (wrap_angles(x - c) ** 2 for x, c in zip(grid, q0))
-    return d1 + d2 + d3
+def _antipodal(nc, na):
+    """(cos, sin) of nc + na, then of nc - na, along the last axis (twice
+    the length of na), by angle addition from one np.cos and one np.sin
+    of na and the scalars cos nc and sin nc."""
+    cos_na, sin_na = np.cos(na), np.sin(na)
+    cos_c, sin_c = np.cos(nc), np.sin(nc)
+    h = na.shape[-1]
+    cos, sin = (np.empty(na.shape[:-1] + (2 * h,)) for _ in range(2))
+    a, b = cos_c * cos_na, sin_c * sin_na
+    np.subtract(a, b, out=cos[..., :h])
+    np.add(a, b, out=cos[..., h:])
+    np.multiply(sin_c, cos_na, out=a)
+    np.multiply(cos_c, sin_na, out=b)
+    np.add(a, b, out=sin[..., :h])
+    np.subtract(a, b, out=sin[..., h:])
+    return cos, sin
 
 
-def _polar_block(q0, r, nu, block):
-    """The coordinates of q0 + r nu for radii r (a column) and the sphere
-    rule's directions nu, in the block shape (radii, n_ang, 2 n_ang): axes
-    1 and 2 full, axis 3 (radii, n_ang, 1), one value per cos(theta)."""
-    x1, x2 = ((c + r * nu[:, i]).reshape(block)
-              for i, c in zip((0, 1), q0[:2]))
-    return x1, x2, (q0[2] + r * nu[::block[2], 2])[:, :, None]
+def _polar_block(q0, r, half, orders):
+    """(coordinates, harmonics) of q0 + r nu for radii r (shape (radii, 1,
+    1)), as harmonic_values takes them, in the block shape (radii, n_ang,
+    2 n_ang).  half holds the directions f < n_ang of each polar row; the
+    others are their antipodes, so with a = r nu_i on the half, axes 1 and
+    2 are q0_i + a, then q0_i - a, and take the harmonics of their orders
+    from _antipodal.  Axis 3 is (radii, n_ang, 1), one value per
+    cos(theta), and harmonic_values forms its harmonics."""
+    coords, harmonics = [], []
+    for i in (0, 1):
+        a = r * half[:, :, i]
+        coords.append(np.concatenate((q0[i] + a, q0[i] - a), axis=-1))
+        harmonics.append({n: _antipodal(n * q0[i], a if n == 1 else n * a)
+                          for n in orders[i]})
+    coords.append(q0[2] + r * half[:, :1, 2])
+    return coords, harmonics + [None]
 
 
 def _crossovers(table):
@@ -339,8 +371,9 @@ class OmegaEvaluator:
         n_grid = s.n_grid * 2 ** level
         n_rad = s.n_radial * 2 ** level
         n_ang = s.n_angular * 2 ** level
-        # 2 far arrays of n_grid^3, 4 near of n_rad x 2 n_ang^2, 2 of 2n_ang^2
-        nbytes = 8 * (2 * n_grid ** 3 + (4 * n_rad + 2) * 2 * n_ang ** 2)
+        # 2 far arrays of n_grid^3; near: 2 of n_rad x 2 n_ang^2 over the
+        # whole rule, 2 of n_rad x n_ang^2 and 2 of n_ang^2 over its half
+        nbytes = 8 * (2 * n_grid ** 3 + (6 * n_rad + 2) * n_ang ** 2)
         if nbytes > MAX_LEVEL_BYTES:
             raise QuadratureError(
                 "level %d would keep %.4g MiB of nodes (n_grid %d), above "
@@ -350,10 +383,16 @@ class OmegaEvaluator:
 
         # far field: midpoint torus grid, weight h^3 (1-chi) phi^2, built in
         # slabs of i-planes straight into n^3 arrays; the nodes kept
-        # (weight > 0) are their leading slice, a view of the n^3 buffers
+        # (weight > 0) are their leading slice, a view of the n^3 buffers.
+        # The ball dist < rho lies in the tensor box of the axis nodes
+        # within rho of q0 (dist >= sqrt(d_i) on every axis i): the bump is
+        # evaluated there only, and elsewhere chi is 0.0 and the weight is
+        # h^3 phi^2, the same bits as h^3 (1 - 0.0) phi^2
         ax = grid_axis(n_grid)
         grid = tensor_grid(ax)
         h3 = (2.0 * np.pi / n_grid) ** 3
+        d2 = [wrap_angles(ax - c) ** 2 for c in self.q0]
+        box = [np.flatnonzero(np.sqrt(d) < rho) for d in d2]
         far_weight = np.empty(n_grid ** 3)
         far_w = np.empty(n_grid ** 3)
         kept = 0
@@ -361,27 +400,44 @@ class OmegaEvaluator:
         planes = max(1, BLOCK // n_grid ** 2)
         for i in range(0, n_grid, planes):
             slab = (grid[0][i:i + planes],) + grid[1:]
-            dist = np.sqrt(_dist2_to(slab, self.q0))
-            # the bump is exactly 0.0 at dist >= rho: evaluate it on its shell
-            shell = dist < rho
-            chi = np.zeros(dist.shape)
-            chi[shell] = bump_profile(dist[shell] / rho)
+            shape = (len(slab[0]), n_grid, n_grid)
             w, phi = harmonic_values(tables, *slab)
-            weight = h3 * (1.0 - chi) * np.asarray(phi) ** 2
-            keep = weight > 0.0
-            n_keep = np.count_nonzero(keep)
-            far_weight[kept:kept + n_keep] = weight[keep]
-            far_w[kept:kept + n_keep] = np.broadcast_to(w, dist.shape)[keep]
+            phi2 = np.asarray(phi) ** 2
+            weight = np.multiply(h3, phi2, out=np.empty(shape))
+            inner = box[0][(box[0] >= i) & (box[0] < i + planes)]
+            if inner.size and box[1].size and box[2].size:
+                dist = np.sqrt(d2[0][inner, None, None]
+                               + d2[1][None, box[1], None] + d2[2][box[2]])
+                shell = dist < rho
+                chi = np.zeros(dist.shape)
+                chi[shell] = bump_profile(dist[shell] / rho)
+                sub = np.ix_(inner - i, box[1], box[2])
+                weight[sub] = (h3 * (1.0 - chi)
+                               * np.broadcast_to(phi2, shape)[sub])
+            if weight.min() > 0.0:  # every node kept: a contiguous copy
+                n_keep = weight.size
+                far_weight[kept:kept + n_keep] = weight.ravel()
+                far_w[kept:kept + n_keep].reshape(shape)[...] = w
+            else:
+                keep = weight > 0.0
+                n_keep = np.count_nonzero(keep)
+                far_weight[kept:kept + n_keep] = weight[keep]
+                far_w[kept:kept + n_keep] = np.broadcast_to(w, shape)[keep]
             kept += n_keep
         far_weight, far_w = far_weight[:kept], far_w[:kept]
 
         # near field: polar nodes about q0, built in blocks of radii; a
         # block is (radii, n_ang polar, 2 n_ang azimuthal nodes), and axis 3
-        # takes only the n_ang distinct cos(theta) of each radius
+        # takes only the n_ang distinct cos(theta) of each radius.  The
+        # azimuths f < n_ang hold one direction of each antipodal pair: axes
+        # 1 and 2 take their harmonics from that half, and the Hessian
+        # model, even in nu, is kept on it with twice the weights
         xr, wr = _gauss_legendre(n_rad)
         r = 0.5 * rho * (xr + 1.0)
         wr = 0.5 * rho * wr
         nu, wa = sphere_product_rule(n_ang)
+        half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
+        orders = [harmonic_orders(tables, i) for i in (0, 1)]
         radial = wr * bump_profile(r / rho) * r * r
         u = np.empty((n_rad, nu.shape[0]))
         P = np.empty(u.shape)
@@ -389,10 +445,10 @@ class OmegaEvaluator:
         # coordinates, four harmonics, two sums and a term of block size
         rows = max(1, BLOCK // 2 // nu.shape[0])
         for i in range(0, n_rad, rows):
-            ri = r[i:i + rows, None]
+            ri = r[i:i + rows, None, None]
             block = (len(ri), n_ang, 2 * n_ang)
-            w, phi = harmonic_values(tables, *_polar_block(self.q0, ri, nu,
-                                                           block))
+            coords, harmonics = _polar_block(self.q0, ri, half, orders)
+            w, phi = harmonic_values(tables, *coords, harmonics=harmonics)
             weight = (radial[i:i + rows, None] * wa[None, :]).reshape(block)
             np.subtract(self.M, w, out=u[i:i + rows].reshape(block))
             np.multiply(weight, np.asarray(phi) ** 2,
@@ -401,13 +457,14 @@ class OmegaEvaluator:
             raise QuadratureError(
                 "near-field ball of radius %.3f contains points at or above "
                 "the band edge; decrease rho" % rho)
-        R2 = wr * r * r
-        k = 0.5 * np.einsum("ij,jk,ik->i", nu, self._negA, nu)
+        half = half.reshape(-1, 3)
+        wa = 2.0 * wa.reshape(n_ang, 2 * n_ang)[:, :n_ang].ravel()
+        k = 0.5 * np.einsum("ij,jk,ik->i", half, self._negA, half)
         return {
             "far_weight": far_weight, "far_w": far_w,
             "P": P, "u": u, "k": k, "wa": wa,
             "kr2": k[None, :] * (r ** 2)[:, None],
-            "R2wa": R2[:, None] * wa[None, :],
+            "R2wa": (wr * r * r)[:, None] * wa[None, :],
         }
 
     def _level(self, level):

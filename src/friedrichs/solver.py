@@ -293,7 +293,8 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     quadrature nodes so systematic errors cancel in the differences.  Fewer
     points would determine the three coefficients exactly and leave the
     residual gate nothing to test.  ExpansionFitError: no difference above
-    the bars of its Omega values, or a residual above FIT_RESIDUAL_GATE.
+    the bars of its Omega values, or a residual above FIT_RESIDUAL_GATE or
+    NaN.
     """
     check_expansion_args(window, n_points)
     ev = _evaluator(model, p, cp, evaluator)
@@ -316,7 +317,7 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
         rel_residual=rel_residual,
         sqrt_coeff=float(coeffs[0]), linear_coeff=float(coeffs[1]),
         threehalf_coeff=float(coeffs[2]), deltas=deltas, data=data)
-    if rel_residual > FIT_RESIDUAL_GATE:
+    if not rel_residual <= FIT_RESIDUAL_GATE:
         raise ExpansionFitError(
             "expansion fit failed: relative residual %.3e" % rel_residual)
     return fit

@@ -43,6 +43,40 @@ def test_threshold_json(capsys):
     assert payload["mu_threshold"] == pytest.approx(0.01595, abs=2e-5)
 
 
+def test_non_finite_number_writes_no_artifact(capsys, tmp_path):
+    # Omega(p) is subnormal here and mu(p) = 1 / Omega(p) overflows to inf:
+    # the run wrote "mu_threshold": Infinity, which is not JSON, and exited 0
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"family": "two_particle",
+                                  "phi": {"constant": 1e-160}}))
+    with np.errstate(over="ignore"):
+        code, out, err = _run(capsys, [
+            "threshold", "--config", str(config), "--p", "0.7,-0.3,1.1",
+            "--out", str(tmp_path / "out")])
+    assert code == 1 and out == ""
+    assert err == ("friedrichs: mu_threshold is not finite, and a JSON "
+                   "artifact holds finite numbers only\n")
+    assert not (tmp_path / "out").exists()
+    assert cli._non_finite({"a": [1.0, {"b": float("nan")}], "c": 2}) \
+        == "a[1].b"
+    assert cli._non_finite({"z": np.array([[0.0, -np.inf]])}) == "z[0][1]"
+    assert cli._non_finite([np.array(np.nan), "nan", 1]) == "[0]"
+    assert cli._non_finite({"x": np.float64(2.0), "y": (0, None)}) is None
+
+
+def test_nan_fit_residual_fails_the_gate(capsys, tmp_path):
+    # Omega differences of about 1e306 overflow the residual's norms to a
+    # NaN, which passed the gate and was written as "rel_residual": NaN
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"family": "two_particle",
+                                  "phi": {"constant": 8e152}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = _run(capsys, ["expansion", "--config", str(config),
+                                       "--p", "0.7,-0.3,1.1"])
+    assert code == 1 and out == ""
+    assert err == "friedrichs: expansion fit failed: relative residual nan\n"
+
+
 def test_threshold_degenerate_exit_2(capsys):
     code, _, err = _run(capsys, ["threshold", "--p", "%.17g,0,0" % np.pi])
     assert code == 2
@@ -84,14 +118,23 @@ def test_non_finite_p_exit_1(capsys, tmp_path):
     code, out, err = _run(capsys, ["threshold", "--p", "nan,0,0"])
     assert (code, out) == (1, "")
     assert err == "friedrichs: p = [nan, 0.0, 0.0] is not finite\n"
-    code, _, _ = _run(capsys, [
+    # a sweep's manifest records its path, and JSON has no Infinity: the
+    # waypoint is refused before any fibre (the manifest read "Infinity")
+    code, out, err = _run(capsys, [
         "sweep", "--path", "0,0,0:inf,0,0", "--samples", "2", "--mu", "x2",
+        "--outputs", "threshold", "--out", str(tmp_path / "inf")])
+    assert (code, out) == (1, "")
+    assert err == ("friedrichs: path[1][0] is not finite, and a JSON "
+                   "artifact holds finite numbers only\n")
+    assert not (tmp_path / "inf").exists()
+    code, _, _ = _run(capsys, [
+        "sweep", "--path", "0,0,0:7,0,0", "--samples", "2", "--mu", "x2",
         "--outputs", "threshold", "--out", str(tmp_path)])
     assert code == 0  # the first row succeeded
     with open(tmp_path / "sweep.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert [row[header.index("error")] for row in rows] == [
-        "", "p = [inf, 0.0, 0.0] is not finite"]
+        "", "p = [7.0, 0.0, 0.0] is outside [-2 pi, 2 pi]^3"]
 
 
 def test_momentum_beyond_two_pi_exit_1(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from conftest import mixed_model, model_kinds, quadrature_twin, scaled_phi
 from friedrichs.critical import GRAD_TOL
-from friedrichs.models import harmonic_values
+from friedrichs.models import harmonic_orders, harmonic_values
 from friedrichs.quadrature import _polar_block, sphere_product_rule
 from friedrichs.torus import grid_axis, tensor_grid
 
@@ -73,20 +73,23 @@ def _table_model(w_rows, phi_rows):
 def test_fibre_table_matches_the_model(w_rows, phi_rows, mixed, p, q, radii):
     # the level build's evaluation (w_p from model.fibre_table, phi from its
     # table, both by harmonic_values) against model.w and model.phi, on a
-    # tensor-grid slab, a near-field block of rays and a single point
+    # tensor-grid slab, a near-field block of rays (axes 1 and 2 by angle
+    # addition from the half of the sphere rule) and a single point
     model = mixed_model() if mixed else _table_model(w_rows, phi_rows)
     assume(model is not None)
     p, q = np.array(p), np.array(q)
     tables = (model.fibre_table(p), model._phi)
     grid = tensor_grid(grid_axis(16))
     nu, _ = sphere_product_rule(4)
-    blocks = ((grid[0][5:9],) + grid[1:],
-              _polar_block(q, np.array(radii)[:, None], nu, (2, 4, 8)),
-              tuple(q))
+    near = _polar_block(q, np.array(radii)[:, None, None],
+                        nu.reshape(4, 8, 3)[:, :4],
+                        [harmonic_orders(tables, i) for i in (0, 1)])
+    blocks = (((grid[0][5:9],) + grid[1:], (None,) * 3), near,
+              (tuple(q), (None,) * 3))
     eps = np.finfo(float).eps
-    for x in blocks:
+    for x, harmonics in blocks:
         shape = np.broadcast(*x).shape
-        w, phi = harmonic_values(tables, *x)
+        w, phi = harmonic_values(tables, *x, harmonics=harmonics)
         point = x if shape else q
         for got, want, table in ((w, model.w(p, point), model._w_block),
                                  (phi, model.phi(point), model._phi)):

@@ -497,7 +497,7 @@ def test_degenerate_edge_refused_before_level_2(twin_one):
     assert len(ev._levels) == 2
     assert seconds < 1.0
     # levels 0 and 1 stay kept: the peak is one streamed block above them,
-    # not the 383 MiB of a level-2 build
+    # not the 351 MiB of a level-2 build
     assert peak - kept <= 8 * 2 ** 20
 
 
@@ -630,7 +630,7 @@ def test_torus_sum_reads_neither_model_w_nor_the_oracle(kind, monkeypatch):
 
 
 # the off-axis fibres whose second moment at 2 mu(p) (E - M = 1.27 and
-# 1.30) built the 383 MiB level 2 on the split quadrature
+# 1.30) built level 2 (351 MiB) on the split quadrature
 LEVEL_2_FIBRES = [(1.858, 1.287, -2.259), (-1.672, -2.048, 1.476)]
 
 

@@ -10,9 +10,10 @@ import pytest
 import friedrichs as fr
 from conftest import mixed_model, model_kinds, quadrature_twin
 from friedrichs import quadrature
-from friedrichs.models import harmonic_values
+from friedrichs.models import harmonic_orders, harmonic_values
 from friedrichs.quadrature import (
     BLOCK,
+    _polar_block,
     _sum_over,
     bump_profile,
     sphere_product_rule,
@@ -24,7 +25,9 @@ def full_grid_level(ev, level):
     """The level build through full-grid temporaries: the reference.  w_p
     and phi are evaluated, as in the build, from the evaluator's fibre
     table and the model's phi table by harmonic_values, here on the whole
-    far grid and on all near nodes at once."""
+    far grid, with the bump on every node, and on all near nodes at once,
+    with axes 1 and 2 from the half of the sphere rule (_polar_block).  The
+    Hessian model is kept on that half with twice the weights."""
     s = ev.spec
     n_grid = s.n_grid * 2 ** level
     n_rad = s.n_radial * 2 ** level
@@ -52,16 +55,18 @@ def full_grid_level(ev, level):
     wr = 0.5 * rho * wr
     nu, wa = sphere_product_rule(n_ang)
     shape = (n_rad, n_ang, 2 * n_ang)
-    x = [(c + r[:, None] * nu[:, i]).reshape(shape)
-         for i, c in enumerate(ev.q0)]
-    x[2] = x[2][:, :, :1]  # one value per radius and cos(theta)
-    w, phi = harmonic_values(tables, *x)
+    half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
+    x, harmonics = _polar_block(ev.q0, r[:, None, None], half,
+                                [harmonic_orders(tables, i) for i in (0, 1)])
+    w, phi = harmonic_values(tables, *x, harmonics=harmonics)
     u = (ev.M - np.broadcast_to(w, shape)).reshape(n_rad, -1)
     phi2_near = np.broadcast_to(np.asarray(phi) ** 2, shape).reshape(n_rad, -1)
     chi = bump_profile(r / rho)
     P = (wr * chi * r * r)[:, None] * wa[None, :] * phi2_near
     R2 = wr * r * r
-    k = 0.5 * np.einsum("ij,jk,ik->i", nu, ev._negA, nu)
+    half = half.reshape(-1, 3)
+    wa = 2.0 * wa.reshape(n_ang, 2 * n_ang)[:, :n_ang].ravel()
+    k = 0.5 * np.einsum("ij,jk,ik->i", half, ev._negA, half)
     return {
         "far_weight": far_weight, "far_w": far_w,
         "P": P, "u": u, "k": k, "wa": wa,
@@ -158,7 +163,7 @@ def test_streamed_level_2_equals_full_grid_build():
     # blocks above what it keeps (a full-grid temporary is 128 MiB here)
     ev = _evaluator("one", np.array([3.14159, 0.1, -0.2]))
     got, retained, peak = _traced(lambda: ev._build_level(2))
-    assert retained >= 380 * 2 ** 20
+    assert retained >= 350 * 2 ** 20
     assert peak - retained <= 8 * 2 ** 20
     _assert_levels_equal(got, full_grid_level(ev, 2))
     z = ev.M + 1e-3
@@ -182,7 +187,7 @@ def _node_bytes(level):
 
 @pytest.mark.parametrize("name", ["one", "off_axis"])
 def test_level_1_build_peaks_near_what_it_keeps(name):
-    # the full-grid build peaks 52-68 MiB above the 48 MiB it keeps, and
+    # the full-grid build peaks 52-68 MiB above the 44 MiB it keeps, and
     # one full-grid temporary is 16 MiB; a build that leaves a reference
     # cycle keeps its last block's temporaries past the return
     ev = _evaluator(name, np.array([0.7, -0.3, 1.1]))
@@ -207,8 +212,11 @@ def test_fibre_table_levels_match_model_levels(monkeypatch, name, p, levels):
     p = np.array(p)
     cp = fr.find_maximizer(model, p)
     ev, ref = (fr.OmegaEvaluator(model, p, cp) for _ in range(2))
-    monkeypatch.setattr(quadrature, "harmonic_values", lambda tables, *x: (
-        model.w(p, x), model.phi(x)))
+    # the coordinates of every node reach the redirect; the near field's
+    # harmonics by angle addition are not read
+    monkeypatch.setattr(quadrature, "harmonic_values",
+                        lambda tables, *x, harmonics=None: (model.w(p, x),
+                                                            model.phi(x)))
     for level in levels:
         ref._level(level)
     monkeypatch.undo()
@@ -226,3 +234,89 @@ def test_warm_reduction_allocates_one_block():
     ev._level(1)
     _, _, peak = _traced(lambda: ev.value_at_level(ev.M + 0.1, 1))
     assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("n", [4, 5, 26, 52, 104])
+def test_sphere_rule_antipodes_are_nodes(n):
+    # the antipode of direction (j, f) is (n - 1 - j, f + n mod 2n), bit for
+    # bit and with the same weight, which the near field's half rests on
+    nu, wa = sphere_product_rule(n)
+    j, f = np.divmod(np.arange(2 * n * n), 2 * n)
+    anti = (n - 1 - j) * 2 * n + (f + n) % (2 * n)
+    assert np.array_equal(nu[anti], -nu)
+    assert np.array_equal(wa[anti], wa)
+
+
+@pytest.mark.parametrize("name", ["one", "vanishing", "off_axis", "mixed"])
+def test_near_harmonics_by_angle_addition(name):
+    # cos and sin of n (q0_i +- r nu_i) from the half of the rule, against
+    # np.cos and np.sin at the node's coordinate: the mixed model's phi has
+    # order 2, and at p = 0 the maximizer is q0 = (pi, pi, pi)
+    model = mixed_model() if name == "mixed" else model_kinds()[name]
+    eps = np.finfo(float).eps
+    for p in (np.array([0.7, -0.3, 1.1]), np.zeros(3)):
+        ev = fr.OmegaEvaluator(model, p, fr.find_maximizer(model, p))
+        tables = (ev._w_fibre, model._phi)
+        orders = [harmonic_orders(tables, i) for i in (0, 1)]
+        assert 2 in orders[0] or name != "mixed"
+        for level in (0, 1):
+            n_rad = ev.spec.n_radial * 2 ** level
+            n_ang = ev.spec.n_angular * 2 ** level
+            xr, _ = np.polynomial.legendre.leggauss(n_rad)
+            r = 0.5 * ev.rho * (xr + 1.0)
+            nu, _ = sphere_product_rule(n_ang)
+            half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
+            x, harmonics = _polar_block(ev.q0, r[:, None, None], half,
+                                        orders)
+            assert harmonics[2] is None
+            for i in (0, 1):
+                assert np.array_equal(x[i].reshape(n_rad, -1),
+                                      ev.q0[i] + r[:, None] * nu[:, i])
+                assert sorted(harmonics[i]) == orders[i]
+                for n, (cos, sin) in harmonics[i].items():
+                    assert np.max(np.abs(cos - np.cos(n * x[i]))) <= 8 * eps
+                    assert np.max(np.abs(sin - np.sin(n * x[i]))) <= 8 * eps
+
+
+@pytest.mark.parametrize("name", ["one", "off_axis"])
+def test_half_rule_hessian_model_equals_full_rule(name):
+    # the Hessian model's sum and closed form over half the directions with
+    # twice the weights, against the same sums over the whole sphere rule
+    ev = _evaluator(name, np.array([0.7, -0.3, 1.1]))
+    for level in (0, 1):
+        L = ev._level(level)
+        n_rad = ev.spec.n_radial * 2 ** level
+        xr, wr = np.polynomial.legendre.leggauss(n_rad)
+        r = 0.5 * ev.rho * (xr + 1.0)
+        wr = 0.5 * ev.rho * wr
+        nu, wa = sphere_product_rule(ev.spec.n_angular * 2 ** level)
+        k = 0.5 * np.einsum("ij,jk,ik->i", nu, ev._negA, nu)
+        kr2, R2wa = np.outer(r * r, k), np.outer(wr * r * r, wa)
+        assert 2 * L["k"].size == k.size and 2 * L["kr2"].size == kr2.size
+        for delta in (0.0, 1e-4, 1e-2, 0.3):
+            for power in (1, 2) if delta else (1,):
+                pairs = ((_sum_over(L["R2wa"], delta, np.add, L["kr2"], power),
+                          full_sum(R2wa, delta + kr2, power)),
+                         (np.sum(L["wa"] * quadrature._radial_closed_form(
+                             delta, L["k"], ev.rho, power)),
+                          np.sum(wa * quadrature._radial_closed_form(
+                              delta, k, ev.rho, power))))
+                for half, full in pairs:
+                    assert abs(half - full) <= 1e-14 * abs(full)
+
+
+@pytest.mark.parametrize("name, p, rho", [
+    ("one", (0.0, 0.0, 0.0), None),         # q0 = (pi, pi, pi): the box wraps
+    ("off_axis", (2.9, -0.4, 0.3), None),
+    ("vanishing", (0.7, -0.3, 1.1), 0.3),   # a box of a few nodes per axis
+    ("vanishing", (0.7, -0.3, 1.1), 0.05),  # no node within rho on axis 1
+])
+def test_far_field_bump_in_box_equals_whole_grid(name, p, rho):
+    model = model_kinds()[name]
+    p = np.array(p)
+    ev = fr.OmegaEvaluator(model, p, fr.find_maximizer(model, p),
+                           fr.QuadratureSpec(n_grid=16, rho=rho))
+    for level in (0, 1):
+        got, ref = ev._level(level), full_grid_level(ev, level)
+        for key in ("far_weight", "far_w"):
+            assert np.array_equal(got[key], ref[key]), key
