@@ -33,7 +33,6 @@ from .oracle import (
 from .quadrature import OmegaEvaluator, QuadratureSpec
 from .solver import (
     analyze,
-    check_expansion_args,
     classify_threshold,
     coupling_threshold,
     eigenvalue_error_estimate,
@@ -213,11 +212,8 @@ def cmd_classify(args, model, spec, p):
 
 
 def cmd_expansion(args, model, spec, p):
-    window = _parse_list(args.window, float, "window")
-    check_expansion_args(window, args.points)
     cp, ev, _ = _fiber(model, spec, p)
-    fit = expansion_fit(model, p, cp, evaluator=ev, window=window,
-                        n_points=args.points)
+    fit = expansion_fit(model, p, cp, evaluator=ev)
     return dict(dataclasses.asdict(fit), p=p)
 
 
@@ -431,8 +427,6 @@ def build_parser():
 
     sp = subs.add_parser("expansion", parents=[point],
                          help="square-root edge expansion fit")
-    sp.add_argument("--window", default="1e-4,1e-2")
-    sp.add_argument("--points", type=int, default=8)
     sp.set_defaults(func=cmd_expansion)
 
     sp = subs.add_parser("oracle", parents=[point],

@@ -25,9 +25,7 @@ second_moment share one moment path, the only place that chooses the
 backend: it answers two_particle fibres from the route, with the route's
 error bar and no node level, and trig_poly fibres from the plain torus sum
 once delta = z - M(p) passes the fibre's first crossover, else from the
-split quadrature.  value_at_level keeps the split quadrature for every
-family; state_norm_diagnostics reads only evaluate, at the fixed
-LADDER_RADII.
+split quadrature.  value_at_level keeps the split quadrature for every family.
 
 Torus sum: for delta of order one, phi^2 / (z - w_p)^power is analytic in
 a strip about the real torus, and the midpoint sum h^3 sum phi^2 /
@@ -42,9 +40,9 @@ least ln(SUM_STRIP) / N wide.  At the first crossover delta meets, the
 value is the sum on the next grid and the bar is its distance from the
 sum on N, plus 64 eps of the value.  The split quadrature answers,
 unchanged, where that bar exceeds rel_tol |value| and below every
-crossover: at delta = 0 always, and across the fit window and the
-classification ladder for w tables of order-one amplitudes.  The fibre keeps w and phi^2 of the two grids in use only (at
-most 48^3 and 64^3 nodes, 5.7 MiB).
+crossover: at delta = 0 always, and across the edge samples for w tables
+of order-one amplitudes.  The fibre keeps w and phi^2 of the two grids in
+use only (at most 48^3 and 64^3 nodes, 5.7 MiB).
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the node data per refinement level and the threshold value
@@ -52,11 +50,16 @@ Omega(p) = Omega(p; M(p)), each computed on first read.  Its bump radius
 rho is the spec's, else RHO_CAP: the certified unique non-degenerate
 maximum keeps M - w_p > 0 on that ball, and _build_level refuses a ball
 that reaches the band edge.
-Evaluating at many spectral parameters z (root finding, expansion fits)
+Evaluating at many spectral parameters z (root finding, edge samples)
 costs one vectorised reduction per z, and values at different z share
 identical node sets, which the second moment int phi^2 / (z - w_p)^2
 (-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
 take an evaluator and read p, M(p), the spec and Omega(p) from it.
+
+The edge behaviour Omega(z) - Omega(z + d) ~ a sqrt(d) + b d + ... is
+measured once per fibre, by edge_samples at offsets that scale with the
+curvature (hopping c scales them by c); solver.expansion_fit and
+state_norm_diagnostics both read the samples kept at z = M(p).
 
 Model evaluation: a level and a torus-sum grid read w_p from the
 evaluator's fibre table (model.fibre_table, built once, on first use) and
@@ -124,8 +127,8 @@ MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
 MAX_LEVEL_BYTES = 2 ** 30  # node arrays of a level (default level 2: 351 MiB)
-# radii r_j of the classification ladder, RHO_CAP / 2^5 .. RHO_CAP / 2^8
-LADDER_RADII = RHO_CAP / 2.0 ** np.arange(5, 9)
+FIT_WINDOW = (1e-4, 1e-2)  # range of the edge offsets, in units of k
+FIT_POINTS = 8  # edge offsets, log-spaced over FIT_WINDOW
 SUM_GRIDS = (16, 24, 32, 48, 64)  # torus-sum grids: N and the next one
 SUM_STRIP = 1e6  # e^(kappa_N N) of the strip each crossover keeps
 
@@ -343,6 +346,7 @@ class OmegaEvaluator:
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
         self._threshold = None
+        self._edge = None  # edge_samples(M(p)), computed on first read
         self._recent = ()  # the last two (z, OmegaValue), newest first
         self._laplace = (laplace_table(model, self.p)
                          if model.family == "two_particle" else None)
@@ -363,6 +367,26 @@ class OmegaEvaluator:
         if self._threshold is None:
             self._threshold = self.evaluate(self.M)
         return self._threshold
+
+    def edge_samples(self, z):
+        """(deltas, data, bar), data_j = Omega(z) - Omega(z + d_j) at the
+        FIT_POINTS offsets d_j = k x (x log-spaced over FIT_WINDOW, k the
+        largest eigenvalue of -A/2) and bar the bar of Omega(z) plus the
+        largest of the others; on identical nodes, so systematic errors
+        cancel.  Kept at z = M(p); the arrays are read-only."""
+        if z == self.M and self._edge is not None:
+            return self._edge
+        k = -0.5 * self.cp.hessian_eigenvalues[0]
+        deltas = k * np.logspace(np.log10(FIT_WINDOW[0]),
+                                 np.log10(FIT_WINDOW[1]), FIT_POINTS)
+        omega = self.threshold if z == self.M else self.evaluate(z)
+        values = [self.evaluate(z + d) for d in deltas]
+        data = np.array([omega.value - v.value for v in values])
+        bar = omega.estimated_error + max(v.estimated_error for v in values)
+        samples = _read_only(deltas, data) + (bar,)
+        if z == self.M:
+            self._edge = samples
+        return samples
 
     # -- node data ------------------------------------------------------
 
@@ -620,24 +644,19 @@ class OmegaEvaluator:
 def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> float:
     """The L2 growth exponent of f = phi / (z - w_p) near the maximizer,
     ~1 for a resonance-type threshold state (f not in L2), ~0 when f is
-    square integrable: the slope of log m_j against log(1/r_j).
+    square integrable: the slope of log m_j against log(1/sqrt(d_j)).
 
-    m_j = (Omega(z) - Omega(z + d_j)) / d_j, d_j = k r_j^2, is the mean
-    second moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j], with r_j
-    the LADDER_RADII and k the largest eigenvalue of -A/2.  It grows like
-    1/r_j exactly when phi(q0) != 0 at z = M(p), as the L2 mass of f
-    outside the ball of radius r_j does.  Every value is read from
-    evaluator.evaluate, on the fibre's route or node levels.  Moments that
-    vanish next to a huge z raise QuadratureError.
+    m_j = data_j / d_j of evaluator.edge_samples(z) is the mean second
+    moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j].  With d_j = k
+    r_j^2 it grows like 1/r_j exactly when phi(q0) != 0 at z = M(p), as the
+    L2 mass of f outside the ball of radius r_j does.  At z = M(p) these
+    are expansion_fit's samples.  Moments that vanish next to a huge z
+    raise QuadratureError.
     """
-    ev = evaluator
-    k = -0.5 * ev.cp.hessian_eigenvalues[0]
-    omega = ev.evaluate(z).value
-    moments = np.array([(omega - ev.evaluate(z + d).value) / d
-                        for d in k * LADDER_RADII ** 2])
+    deltas, data, _ = evaluator.edge_samples(z)
+    moments = data / deltas
     if not np.all((moments > 0.0) & np.isfinite(moments)):
         raise QuadratureError(
             "state norm diagnostics undefined at z = %r: moments %s are not "
             "positive and finite" % (float(z), moments.tolist()))
-    slope = np.polyfit(np.log(1.0 / LADDER_RADII), np.log(moments), 1)[0]
-    return float(slope)
+    return float(np.polyfit(-0.5 * np.log(deltas), np.log(moments), 1)[0])

@@ -29,6 +29,7 @@ from .errors import (
     BracketingError,
     ExpansionFitError,
     InvalidInputError,
+    QuadratureError,
     check_coupling,
 )
 from .quadrature import OmegaEvaluator, state_norm_diagnostics
@@ -36,9 +37,6 @@ from .roots import brentq
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of phi's RMS is zero
-FIT_WINDOW = (1e-4, 1e-2)
-FIT_POINTS = 8
-FIT_MIN_POINTS = 4       # one more than the three fitted coefficients
 FIT_RESIDUAL_GATE = 1e-3
 ROOT_XTOL = 1e-14        # brentq's absolute and relative root tolerances
 ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -77,8 +75,15 @@ def _det(z, ev, mu):
 
 def coupling_threshold(model, p, cp: CriticalPointInfo,
                        evaluator: OmegaEvaluator | None = None) -> float:
-    """mu(p) = 1 / Omega(p; M(p)); strictly positive."""
-    return 1.0 / _evaluator(model, p, cp, evaluator).threshold.value
+    """mu(p) = 1 / Omega(p; M(p)); strictly positive.  QuadratureError if it
+    is not a finite float (a subnormal Omega(p), for phi of order 1e-160)."""
+    omega = _evaluator(model, p, cp, evaluator).threshold.value
+    with np.errstate(over="ignore", divide="ignore"):
+        mu_p = 1.0 / omega
+    if not mu_p < float("inf"):
+        raise QuadratureError("mu(p) = 1 / Omega(p) = 1 / %.3e is not a "
+                              "finite float" % omega)
+    return mu_p
 
 
 def fredholm_det(model, p, cp: CriticalPointInfo, mu, z,
@@ -215,8 +220,9 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
     times the RMS of phi, sqrt(||phi||^2 / (2 pi)^3), exact by Parseval.
 
     For the two at-threshold classes the L2 growth exponent of the
-    threshold state, from the evaluator's own Omega values
-    (state_norm_diagnostics), is attached as corroboration.
+    threshold state (state_norm_diagnostics) is attached as corroboration.
+    It reads the fibre's edge samples at M(p), the ones expansion_fit
+    fits, so after a fit on the same evaluator it evaluates no Omega.
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
@@ -270,39 +276,17 @@ def tau0_closed_form(model, cp: CriticalPointInfo) -> float:
     return phi_q0 ** 2 * 2.0 ** 1.5 / np.sqrt(cp.det_negA)
 
 
-def check_expansion_args(window, n_points):
-    """Raise InvalidInputError unless expansion_fit accepts the window
-    (lo, hi) and the point count."""
-    if len(window) != 2 or not 0.0 < window[0] < window[1] < float("inf"):
-        raise InvalidInputError(
-            "expansion window must be lo,hi with 0 < lo < hi < inf: %r"
-            % (window,))
-    if not n_points >= FIT_MIN_POINTS:
-        raise InvalidInputError(
-            "expansion fit needs at least %d points, got %r"
-            % (FIT_MIN_POINTS, n_points))
-
-
 def expansion_fit(model, p, cp: CriticalPointInfo,
-                  evaluator: OmegaEvaluator | None = None,
-                  window=FIT_WINDOW, n_points=FIT_POINTS) -> ExpansionFit:
-    """Least-squares fit of the square-root edge expansion of Omega.
-
-    Samples Omega(p) - Omega(p; M + d_k) at n_points >= 4 log-spaced
-    offsets d_k in the window (lo, hi), 0 < lo < hi < inf, all on identical
-    quadrature nodes so systematic errors cancel in the differences.  Fewer
-    points would determine the three coefficients exactly and leave the
-    residual gate nothing to test.  ExpansionFitError: no difference above
-    the bars of its Omega values, or a residual above FIT_RESIDUAL_GATE or
-    NaN.
+                  evaluator: OmegaEvaluator | None = None) -> ExpansionFit:
+    """Least-squares fit of the square-root edge expansion of Omega to the
+    fibre's edge samples at M(p) (OmegaEvaluator.edge_samples, which
+    classify_threshold reads too): more samples than the three
+    coefficients, so the residual gate has something to test.
+    ExpansionFitError: no difference above the bars of its Omega values,
+    or a residual above FIT_RESIDUAL_GATE or NaN.
     """
-    check_expansion_args(window, n_points)
     ev = _evaluator(model, p, cp, evaluator)
-    deltas = np.logspace(np.log10(window[0]), np.log10(window[1]), n_points)
-    omega0 = ev.threshold
-    values = [ev.evaluate(ev.M + d) for d in deltas]
-    data = np.array([omega0.value - v.value for v in values])
-    bars = omega0.estimated_error + max(v.estimated_error for v in values)
+    deltas, data, bars = ev.edge_samples(ev.M)
     if not np.max(np.abs(data)) > bars:
         raise ExpansionFitError("expansion fit failed: Omega differences "
                                 "up to %.3e are within their bars %.3e"

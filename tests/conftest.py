@@ -265,3 +265,19 @@ def threshold_evaluations(monkeypatch):
 
     monkeypatch.setattr(fr.OmegaEvaluator, "value_at_level", counting)
     return calls
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """List that gains one entry (z) per Omega or second moment reduced on
+    any backend (route, torus sum or refinement loop); values answered from
+    the evaluator's caches reduce nothing."""
+    calls = []
+    moment = fr.OmegaEvaluator._moment
+
+    def counting(self, z, power, what):
+        calls.append(z)
+        return moment(self, z, power, what)
+
+    monkeypatch.setattr(fr.OmegaEvaluator, "_moment", counting)
+    return calls

@@ -43,20 +43,25 @@ def test_threshold_json(capsys):
     assert payload["mu_threshold"] == pytest.approx(0.01595, abs=2e-5)
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_number_writes_no_artifact(capsys, tmp_path):
-    # Omega(p) is subnormal here and mu(p) = 1 / Omega(p) overflows to inf:
-    # the run wrote "mu_threshold": Infinity, which is not JSON, and exited 0
+    # Omega(p) is subnormal here and mu(p) = 1 / Omega(p) overflows: the
+    # run wrote "mu_threshold": Infinity, which is not JSON, and exited 0,
+    # and later printed a numpy RuntimeWarning before the JSON writer
+    # refused the infinity; coupling_threshold refuses it by name
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({"family": "two_particle",
                                   "phi": {"constant": 1e-160}}))
-    with np.errstate(over="ignore"):
-        code, out, err = _run(capsys, [
-            "threshold", "--config", str(config), "--p", "0.7,-0.3,1.1",
-            "--out", str(tmp_path / "out")])
+    code, out, err = _run(capsys, [
+        "threshold", "--config", str(config), "--p", "0.7,-0.3,1.1",
+        "--out", str(tmp_path / "out")])
     assert code == 1 and out == ""
-    assert err == ("friedrichs: mu_threshold is not finite, and a JSON "
-                   "artifact holds finite numbers only\n")
+    assert err.startswith("friedrichs: mu(p) = 1 / Omega(p) = 1 / ")
+    assert err.endswith(" is not a finite float\n")
     assert not (tmp_path / "out").exists()
+    with pytest.raises(fr.FriedrichsError, match="^mu_threshold is not "
+                       "finite, and a JSON artifact holds finite numbers"):
+        cli._json({"mu_threshold": float("inf")})
     assert cli._non_finite({"a": [1.0, {"b": float("nan")}], "c": 2}) \
         == "a[1].b"
     assert cli._non_finite({"z": np.array([[0.0, -np.inf]])}) == "z[0][1]"
@@ -293,8 +298,11 @@ def test_expansion_command(capsys):
 
 
 @pytest.mark.parametrize("config", [None, "twin"])
-def test_expansion_window_below_the_bars_exit_1(capsys, tmp_path, config):
-    argv = ["expansion", "--points", "4", "--window", "1e-300,1e-299"]
+def test_expansion_window_below_the_bars_exit_1(capsys, monkeypatch, tmp_path,
+                                                config):
+    # edge offsets of 1e-300 leave every Omega difference 0.0
+    monkeypatch.setattr("friedrichs.quadrature.FIT_WINDOW", (1e-300, 1e-299))
+    argv = ["expansion"]
     if config:
         cfg = tmp_path / "twin.json"
         cfg.write_text(json.dumps(quadrature_twin(
@@ -303,6 +311,14 @@ def test_expansion_window_below_the_bars_exit_1(capsys, tmp_path, config):
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("friedrichs: expansion fit failed: Omega")
+
+
+@pytest.mark.parametrize("option", ["--window=1e-4,1e-2", "--points=8"])
+def test_expansion_window_and_points_are_gone(capsys, option):
+    # the edge offsets scale with the fibre's curvature: no option sets them
+    code, out, err = _run(capsys, ["expansion", option])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: %s" % option in err
 
 
 def test_oracle_command(capsys, tmp_path):
@@ -592,10 +608,10 @@ def test_cli_output_is_the_same_with_scipy_blocked(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["expansion", "--window", "abc"], "window"),
-    (["expansion", "--window", "1e-4,inf"], "window"),
-    (["expansion", "--points", "0"], "at least 4 points"),
-    (["expansion", "--points", "3"], "at least 4 points"),
+    (["threshold", "--p", "1,2"], "3 comma-separated components"),
+    (["threshold", "--p", "a,b,c"], "cannot parse torus point"),
+    (["oracle", "--N", ","], "empty N list"),
+    (["eigenvalue", "--mu", "huh"], "mu spec"),
     (["oracle", "--N", "16,abc"], "N list"),
     (["oracle", "--N", "16", "--dense", "-1"], "N >= 1"),
     (["threshold", "--grid", "0"], "n_grid"),
@@ -639,9 +655,9 @@ def _no_fiber(model, spec, p):
     (["sweep", "--path", "0,0,0"], "-2", "FRIEDRICHS_THREADS"),
     (["classify", "--mu", "abc"], None, "mu spec"),
     (["oracle", "--mu", "abc"], None, "mu spec"),
-    (["expansion", "--window", "abc"], None, "window"),
-    (["expansion", "--window", "1e-4,inf"], None, "window"),
-    (["expansion", "--points", "3"], None, "at least 4 points"),
+    (["threshold", "--p", "1,2"], None, "3 comma-separated components"),
+    (["expansion", "--p", "a,b,c"], None, "cannot parse torus point"),
+    (["oracle", "--N", ","], None, "empty N list"),
     (["oracle", "--N", "16,258"], None, "N <= 256"),
     (["sweep", "--path", "0,0,0", "--outputs", "threshold,oracle",
       "--oracle-n", "258"], None, "N <= 256"),

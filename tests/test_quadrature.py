@@ -13,7 +13,8 @@ from conftest import (mixed_model, model_kinds, mp_laplace_omega,
                       quadrature_twin, scaled_phi)
 from friedrichs.laplace import ROUNDING
 from friedrichs.quadrature import (
-    LADDER_RADII,
+    FIT_POINTS,
+    FIT_WINDOW,
     MAX_CONTRACTION,
     MAX_LEVEL_BYTES,
     RHO_CAP,
@@ -21,7 +22,6 @@ from friedrichs.quadrature import (
     _radial_closed_form,
     bump_profile,
 )
-from friedrichs.solver import FIT_POINTS, FIT_WINDOW
 
 P0 = np.zeros(3)
 
@@ -179,13 +179,20 @@ def test_bump_profile_shape():
     assert np.all(np.diff(b) <= 1e-12)
 
 
+def _offsets(ev):
+    """The edge offsets d_j = k x (log-spaced over FIT_WINDOW), k the
+    largest eigenvalue of -A/2."""
+    k = -0.5 * ev.cp.hessian_eigenvalues[0]
+    return k * np.logspace(np.log10(FIT_WINDOW[0]), np.log10(FIT_WINDOW[1]),
+                           FIT_POINTS)
+
+
 def _ladder(ev, z):
     """The mean second moments (Omega(z) - Omega(z + d_j)) / d_j that
-    state_norm_diagnostics fits, d_j = k r_j^2 at r_j = LADDER_RADII."""
-    k = -0.5 * ev.cp.hessian_eigenvalues[0]
-    omega = ev.evaluate(z).value
-    return np.array([(omega - ev.evaluate(z + k * r * r).value) / (k * r * r)
-                     for r in LADDER_RADII])
+    state_norm_diagnostics fits, from the fibre's edge samples."""
+    deltas, data, _ = ev.edge_samples(z)
+    assert np.array_equal(deltas, _offsets(ev))
+    return data / deltas
 
 
 def test_state_norm_diagnostics_off_threshold(cp_one, ev_one):
@@ -197,10 +204,11 @@ def test_state_norm_diagnostics_resonance(cp_one, ev_one):
     rate = fr.state_norm_diagnostics(ev_one, cp_one.M)
     moments = _ladder(ev_one, cp_one.M)
     # |f|^2 ~ 1/r^4 near q0: the mean second moment over [M, M + k r^2]
-    # grows like 1/r, as the L2 mass outside the ball of radius r does
+    # grows like 1/r, as the L2 mass outside the ball of radius r does; the
+    # offsets d = k r^2 increase, so the moments decrease
     assert 0.8 <= rate <= 1.2
     assert np.all(np.isfinite(moments))
-    assert np.all(np.diff(moments) > 0.0)
+    assert np.all(np.diff(moments) < 0.0)
 
 
 def test_state_norm_diagnostics_square_integrable(cp_vanishing,
@@ -225,26 +233,24 @@ def test_state_norm_exponent_route_equals_twin(kind, p):
 
 def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
     # truth from the mpmath Laplace-Bessel integral: the quad-based Bessel
-    # reference is 3e-10 off at the threshold, which over d = 1.5e-5 would
-    # exceed the bars of the moments a hundredfold
+    # reference is 3e-10 off at the threshold, which would exceed the bars
+    # of the moments a hundredfold
     moments = _ladder(ev_one, cp_one.M)
-    k = -0.5 * cp_one.hessian_eigenvalues[0]
     bar0 = ev_one.evaluate(cp_one.M).estimated_error
     truth0 = mp_laplace_omega(model_one, P0, 0.0, dps=17)
-    for r, moment in zip(LADDER_RADII, moments):
-        delta = k * r * r
+    for delta, moment in zip(_offsets(ev_one), moments):
         truth = (truth0
                  - mp_laplace_omega(model_one, P0, delta, dps=17)) / delta
         bar = (bar0
                + ev_one.evaluate(cp_one.M + delta).estimated_error) / delta
-        assert abs(moment - truth) <= bar, (r, moment, truth, bar)
+        assert abs(moment - truth) <= bar, (delta, moment, truth, bar)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("twin", [False, True])
 @pytest.mark.parametrize("dz", [1e117, 1e200])
 def test_state_norm_diagnostics_refuse_vanishing_moments(twin, dz):
-    # next to a huge z the four Omega differences are 0.0, whose log-log
+    # next to a huge z the Omega differences are 0.0, whose log-log
     # slope was nan; the route and the twin raise a typed error naming z
     model = model_kinds()["one"]
     if twin:
@@ -277,7 +283,8 @@ def test_state_norm_diagnostics_builds_no_level():
 
 @pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
 def test_classification_exponent_ignores_rho_on_the_route(model_one, p):
-    # rho shapes only the split quadrature: the ladder's radii are fixed
+    # rho shapes only the split quadrature: the edge offsets follow the
+    # curvature alone
     cp = fr.find_maximizer(model_one, p)
     rates = []
     for spec in (fr.QuadratureSpec(), fr.QuadratureSpec(rho=0.5)):
@@ -650,11 +657,11 @@ def test_far_second_moment_builds_no_level_2(p):
 # 1.1): the route's bits, which no torus-sum change may move
 ROUTE_OUTPUTS = {
     "one": ("0x1.e3e6d5c99dfd7p-7", "0x1.c23f8197512cbp+3",
-            "0x1.da99596a44a5cp+3", "0x1.1fafb0a0de422p+0",
-            "0x1.fefc60ab06c67p-1"),
+            "0x1.da99596a44a5cp+3", "0x1.1fafb0f0c14e9p+0",
+            "0x1.fd4472168848bp-1"),
     "vanishing": ("0x1.3c708f44a1536p-9", "0x1.16cde22fe85ebp+4",
-                  "0x1.928c06ae12c68p+5", "0x1.b9e636dac5716p-5",
-                  "0x1.1422a6086c1e4p-1"),
+                  "0x1.928c06ae12c68p+5", "0x1.b9ea42f4e0701p-5",
+                  "0x1.3cbe052c8932cp-2"),
 }
 
 
@@ -684,8 +691,7 @@ def test_edge_and_fit_window_stay_on_the_refinement_loop(kind):
     p = np.array([0.7, -0.3, 1.1])
     cp = fr.find_maximizer(model, p)
     ev = fr.OmegaEvaluator(model, p, cp)
-    deltas = np.logspace(np.log10(FIT_WINDOW[0]), np.log10(FIT_WINDOW[1]),
-                         FIT_POINTS)
+    deltas = _offsets(ev)
     assert deltas[-1] < min(ev._crossovers)
     for z in [cp.M] + list(cp.M + deltas):
         got = ev.evaluate(z)

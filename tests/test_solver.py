@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import friedrichs as fr
-from conftest import bessel_omega, norm_on_grid, residual_sup, scaled_phi
+from conftest import (bessel_omega, model_kinds, norm_on_grid, residual_sup,
+                      scaled_phi)
 from friedrichs.cli import _json
+from friedrichs.quadrature import FIT_POINTS
 
 P0 = np.zeros(3)
 
@@ -298,6 +300,65 @@ def test_expansion_fit_at_nonzero_momentum(model_one):
     assert fit.tau0_fit == pytest.approx(fit.tau0_closed, rel=1e-2)
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-5, 1e-4, 1e4, 1e8])
+def test_edge_samples_scale_with_the_hopping(c):
+    # hopping c scales every energy by c, and the edge offsets scale with
+    # the curvature: tau0 (~ c^-1.5) and the growth exponent follow
+    # exactly.  An absolute window raised at c = 1e-8, 1e-5 and 1e-4, and
+    # drifted by 6.6e-5 at 1e8
+    p = np.array([0.7, -0.3, 1.1])
+    got = []
+    for hop in (1.0, c):
+        model = fr.two_particle_model(hopping=(hop,) * 3)
+        cp = fr.find_maximizer(model, p)
+        ev = fr.OmegaEvaluator(model, p, cp)
+        fit = fr.expansion_fit(model, p, cp, evaluator=ev)
+        mu_p = fr.coupling_threshold(model, p, cp, evaluator=ev)
+        rate = fr.classify_threshold(model, p, cp, mu_p,
+                                     evaluator=ev).l2_growth_rate
+        got.append((fit.tau0_fit * hop ** 1.5, rate))
+    assert np.max(np.abs(np.subtract(got[1], got[0]))) <= 1e-11, got
+
+
+def test_off_axis_fit_at_curvature_scaled_offsets():
+    # fresh_fibers seed 12, op 134: the absolute window failed the residual
+    # gate here; the curvature-scaled offsets answer within 1 %
+    model = model_kinds()["off_axis"]
+    p = np.array([2.65504105, 2.73523937, -2.71744118])
+    cp = fr.find_maximizer(model, p)
+    fit = fr.expansion_fit(model, p, cp)
+    assert abs(fit.tau0_fit - fit.tau0_closed) <= 1e-2 * max(
+        abs(fit.tau0_closed), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["one", "off_axis"])
+def test_fit_and_classification_share_one_sample_set(kind, reductions):
+    # the growth exponent at mu(p) reads the fit's samples: after the fit
+    # it reduces nothing, and before it the fit reduces nothing
+    p = np.array([0.7, -0.3, 1.1])
+    model = model_kinds()[kind]
+    cp = fr.find_maximizer(model, p)
+    for fit_first in (True, False):
+        ev = fr.OmegaEvaluator(model, p, cp)
+        mu_p = fr.coupling_threshold(model, p, cp, evaluator=ev)
+        calls = [(fr.expansion_fit, ()), (fr.classify_threshold, (mu_p,))]
+        del reductions[:]
+        for call, args in calls if fit_first else calls[::-1]:
+            call(model, p, cp, *args, evaluator=ev)
+            assert len(reductions) == FIT_POINTS, call.__name__
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_threshold_refused_naming_mu():
+    # Omega(p) = 5.96e-319 here: 1 / Omega(p) overflowed with a numpy
+    # RuntimeWarning, and the CLI refused the infinity only when it wrote
+    model = fr.two_particle_model(phi={"constant": 1e-160})
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    with pytest.raises(fr.QuadratureError, match=r"mu\(p\) = 1 / Omega\(p\)"):
+        fr.coupling_threshold(model, p, cp)
+
+
 # -- report ---------------------------------------------------------------
 
 
@@ -377,34 +438,17 @@ def test_solved_evaluator_freed_without_cycle_collection(twin_one,
         gc.enable()
 
 
-@pytest.mark.parametrize("n_points", [0, 1, 3])
-def test_expansion_fit_needs_more_points_than_coefficients(model_one, cp_one,
-                                                           ev_one, n_points):
-    with pytest.raises(fr.InvalidInputError, match="at least 4 points"):
-        fr.expansion_fit(model_one, P0, cp_one, evaluator=ev_one,
-                         n_points=n_points)
-
-
-@pytest.mark.parametrize("window", [(1e-4, float("inf")), (-1.0, 1e-2),
-                                    (1e-2, 1e-4), (1e-4,)])
-def test_expansion_window_must_be_positive_finite_and_increasing(
-        model_one, cp_one, ev_one, window):
-    with pytest.raises(fr.InvalidInputError, match="window"):
-        fr.expansion_fit(model_one, P0, cp_one, evaluator=ev_one,
-                         window=window)
-
-
 @pytest.mark.parametrize("fibre", ["one", "twin_one"])
-def test_expansion_window_below_the_bars_refused(request, fibre):
+def test_expansion_window_below_the_bars_refused(request, monkeypatch, fibre):
     # Omega(M) - Omega(M + d) is 0.0 in floating point for d <= 1e-299: a
-    # fit of those zeros once returned tau0_fit = 0 against tau0 = 1
+    # fit of those zeros once returned tau0_fit = 0 against tau0 = 1.  A
+    # fresh evaluator: the shared ones keep the samples of FIT_WINDOW
+    monkeypatch.setattr("friedrichs.quadrature.FIT_WINDOW", (1e-300, 1e-299))
     model = request.getfixturevalue("model_one" if fibre == "one"
                                     else "twin_one")
     cp = request.getfixturevalue("cp_" + fibre)
-    ev = request.getfixturevalue("ev_" + fibre)
     with pytest.raises(fr.ExpansionFitError, match="within their bars"):
-        fr.expansion_fit(model, P0, cp, evaluator=ev,
-                         window=(1e-300, 1e-299), n_points=4)
+        fr.expansion_fit(model, P0, cp)
 
 
 @pytest.mark.filterwarnings("error")
