@@ -314,11 +314,16 @@ def test_expansion_window_below_the_bars_exit_1(capsys, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("option", ["--window=1e-4,1e-2", "--points=8"])
-def test_expansion_window_and_points_are_gone(capsys, option):
+def test_expansion_window_and_points_are_gone(capsys, monkeypatch, tmp_path,
+                                             option):
     # the edge offsets scale with the fibre's curvature: no option sets them
-    code, out, err = _run(capsys, ["expansion", option])
+    monkeypatch.setattr(cli, "_fiber", _no_fiber)
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, ["expansion", option, "--out",
+                                   str(out_dir)])
     assert code == 1 and out == ""
     assert "unrecognized arguments: %s" % option in err
+    assert not out_dir.exists()
 
 
 def test_oracle_command(capsys, tmp_path):
