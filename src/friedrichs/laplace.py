@@ -50,7 +50,7 @@ Everything but e^{-t delta} is independent of z, so laplace_table builds
 the nodes, G and the tail coefficients of a fibre once, and
 laplace_omega costs one exponential per node and two dot products.
 
-The Bessel factors are numpy code (no SciPy).  _ive(n, x) sums the power
+The Bessel factors are numpy code (no SciPy).  _ives sums the power
 series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) by Horner in x^2/4 up
 to x = IVE_SWITCH = 20 (POWER_TERMS terms, the next below 1e-18 of the
 sum there), and the Hankel series above (HANKEL_TERMS terms of s_k(n),
@@ -111,16 +111,10 @@ def _horner(y, coeffs):
     return out
 
 
-def _ive(n, x):
-    """ive(n, x) = I_n(x) e^-x for 0 <= n <= 4 and an array x > 0: the
-    power series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) up to
-    IVE_SWITCH, the Hankel series sum_k s_k(n) x^-k / sqrt(2 pi x) above."""
-    return _ives((n,), x)[0]
-
-
 def _ives(orders, x):
-    """[_ive(n, x) for n in orders], with the split at IVE_SWITCH and the
-    factors that do not depend on n formed once."""
+    """[ive(n, x) = I_n(x) e^-x for n in orders], 0 <= n <= 4, x > 0 an
+    array: the two series split at IVE_SWITCH, with the factors that do not
+    depend on n formed once."""
     low = x <= IVE_SWITCH
     high = ~low
     xs, xb = x[low], x[high]

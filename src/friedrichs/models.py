@@ -26,9 +26,9 @@ from the same harmonics.  The split quadrature's level build and the
 torus sum read w_p from ``fibre_table(p)``, the one table in q of
 T(q) + T(p - q), with phi in one ``harmonic_values`` call; at the near
 field's polar nodes axis 3 takes one value per radius and cos(theta), and
-the level build passes in the harmonics of axes 1 and 2, formed by angle
-addition from half the nodes, so a node of the off-axis benchmark model
-costs 2 transcendental calls.  find_maximizer and the lattice oracle read
+axes 1 and 2 pass their harmonics, not coordinates, formed by angle
+addition from half the nodes: a node of the off-axis benchmark model costs
+2 transcendental calls.  find_maximizer and the lattice oracle read
 ``DispersionModel.w``, so the oracle checks a separate evaluation of w_p.
 A phi table is refused (ConfigError) once (2 pi)^3 (sum_k hypot(c_k,
 s_k))^2, the bound on every phi(q)^2 and on ``phi_l2_norm_sq()``,
@@ -165,18 +165,18 @@ def harmonic_orders(tables, axis):
     return sorted(frozenset().union(*(t.orders[axis] for t in tables)))
 
 
-def _harmonics(tables, xs, given=(None, None, None)):
+def _harmonics(tables, xs):
     """Per axis i, {n: (cos n x_i, sin n x_i)} for the distinct nonzero
-    n = |k_i| of the tables; an axis whose harmonics are given keeps them
-    and its x_i is not read."""
+    n = |k_i| of the tables; an axis given as such a dict keeps it."""
     harmonics = []
-    for i, (x, h) in enumerate(zip(xs, given)):
-        if h is None:
+    for i, x in enumerate(xs):
+        if not isinstance(x, dict):
             h = {}
             for n in harmonic_orders(tables, i):
                 nx = x if n == 1 else n * x
                 h[n] = np.cos(nx), np.sin(nx)
-        harmonics.append(h)
+            x = h
+        harmonics.append(x)
     return harmonics
 
 
@@ -201,20 +201,19 @@ def _rotated(a, b, k, axes, harmonics):
     return _add_into(a * cos_u, (sg * b) * sin_u)
 
 
-def harmonic_values(tables, x1, x2, x3, harmonics=(None, None, None)):
+def harmonic_values(tables, x1, x2, x3):
     """The value of each table at the broadcast of x1, x2, x3, from one
     np.cos and one np.sin of n x_i per axis i and distinct nonzero n =
     |k_i| of all the tables (the 1-D axes of a tensor grid cost next to
     nothing).  An axis whose {n: (cos n x_i, sin n x_i)} a caller has
-    already formed passes them in harmonics (one entry per axis, None for
-    the others; harmonic_orders gives the n), and its x_i is not read.  The
-    terms of each axis support are summed in the support's own broadcast
-    shape, and the support sums are added in plan order, so a value does
-    not depend on the shape of the block it is evaluated in.  A table of
-    axis harmonics, at most one per axis, is summed in index order, with
-    the bits of the plain term-by-term sum; at most two sums are alive
-    besides the term being formed."""
-    harmonics = _harmonics(tables, (x1, x2, x3), harmonics)
+    already formed passes that dict as x_i (harmonic_orders gives the n).
+    The terms of each axis support are summed in the support's own
+    broadcast shape, and the support sums are added in plan order, so a
+    value does not depend on the shape of the block it is evaluated in.  A
+    table of axis harmonics, at most one per axis, is summed in index
+    order, with the bits of the plain term-by-term sum; at most two sums
+    are alive besides the term being formed."""
+    harmonics = _harmonics(tables, (x1, x2, x3))
     values = []
     for table in tables:
         out = None

@@ -50,16 +50,16 @@ Omega(p) = Omega(p; M(p)), each computed on first read.  Its bump radius
 rho is the spec's, else RHO_CAP: the certified unique non-degenerate
 maximum keeps M - w_p > 0 on that ball, and _build_level refuses a ball
 that reaches the band edge.
-Evaluating at many spectral parameters z (root finding, edge samples)
+Evaluating at many spectral parameters z (root finding, the edge record)
 costs one vectorised reduction per z, and values at different z share
 identical node sets, which the second moment int phi^2 / (z - w_p)^2
 (-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
 take an evaluator and read p, M(p), the spec and Omega(p) from it.
 
-The edge behaviour Omega(z) - Omega(z + d) ~ a sqrt(d) + b d + ... is
-measured once per fibre, by edge_samples at offsets that scale with the
-curvature (hopping c scales them by c); solver.expansion_fit and
-state_norm_diagnostics both read the samples kept at z = M(p).
+The edge behaviour Omega(p) - Omega(p; M(p) + d) ~ a sqrt(d) + b d + ...
+is measured once per fibre, at M(p) only, by edge_samples at offsets that
+scale with the curvature (hopping c scales them by c); solver.expansion_fit
+and state_norm_diagnostics both read that record, scaled by edge_scaled.
 
 Model evaluation: a level and a torus-sum grid read w_p from the
 evaluator's fibre table (model.fibre_table, built once, on first use) and
@@ -68,12 +68,12 @@ evaluator of every Fourier table.  On a far-field slab or a torus-sum
 grid the per-axis harmonics are 1-D and each axis support costs one
 broadcast add; a near-field block is (radii, n_ang, 2 n_ang), axis 3 is
 kept at the n_ang distinct cos(theta) per radius, and axes 1 and 2 take
-cos and sin of n (q0_i +- r nu_i) by angle addition from one np.cos and
-one np.sin of n r nu_i over the half of the azimuths whose antipodes are
-the other half (_polar_block): 2 calls per node for the off-axis
-benchmark model, whose tables have order 1.  The fibre table differs from
-model.w's T(q) + T(p - q) by rounding only; find_maximizer and the oracle
-read model.w.
+cos and sin of n (q0_i +- r nu_i), passed in place of coordinates, by
+angle addition from one np.cos and one np.sin of n r nu_i over the half of
+the azimuths whose antipodes are the other half (_polar_block): 2 calls
+per node for the off-axis benchmark model, whose tables have order 1.
+The fibre table differs from model.w's T(q) + T(p - q) by rounding only;
+find_maximizer and the oracle read model.w.
 
 Memory: a level keeps its node arrays and nothing else, at most
 MAX_LEVEL_BYTES, checked before any is allocated: w_p and the far weights
@@ -280,21 +280,19 @@ def _antipodal(nc, na):
 
 
 def _polar_block(q0, r, half, orders):
-    """(coordinates, harmonics) of q0 + r nu for radii r (shape (radii, 1,
-    1)), as harmonic_values takes them, in the block shape (radii, n_ang,
-    2 n_ang).  half holds the directions f < n_ang of each polar row; the
-    others are their antipodes, so with a = r nu_i on the half, axes 1 and
-    2 are q0_i + a, then q0_i - a, and take the harmonics of their orders
-    from _antipodal.  Axis 3 is (radii, n_ang, 1), one value per
-    cos(theta), and harmonic_values forms its harmonics."""
-    coords, harmonics = [], []
+    """The three axes of q0 + r nu for radii r (shape (radii, 1, 1)), as
+    harmonic_values takes them, in the block shape (radii, n_ang, 2 n_ang).
+    half holds the directions f < n_ang of each polar row; the others are
+    their antipodes, so with a = r nu_i on the half, axes 1 and 2 are q0_i
+    + a, then q0_i - a, and are passed as the harmonics of their orders
+    from _antipodal.  Axis 3 is its coordinates, (radii, n_ang, 1), one
+    value per cos(theta)."""
+    axes = []
     for i in (0, 1):
         a = r * half[:, :, i]
-        coords.append(np.concatenate((q0[i] + a, q0[i] - a), axis=-1))
-        harmonics.append({n: _antipodal(n * q0[i], a if n == 1 else n * a)
-                          for n in orders[i]})
-    coords.append(q0[2] + r * half[:, :1, 2])
-    return coords, harmonics + [None]
+        axes.append({n: _antipodal(n * q0[i], a if n == 1 else n * a)
+                     for n in orders[i]})
+    return axes + [q0[2] + r * half[:, :1, 2]]
 
 
 def _crossovers(table):
@@ -346,7 +344,6 @@ class OmegaEvaluator:
         self._levels = []
         self._below_tol = 1e-12 * max(1.0, abs(self.M))
         self._threshold = None
-        self._edge = None  # edge_samples(M(p)), computed on first read
         self._recent = ()  # the last two (z, OmegaValue), newest first
         self._laplace = (laplace_table(model, self.p)
                          if model.family == "two_particle" else None)
@@ -368,25 +365,21 @@ class OmegaEvaluator:
             self._threshold = self.evaluate(self.M)
         return self._threshold
 
-    def edge_samples(self, z):
-        """(deltas, data, bar), data_j = Omega(z) - Omega(z + d_j) at the
-        FIT_POINTS offsets d_j = k x (x log-spaced over FIT_WINDOW, k the
-        largest eigenvalue of -A/2) and bar the bar of Omega(z) plus the
+    @cached_property
+    def edge_samples(self):
+        """(deltas, data, bar), data_j = Omega(p) - Omega(p; M(p) + d_j) at
+        the FIT_POINTS offsets d_j = k x (x log-spaced over FIT_WINDOW, k
+        the largest eigenvalue of -A/2) and bar the bar of Omega(p) plus the
         largest of the others; on identical nodes, so systematic errors
-        cancel.  Kept at z = M(p); the arrays are read-only."""
-        if z == self.M and self._edge is not None:
-            return self._edge
+        cancel.  Computed once; the arrays are read-only."""
         k = -0.5 * self.cp.hessian_eigenvalues[0]
         deltas = k * np.logspace(np.log10(FIT_WINDOW[0]),
                                  np.log10(FIT_WINDOW[1]), FIT_POINTS)
-        omega = self.threshold if z == self.M else self.evaluate(z)
-        values = [self.evaluate(z + d) for d in deltas]
+        omega = self.threshold
+        values = [self.evaluate(self.M + d) for d in deltas]
         data = np.array([omega.value - v.value for v in values])
         bar = omega.estimated_error + max(v.estimated_error for v in values)
-        samples = _read_only(deltas, data) + (bar,)
-        if z == self.M:
-            self._edge = samples
-        return samples
+        return _read_only(deltas, data) + (bar,)
 
     # -- node data ------------------------------------------------------
 
@@ -465,14 +458,14 @@ class OmegaEvaluator:
         radial = wr * bump_profile(r / rho) * r * r
         u = np.empty((n_rad, nu.shape[0]))
         P = np.empty(u.shape)
-        # half a BLOCK of nodes per block: harmonic_values keeps the two
-        # coordinates, four harmonics, two sums and a term of block size
+        # half a BLOCK of nodes per block: harmonic_values keeps four
+        # harmonics, two sums and a term of block size
         rows = max(1, BLOCK // 2 // nu.shape[0])
         for i in range(0, n_rad, rows):
             ri = r[i:i + rows, None, None]
             block = (len(ri), n_ang, 2 * n_ang)
-            coords, harmonics = _polar_block(self.q0, ri, half, orders)
-            w, phi = harmonic_values(tables, *coords, harmonics=harmonics)
+            w, phi = harmonic_values(tables,
+                                     *_polar_block(self.q0, ri, half, orders))
             weight = (radial[i:i + rows, None] * wa[None, :]).reshape(block)
             np.subtract(self.M, w, out=u[i:i + rows].reshape(block))
             np.multiply(weight, np.asarray(phi) ** 2,
@@ -641,22 +634,32 @@ class OmegaEvaluator:
         return value
 
 
-def state_norm_diagnostics(evaluator: OmegaEvaluator, z) -> float:
-    """The L2 growth exponent of f = phi / (z - w_p) near the maximizer,
-    ~1 for a resonance-type threshold state (f not in L2), ~0 when f is
-    square integrable: the slope of log m_j against log(1/sqrt(d_j)).
+def edge_scaled(data):
+    """(data 2^-k, k), k = e - clip(e, -500, 500), e the binary exponent of
+    max |data|: what the edge record's readers square, divide and take norms
+    of, which neither overflows nor underflows; k = 0 at ordinary scales."""
+    e = int(np.frexp(np.max(np.abs(data)))[1])
+    k = e - min(max(e, -500), 500)
+    return np.ldexp(data, -k), k
 
-    m_j = data_j / d_j of evaluator.edge_samples(z) is the mean second
-    moment int phi^2 / (s - w_p)^2 over s in [z, z + d_j].  With d_j = k
-    r_j^2 it grows like 1/r_j exactly when phi(q0) != 0 at z = M(p), as the
-    L2 mass of f outside the ball of radius r_j does.  At z = M(p) these
-    are expansion_fit's samples.  Moments that vanish next to a huge z
-    raise QuadratureError.
+
+def state_norm_diagnostics(evaluator: OmegaEvaluator) -> float:
+    """The L2 growth exponent of the threshold state f = phi / (M - w_p)
+    near the maximizer, ~1 for a resonance-type threshold state (f not in
+    L2), ~0 when f is square integrable: the slope of log m_j against
+    log(1/sqrt(d_j)).
+
+    m_j = data_j / d_j of evaluator.edge_samples (expansion_fit's samples,
+    scaled by edge_scaled) is the mean second moment int phi^2 / (s -
+    w_p)^2 over s in [M, M + d_j].  With d_j = k r_j^2 it grows like 1/r_j
+    exactly when phi(q0) != 0, as the L2 mass of f outside the ball of
+    radius r_j does.  Moments not positive and finite raise QuadratureError.
     """
-    deltas, data, _ = evaluator.edge_samples(z)
-    moments = data / deltas
+    deltas, data, _ = evaluator.edge_samples
+    scaled, k = edge_scaled(data)
+    moments = scaled / deltas
     if not np.all((moments > 0.0) & np.isfinite(moments)):
         raise QuadratureError(
-            "state norm diagnostics undefined at z = %r: moments %s are not "
-            "positive and finite" % (float(z), moments.tolist()))
+            "state norm diagnostics undefined: moments %s x 2^%d are not "
+            "positive and finite" % (moments.tolist(), k))
     return float(np.polyfit(-0.5 * np.log(deltas), np.log(moments), 1)[0])

@@ -32,7 +32,7 @@ from .errors import (
     QuadratureError,
     check_coupling,
 )
-from .quadrature import OmegaEvaluator, state_norm_diagnostics
+from .quadrature import OmegaEvaluator, edge_scaled, state_norm_diagnostics
 from .roots import brentq
 
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
@@ -237,7 +237,7 @@ def classify_threshold(model, p, cp: CriticalPointInfo, mu,
         label = (Classification.RESONANCE
                  if abs(phi_q0) > PHI_REL_TOL * phi_rms
                  else Classification.THRESHOLD_EIGENVALUE)
-        rate = state_norm_diagnostics(ev, ev.M)
+        rate = state_norm_diagnostics(ev)
     return ClassificationResult(
         label=label, mu=float(mu), mu_threshold=mu_p, phi_at_q0=phi_q0,
         l2_growth_rate=rate)
@@ -281,20 +281,23 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     """Least-squares fit of the square-root edge expansion of Omega to the
     fibre's edge samples at M(p) (OmegaEvaluator.edge_samples, which
     classify_threshold reads too): more samples than the three
-    coefficients, so the residual gate has something to test.
+    coefficients, so the residual gate has something to test.  The fit
+    runs on edge_scaled(data), and its coefficients are scaled back.
     ExpansionFitError: no difference above the bars of its Omega values,
     or a residual above FIT_RESIDUAL_GATE or NaN.
     """
     ev = _evaluator(model, p, cp, evaluator)
-    deltas, data, bars = ev.edge_samples(ev.M)
+    deltas, data, bars = ev.edge_samples
     if not np.max(np.abs(data)) > bars:
         raise ExpansionFitError("expansion fit failed: Omega differences "
                                 "up to %.3e are within their bars %.3e"
                                 % (np.max(np.abs(data)), bars))
+    scaled, k = edge_scaled(data)
     design = np.column_stack([np.sqrt(deltas), deltas, deltas ** 1.5])
-    coeffs, *_ = np.linalg.lstsq(design, data, rcond=None)
-    resid = data - design @ coeffs
-    rel_residual = float(np.linalg.norm(resid) / np.linalg.norm(data))
+    coeffs, *_ = np.linalg.lstsq(design, scaled, rcond=None)
+    resid = scaled - design @ coeffs
+    rel_residual = float(np.linalg.norm(resid) / np.linalg.norm(scaled))
+    coeffs = np.ldexp(coeffs, k)
     fit = ExpansionFit(
         tau0_fit=float(coeffs[0] / TWO_PI_SQ),
         tau0_closed=tau0_closed_form(ev.model, ev.cp),

@@ -69,17 +69,45 @@ def test_non_finite_number_writes_no_artifact(capsys, tmp_path):
     assert cli._non_finite({"x": np.float64(2.0), "y": (0, None)}) is None
 
 
-def test_nan_fit_residual_fails_the_gate(capsys, tmp_path):
-    # Omega differences of about 1e306 overflow the residual's norms to a
-    # NaN, which passed the gate and was written as "rel_residual": NaN
-    config = tmp_path / "big.json"
-    config.write_text(json.dumps({"family": "two_particle",
-                                  "phi": {"constant": 8e152}}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = _run(capsys, ["expansion", "--config", str(config),
-                                       "--p", "0.7,-0.3,1.1"])
+def test_nan_fit_residual_fails_the_gate(capsys, monkeypatch):
+    # a NaN residual passed the gate and was written as "rel_residual":
+    # NaN; an infinite Omega difference, above every bar, fits to NaN
+    real = fr.OmegaEvaluator.edge_samples.func
+
+    def infinite(ev):
+        deltas, data, bar = real(ev)
+        data = data.copy()
+        data[3] = np.inf
+        return deltas, data, bar
+
+    monkeypatch.setattr(fr.OmegaEvaluator, "edge_samples", property(infinite))
+    code, out, err = _run(capsys, ["expansion", "--p", "0.7,-0.3,1.1"])
     assert code == 1 and out == ""
     assert err == "friedrichs: expansion fit failed: relative residual nan\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("constant", [8e152, 1e-150])
+def test_phi_near_the_float_range_ends_fits_and_classifies(capsys, tmp_path,
+                                                           constant):
+    # phi = 8e152 overflowed the moments and the fit's norms (exit 1 with
+    # "moments [inf, ...]" and "relative residual nan", after numpy
+    # warnings), and phi = 1e-150 underflowed the norm of the data to 0;
+    # the readers of the edge record scale it by a power of 2, so tau0 / c^2
+    # and the growth exponent are the unit fibre's
+    config = tmp_path / "phi.json"
+    config.write_text(json.dumps({"family": "two_particle",
+                                  "phi": {"constant": constant}}))
+    got = []
+    for argv in ([], ["--config", str(config)]):
+        outs = []
+        for cmd in (["expansion"], ["classify", "--mu", "x1"]):
+            code, out, err = _run(capsys, cmd + ["--p", "0.7,-0.3,1.1"] + argv)
+            assert code == 0 and err == "", err
+            outs.append(json.loads(out))
+        scale = constant ** 2 if argv else 1.0
+        got.append((outs[0]["tau0_fit"] / scale, outs[1]["l2_growth_rate"]))
+    assert np.max(np.abs(np.subtract(got[1], got[0]))) <= 1e-9, got
 
 
 def test_threshold_degenerate_exit_2(capsys):

@@ -18,8 +18,8 @@ import friedrichs as fr
 from conftest import (bessel_omega, mixed_model, model_kinds,
                       mp_laplace_omega, quadrature_twin)
 from friedrichs import laplace
-from friedrichs.laplace import (HEAD_U, IVE_SWITCH, _head_moment, _ive,
-                                _ive_orders, laplace_omega, laplace_table)
+from friedrichs.laplace import (HEAD_U, IVE_SWITCH, _head_moment, _ive_orders,
+                                _ives, laplace_omega, laplace_table)
 from friedrichs.torus import grid_axis, tensor_grid
 
 P0 = np.zeros(3)
@@ -172,9 +172,8 @@ def test_twice_the_nodes_per_panel_moves_no_value_by_a_tenth_of_its_bar(
 def test_ive_above_the_series_cut_is_finite_and_right():
     # scipy's ive(0, 2e9) is nan; i0e(2e9) = 8.92e-6
     x = np.array([1e5, 1e6, 1.5e6, 2e9, 1e12])
-    assert np.allclose(_ive(0, x), i0e(x), rtol=1e-15, atol=0.0)
-    for n in range(5):
-        got = _ive(n, x)
+    assert np.allclose(_ives((0,), x)[0], i0e(x), rtol=1e-15, atol=0.0)
+    for n, got in enumerate(_ives(range(5), x)):
         with mpmath.workdps(30):
             want = [float(mpmath.besseli(n, v) * mpmath.exp(-v)) for v in x]
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
@@ -197,11 +196,11 @@ def test_ive_within_2e15_of_mpmath(n):
     # log-spaced over [1e-13, 1e12], and next to the switch from the
     # power series to the Hankel series
     want = _mp_ive(n, IVE_POINTS)
-    assert np.all(np.abs(_ive(n, IVE_POINTS) / want - 1.0) <= 2e-15)
+    assert np.all(np.abs(_ives((n,), IVE_POINTS)[0] / want - 1.0) <= 2e-15)
 
 
 def test_downward_recurrence_keeps_every_order():
-    # laplace_table's orders: the top two from _ive, the rest recurred
+    # laplace_table's orders: the top two from _ives, the rest recurred
     got = _ive_orders(4, IVE_POINTS)
     for n in range(5):
         assert np.all(np.abs(got[n] / _mp_ive(n, IVE_POINTS) - 1.0) <= 2e-15)

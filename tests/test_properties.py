@@ -81,15 +81,19 @@ def test_fibre_table_matches_the_model(w_rows, phi_rows, mixed, p, q, radii):
     tables = (model.fibre_table(p), model._phi)
     grid = tensor_grid(grid_axis(16))
     nu, _ = sphere_product_rule(4)
-    near = _polar_block(q, np.array(radii)[:, None, None],
-                        nu.reshape(4, 8, 3)[:, :4],
-                        [harmonic_orders(tables, i) for i in (0, 1)])
-    blocks = (((grid[0][5:9],) + grid[1:], (None,) * 3), near,
-              (tuple(q), (None,) * 3))
+    r, half = np.array(radii)[:, None, None], nu.reshape(4, 8, 3)[:, :4]
+    a = [r * half[:, :, i] for i in (0, 1)]
+    near = [np.concatenate((q[i] + a[i], q[i] - a[i]), axis=-1)
+            for i in (0, 1)] + [q[2] + r * half[:, :1, 2]]
+    slab = (grid[0][5:9],) + grid[1:]
+    orders = [harmonic_orders(tables, i) for i in (0, 1)]
+    # (the coordinates, the axes harmonic_values is given) of each block
+    blocks = ((slab, slab), (near, _polar_block(q, r, half, orders)),
+              (tuple(q), tuple(q)))
     eps = np.finfo(float).eps
-    for x, harmonics in blocks:
+    for x, axes in blocks:
         shape = np.broadcast(*x).shape
-        w, phi = harmonic_values(tables, *x, harmonics=harmonics)
+        w, phi = harmonic_values(tables, *axes)
         point = x if shape else q
         for got, want, table in ((w, model.w(p, point), model._w_block),
                                  (phi, model.phi(point), model._phi)):

@@ -187,22 +187,17 @@ def _offsets(ev):
                            FIT_POINTS)
 
 
-def _ladder(ev, z):
-    """The mean second moments (Omega(z) - Omega(z + d_j)) / d_j that
-    state_norm_diagnostics fits, from the fibre's edge samples."""
-    deltas, data, _ = ev.edge_samples(z)
+def _ladder(ev):
+    """The mean second moments (Omega(p) - Omega(p; M(p) + d_j)) / d_j
+    that state_norm_diagnostics fits, from the fibre's edge samples."""
+    deltas, data, _ = ev.edge_samples
     assert np.array_equal(deltas, _offsets(ev))
     return data / deltas
 
 
-def test_state_norm_diagnostics_off_threshold(cp_one, ev_one):
-    assert fr.state_norm_diagnostics(ev_one, cp_one.M + 1.0) <= 0.1
-    assert np.all(np.isfinite(_ladder(ev_one, cp_one.M + 1.0)))
-
-
-def test_state_norm_diagnostics_resonance(cp_one, ev_one):
-    rate = fr.state_norm_diagnostics(ev_one, cp_one.M)
-    moments = _ladder(ev_one, cp_one.M)
+def test_state_norm_diagnostics_resonance(ev_one):
+    rate = fr.state_norm_diagnostics(ev_one)
+    moments = _ladder(ev_one)
     # |f|^2 ~ 1/r^4 near q0: the mean second moment over [M, M + k r^2]
     # grows like 1/r, as the L2 mass outside the ball of radius r does; the
     # offsets d = k r^2 increase, so the moments decrease
@@ -211,10 +206,9 @@ def test_state_norm_diagnostics_resonance(cp_one, ev_one):
     assert np.all(np.diff(moments) < 0.0)
 
 
-def test_state_norm_diagnostics_square_integrable(cp_vanishing,
-                                                  ev_vanishing):
-    assert fr.state_norm_diagnostics(ev_vanishing, cp_vanishing.M) <= 0.1
-    assert np.all(np.isfinite(_ladder(ev_vanishing, cp_vanishing.M)))
+def test_state_norm_diagnostics_square_integrable(ev_vanishing):
+    assert fr.state_norm_diagnostics(ev_vanishing) <= 0.1
+    assert np.all(np.isfinite(_ladder(ev_vanishing)))
 
 
 @pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
@@ -227,7 +221,7 @@ def test_state_norm_exponent_route_equals_twin(kind, p):
     for m in (model, quadrature_twin(model)):
         cp = fr.find_maximizer(m, p)
         ev = fr.OmegaEvaluator(m, p, cp)
-        rates.append(fr.state_norm_diagnostics(ev, cp.M))
+        rates.append(fr.state_norm_diagnostics(ev))
     assert abs(rates[0] - rates[1]) <= 1e-6, rates
 
 
@@ -235,7 +229,7 @@ def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
     # truth from the mpmath Laplace-Bessel integral: the quad-based Bessel
     # reference is 3e-10 off at the threshold, which would exceed the bars
     # of the moments a hundredfold
-    moments = _ladder(ev_one, cp_one.M)
+    moments = _ladder(ev_one)
     bar0 = ev_one.evaluate(cp_one.M).estimated_error
     truth0 = mp_laplace_omega(model_one, P0, 0.0, dps=17)
     for delta, moment in zip(_offsets(ev_one), moments):
@@ -248,22 +242,22 @@ def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("twin", [False, True])
-@pytest.mark.parametrize("dz", [1e117, 1e200])
-def test_state_norm_diagnostics_refuse_vanishing_moments(twin, dz):
-    # next to a huge z the Omega differences are 0.0, whose log-log
-    # slope was nan; the route and the twin raise a typed error naming z
+def test_state_norm_diagnostics_refuse_vanishing_moments(twin, monkeypatch):
+    # edge offsets of 1e-300 leave the Omega differences 0.0, whose
+    # log-log slope would be nan; the route and the twin raise a typed
+    # error, and so does the classification that reads the exponent
+    monkeypatch.setattr("friedrichs.quadrature.FIT_WINDOW", (1e-300, 1e-299))
     model = model_kinds()["one"]
     if twin:
         model = quadrature_twin(model)
     cp = fr.find_maximizer(model, P0)
     ev = fr.OmegaEvaluator(model, P0, cp)
-    z = cp.M + dz
-    with pytest.raises(fr.QuadratureError,
-                       match=re.escape("undefined at z = %r" % z)):
-        fr.state_norm_diagnostics(ev, z)
-    assert fr.classify_threshold(model, P0, cp, 1.0 / ev.threshold.value,
-                                 evaluator=ev).l2_growth_rate == (
-        fr.state_norm_diagnostics(ev, cp.M))
+    with pytest.raises(fr.QuadratureError, match=re.escape(
+            "state norm diagnostics undefined: moments [0.0")):
+        fr.state_norm_diagnostics(ev)
+    with pytest.raises(fr.QuadratureError, match="not positive and finite"):
+        fr.classify_threshold(model, P0, cp, 1.0 / ev.threshold.value,
+                              evaluator=ev)
 
 
 def test_state_norm_diagnostics_builds_no_level():
@@ -276,7 +270,7 @@ def test_state_norm_diagnostics_builds_no_level():
     ev = fr.OmegaEvaluator(model, p, cp)
     ev.threshold
     built = len(ev._levels)
-    rate = fr.state_norm_diagnostics(ev, cp.M)
+    rate = fr.state_norm_diagnostics(ev)
     assert len(ev._levels) == built
     assert 0.8 <= rate <= 1.2
 

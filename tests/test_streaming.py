@@ -56,9 +56,9 @@ def full_grid_level(ev, level):
     nu, wa = sphere_product_rule(n_ang)
     shape = (n_rad, n_ang, 2 * n_ang)
     half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
-    x, harmonics = _polar_block(ev.q0, r[:, None, None], half,
-                                [harmonic_orders(tables, i) for i in (0, 1)])
-    w, phi = harmonic_values(tables, *x, harmonics=harmonics)
+    w, phi = harmonic_values(tables, *_polar_block(
+        ev.q0, r[:, None, None], half,
+        [harmonic_orders(tables, i) for i in (0, 1)]))
     u = (ev.M - np.broadcast_to(w, shape)).reshape(n_rad, -1)
     phi2_near = np.broadcast_to(np.asarray(phi) ** 2, shape).reshape(n_rad, -1)
     chi = bump_profile(r / rho)
@@ -73,6 +73,15 @@ def full_grid_level(ev, level):
         "kr2": k[None, :] * (r ** 2)[:, None],
         "R2wa": R2[:, None] * wa[None, :],
     }
+
+
+def polar_coordinates(q0, r, half, orders):
+    """The three axes of q0 + r nu for radii r in _polar_block's block
+    shape, each as coordinates: axes 1 and 2 are q0_i + a, then q0_i - a,
+    with a = r nu_i on the half of the sphere rule (orders is not read)."""
+    x = [np.concatenate((q0[i] + r * half[:, :, i], q0[i] - r * half[:, :, i]),
+                        axis=-1) for i in (0, 1)]
+    return x + [q0[2] + r * half[:, :1, 2]]
 
 
 def full_sum(num, d, power):
@@ -212,11 +221,11 @@ def test_fibre_table_levels_match_model_levels(monkeypatch, name, p, levels):
     p = np.array(p)
     cp = fr.find_maximizer(model, p)
     ev, ref = (fr.OmegaEvaluator(model, p, cp) for _ in range(2))
-    # the coordinates of every node reach the redirect; the near field's
-    # harmonics by angle addition are not read
+    # the coordinates of every node reach the redirect: the near field's
+    # blocks give axes 1 and 2 as coordinates, not as harmonics
+    monkeypatch.setattr(quadrature, "_polar_block", polar_coordinates)
     monkeypatch.setattr(quadrature, "harmonic_values",
-                        lambda tables, *x, harmonics=None: (model.w(p, x),
-                                                            model.phi(x)))
+                        lambda tables, *x: (model.w(p, x), model.phi(x)))
     for level in levels:
         ref._level(level)
     monkeypatch.undo()
@@ -266,9 +275,9 @@ def test_near_harmonics_by_angle_addition(name):
             r = 0.5 * ev.rho * (xr + 1.0)
             nu, _ = sphere_product_rule(n_ang)
             half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
-            x, harmonics = _polar_block(ev.q0, r[:, None, None], half,
-                                        orders)
-            assert harmonics[2] is None
+            x = polar_coordinates(ev.q0, r[:, None, None], half, orders)
+            harmonics = _polar_block(ev.q0, r[:, None, None], half, orders)
+            assert np.array_equal(harmonics[2], x[2])
             for i in (0, 1):
                 assert np.array_equal(x[i].reshape(n_rad, -1),
                                       ev.q0[i] + r[:, None] * nu[:, i])
@@ -276,6 +285,33 @@ def test_near_harmonics_by_angle_addition(name):
                 for n, (cos, sin) in harmonics[i].items():
                     assert np.max(np.abs(cos - np.cos(n * x[i]))) <= 8 * eps
                     assert np.max(np.abs(sin - np.sin(n * x[i]))) <= 8 * eps
+
+
+@pytest.mark.parametrize("name", ["one", "off_axis", "mixed"])
+def test_near_blocks_form_no_axis_1_2_coordinates(monkeypatch, name):
+    # a near-field block passes harmonic_values the harmonics of axes 1 and
+    # 2, never their coordinates; the far field passes 1-D slab axes
+    model = mixed_model() if name == "mixed" else model_kinds()[name]
+    p = np.array([0.7, -0.3, 1.1])
+    ev = fr.OmegaEvaluator(model, p, fr.find_maximizer(model, p))
+    calls = []
+
+    def spy(tables, *x):
+        calls.append(x)
+        return harmonic_values(tables, *x)
+
+    monkeypatch.setattr(quadrature, "harmonic_values", spy)
+    ev._level(0)
+    near = [x for x in calls if isinstance(x[0], dict)]
+    n_ang = ev.spec.n_angular
+    rows = max(1, BLOCK // 2 // (2 * n_ang ** 2))
+    assert len(near) == -(-ev.spec.n_radial // rows)
+    for x in near:
+        assert isinstance(x[1], dict)
+        assert x[2].shape[1:] == (n_ang, 1)
+    for x in calls:
+        if not isinstance(x[0], dict):
+            assert all(np.size(c) == max(np.shape(c)) for c in x)
 
 
 @pytest.mark.parametrize("name", ["one", "off_axis"])
