@@ -242,11 +242,15 @@ def test_state_norm_moments_within_their_bars(model_one, cp_one, ev_one):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("twin", [False, True])
-def test_state_norm_diagnostics_refuse_vanishing_moments(twin, monkeypatch):
-    # edge offsets of 1e-300 leave the Omega differences 0.0, whose
-    # log-log slope would be nan; the route and the twin raise a typed
-    # error, and so does the classification that reads the exponent
-    monkeypatch.setattr("friedrichs.quadrature.FIT_WINDOW", (1e-300, 1e-299))
+@pytest.mark.parametrize("dz", [1e117, 1e200])
+def test_state_norm_diagnostics_refuse_vanishing_moments(twin, dz,
+                                                         monkeypatch):
+    # edge offsets dz times finer than k are lost next to M, so M + d_j
+    # is M and the Omega differences are 0.0, whose log-log slope would be
+    # nan; the route and the twin raise a typed error, and so does the
+    # classification that reads the exponent
+    monkeypatch.setattr("friedrichs.quadrature.FIT_WINDOW",
+                        (1.0 / dz, 10.0 / dz))
     model = model_kinds()["one"]
     if twin:
         model = quadrature_twin(model)
