@@ -16,7 +16,6 @@ from .errors import (
     QuadratureError,
     QuadratureNotConvergedError,
     TrivialFormFactorError,
-    UnsupportedFamilyError,
 )
 from .models import (
     DispersionModel,
@@ -67,9 +66,9 @@ __all__ = [
     "ModelConfig", "ModelValidityError", "NewtonConvergenceError",
     "NonUniqueMaximumError", "OmegaEvaluator", "OmegaValue", "OracleResult",
     "QuadratureError", "QuadratureNotConvergedError", "QuadratureSpec",
-    "SpectralReport", "TrivialFormFactorError", "UnsupportedFamilyError",
-    "analyze", "classify_threshold", "convergence_report",
-    "coupling_threshold", "dense_spectrum", "discrete_omega", "eigenfunction",
+    "SpectralReport", "TrivialFormFactorError", "analyze",
+    "classify_threshold", "convergence_report", "coupling_threshold",
+    "dense_spectrum", "discrete_omega", "eigenfunction",
     "eigenvalue_error_estimate", "expansion_fit", "find_maximizer",
     "fredholm_det", "richardson_omega_threshold", "secular_root",
     "solve_eigenvalue", "state_norm_diagnostics", "tau0_closed_form",

@@ -86,15 +86,18 @@ def _parse_path(text):
 
 
 def _parse_mu_spec(text):
-    """'x1.5' = 1.5 * mu(p); a plain float is an absolute coupling."""
+    """'x1.5' = 1.5 * mu(p); a plain float is an absolute coupling.  Either
+    must be positive and finite (mu(p) is), checked before any fibre is
+    built."""
     text = text.strip()
     kind = "multiple" if text.startswith("x") else "absolute"
     try:
         value = float(text[1:] if kind == "multiple" else text)
     except ValueError:
         raise ConfigError("cannot parse mu spec: %r" % text)
-    if not np.isfinite(value):
-        raise ConfigError("mu spec must be finite: %r" % text)
+    if not 0.0 < value < float("inf"):
+        raise ConfigError("mu = %r%s is not positive and finite"
+                          % (value, " mu(p)" if kind == "multiple" else ""))
     return kind, value
 
 
@@ -108,8 +111,7 @@ def _load(args):
     cfg = (ModelConfig.load(args.config) if args.config
            else ModelConfig.from_dict(DEFAULT_CONFIG))
     kw = {name: value for name, value in (
-        ("n_grid", args.grid), ("rel_tol", args.tol), ("rho", args.rho))
-        if value is not None}
+        ("n_grid", args.grid), ("rel_tol", args.tol)) if value is not None}
     return cfg, DispersionModel(cfg), QuadratureSpec(**kw)
 
 
@@ -397,15 +399,12 @@ def build_parser():
                         "(default: builtin two_particle, phi = 1)")
     common.add_argument("--out", help="output directory for artifacts")
     common.add_argument("--grid", type=int,
-                        help="torus grid size per axis of the split "
-                        "quadrature (unused by two_particle fibres, which "
-                        "take the exact route)")
+                        help="far-field torus grid per axis of the split "
+                        "quadrature (default 64; unused by two_particle "
+                        "fibres, which take the exact route)")
     common.add_argument("--tol", type=float,
                         help="relative tolerance that bounds the error of "
                         "Omega")
-    common.add_argument("--rho", type=float,
-                        help="near-field ball radius of the split quadrature "
-                        "(default 1; unused by two_particle fibres)")
     point = argparse.ArgumentParser(add_help=False, parents=[common])
     point.add_argument("--p", default="0,0,0")
 

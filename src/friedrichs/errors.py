@@ -27,10 +27,6 @@ class InvalidDispersionError(ConfigError):
     """Dispersion coefficients are unusable (e.g. non-positive hopping)."""
 
 
-class UnsupportedFamilyError(FriedrichsError, ValueError):
-    """Operation requires a different model family."""
-
-
 class ModelValidityError(FriedrichsError):
     """The model hypotheses fail at the requested quasi-momentum."""
 
@@ -71,4 +67,5 @@ class BracketingError(FriedrichsError):
 def check_coupling(mu):
     """Raise InvalidInputError unless mu is positive and finite."""
     if not 0.0 < mu < float("inf"):
-        raise InvalidInputError("mu = %r is not positive and finite" % (mu,))
+        raise InvalidInputError("mu = %r is not positive and finite"
+                                % (float(mu),))

@@ -73,7 +73,6 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import two_particle_closed_forms
-from .errors import UnsupportedFamilyError
 
 HEAD_U = -30.0         # log t0, the head's end, when every alpha_j <= 1
 PANEL = 0.5            # panel width in u = log t
@@ -201,9 +200,6 @@ class LaplaceTable:
 def laplace_table(model, p) -> LaplaceTable:
     """Nodes, G(t) and tail coefficients of the fibre (model, p) for a
     two_particle model, at the closed-form q0 and alpha."""
-    if model.family != "two_particle":
-        raise UnsupportedFamilyError(
-            "the Laplace-Bessel route needs the two_particle family")
     q0, _, alpha = two_particle_closed_forms(model.hopping, p)
 
     coef, size = {}, {}  # per (|m_1|, |m_2|, |m_3|): Re[a_m e^{i m.q0}], |a_m|

@@ -2,7 +2,7 @@
 
 At z = M(p) the integrand has an integrable |s - q0|^-2 singularity at the
 band maximizer.  The integral is split by a smooth radial bump chi centered
-at q0 with support radius rho:
+at q0 with support radius rho = RHO_CAP:
 
 * far field: (1 - chi) phi^2 / (z - w) is a smooth periodic function,
   integrated with the product midpoint (trapezoid) rule - spectrally
@@ -46,10 +46,10 @@ use only (at most 48^3 and 64^3 nodes, 5.7 MiB).
 
 An OmegaEvaluator is the fibre object of one (model, p, cp, spec): it
 owns the node data per refinement level and the threshold value
-Omega(p) = Omega(p; M(p)), each computed on first read.  Its bump radius
-rho is the spec's, else RHO_CAP: the certified unique non-degenerate
-maximum keeps M - w_p > 0 on that ball, and _build_level refuses a ball
-that reaches the band edge.
+Omega(p) = Omega(p; M(p)), each computed on first read.  A certified
+unique non-degenerate maximum keeps M - w_p > 0 on the ball of radius
+RHO_CAP, so _build_level's refusal of a node at or above M(p) means that
+M(p) is not the maximum of w_p, or that w_p is within rounding of it there.
 Evaluating at many spectral parameters z (root finding, the edge record)
 costs one vectorised reduction per z, and values at different z share
 identical node sets, which the second moment int phi^2 / (z - w_p)^2
@@ -122,7 +122,7 @@ from .models import harmonic_orders, harmonic_values
 from .sums import BLOCK, _sum_over
 from .torus import check_momentum, grid_axis, tensor_grid, wrap_angles
 
-RHO_CAP = 1.0  # ball radius unless the spec sets one (below pi/2)
+RHO_CAP = 1.0  # near-field ball radius about q0
 MAX_REFINEMENTS = 2  # node-count doublings of the refinement loop
 SERIES_X = 0.05  # rho / sqrt(delta / k) below which the radial series is used
 MAX_CONTRACTION = 2 ** 13  # largest assumed estimate shrink per doubling
@@ -138,8 +138,7 @@ class QuadratureSpec:
     """Base node counts and the tolerance of the split quadrature.
 
     n_grid     torus trapezoid nodes per axis (far field)
-    rho        bump support radius; None means RHO_CAP
-    n_radial   Gauss-Legendre nodes on [0, rho]
+    n_radial   Gauss-Legendre nodes on [0, RHO_CAP]
     n_angular  polar nodes in cos(theta); 2*n_angular azimuthal nodes
     rel_tol    target relative tolerance for the refinement loop, which
                doubles every node count up to MAX_REFINEMENTS times, and
@@ -147,7 +146,6 @@ class QuadratureSpec:
     """
 
     n_grid: int = 64
-    rho: float | None = None
     n_radial: int = 48
     n_angular: int = 26
     rel_tol: float = 1e-6
@@ -157,8 +155,6 @@ class QuadratureSpec:
             raise QuadratureError("n_grid must be >= 16")
         if self.n_radial < 4 or self.n_angular < 4:
             raise QuadratureError("too few radial/angular nodes")
-        if self.rho is not None and not 0.0 < self.rho < 0.5 * np.pi:
-            raise QuadratureError("rho must lie in (0, pi/2)")
         if not 0.0 < self.rel_tol < float("inf"):
             raise QuadratureError("rel_tol must lie in (0, inf), got %r"
                                   % (self.rel_tol,))
@@ -315,8 +311,8 @@ class OmegaEvaluator:
     fibre is answered from the z-independent table of the Laplace-Bessel
     route (built here, about 1-3 ms), any other by the plain torus sum
     past the crossovers computed here, else by the refinement loop of the
-    spec.  The spec's rel_tol bounds the route's bar; on the route
-    n_grid and rho shape only value_at_level.  Levels of node data are
+    spec.  The spec's rel_tol bounds the route's bar; on the route the
+    node counts shape only value_at_level.  Levels of node data are
     built lazily; level L uses node counts scaled by 2^L relative to the
     base spec, and values at a fixed level are deterministic functions of
     z (fixed-order reductions).  The threshold value Omega(p; M(p)) is
@@ -336,7 +332,6 @@ class OmegaEvaluator:
         self.p = check_momentum(p)  # the route reads p without w_p
         self.cp = cp
         self.spec = spec if spec is not None else QuadratureSpec()
-        self.rho = self.spec.rho if self.spec.rho is not None else RHO_CAP
         self.q0 = cp.q0
         self.M = cp.M
         self._phi0_sq = float(model.phi(self.q0)) ** 2
@@ -396,7 +391,7 @@ class OmegaEvaluator:
                 "level %d would keep %.4g MiB of nodes (n_grid %d), above "
                 "the %d MiB bound; decrease n_grid" % (
                     level, nbytes / 2 ** 20, n_grid, MAX_LEVEL_BYTES >> 20))
-        rho = self.rho
+        rho = RHO_CAP
 
         # far field: midpoint torus grid, weight h^3 (1-chi) phi^2, built in
         # slabs of i-planes straight into n^3 arrays; the nodes kept
@@ -472,8 +467,10 @@ class OmegaEvaluator:
                         out=P[i:i + rows].reshape(block))
         if np.min(u) <= 0.0:
             raise QuadratureError(
-                "near-field ball of radius %.3f contains points at or above "
-                "the band edge; decrease rho" % rho)
+                "the near-field ball of radius %.3f about q0 has nodes where "
+                "w_p - M(p) reaches %.3g (M(p) = %.12g): M(p) is not the "
+                "maximum of w_p, or w_p is within rounding of it at a node"
+                % (rho, 0.0 - np.min(u), self.M))
         half = half.reshape(-1, 3)
         wa = 2.0 * wa.reshape(n_ang, 2 * n_ang)[:, :n_ang].ravel()
         k = 0.5 * np.einsum("ij,jk,ik->i", half, self._negA, half)
@@ -512,7 +509,7 @@ class OmegaEvaluator:
             model_part = self._phi0_sq * _sum_over(L["R2wa"], delta, np.add,
                                                    L["kr2"], power)
             closed = float(self._phi0_sq * np.sum(
-                L["wa"] * _radial_closed_form(delta, L["k"], self.rho, power)))
+                L["wa"] * _radial_closed_form(delta, L["k"], RHO_CAP, power)))
             near = near - model_part + closed
         return near + far, near, far
 

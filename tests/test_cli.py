@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -145,6 +146,26 @@ def test_oversized_grid_refused_on_the_twin(capsys, tmp_path, twin_one):
     assert (code, out) == (1, "")
     assert err.startswith("friedrichs: level 0 would keep ")
     assert "(n_grid 1000000)" in err
+
+
+def test_wrong_band_edge_refused_without_advice(capsys, tmp_path):
+    # w = 3 - sum cos q_j + 0.1 cos(31 q_1): find_maximizer certifies an
+    # M(p) about 0.036 below the maximum of w_p, so the ball about its q0
+    # holds nodes above M(p), and no radius would help.  The refusal says
+    # what that means, at once.  Locating the true maximum (ROADMAP item
+    # 4) will turn this refusal into an answer
+    table = _twin()["w_table"] + [{"index": [31, 0, 0], "value": 0.1}]
+    path = tmp_path / "k31.json"
+    path.write_text(json.dumps(_twin(w_table=table)))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["threshold", "--config", str(path),
+                                   "--p", "0.7,-0.3,1.1"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "")
+    assert err.startswith("friedrichs: the near-field ball of radius 1.000 "
+                          "about q0 has nodes where w_p - M(p) reaches ")
+    assert "M(p) is not the maximum of w_p" in err
+    assert "rho" not in err
 
 
 def test_non_finite_p_exit_1(capsys, tmp_path):
@@ -651,12 +672,18 @@ def test_cli_output_is_the_same_with_scipy_blocked(tmp_path, argv):
     (["threshold", "--tol", "0"], "rel_tol"),
     (["threshold", "--tol", "-1"], "rel_tol"),
     (["threshold", "--tol", "nan"], "rel_tol"),
-    (["threshold", "--rho", "0"], "rho"),
 ])
 def test_bad_argument_exit_1(capsys, argv, fragment):
     code, _, err = _run(capsys, argv)
     assert code == 1
     assert err.startswith("friedrichs: ") and fragment in err
+
+
+def test_rho_flag_is_a_usage_error(capsys):
+    # the near-field ball's radius is quadrature.RHO_CAP; no flag sets it
+    code, out, err = _run(capsys, ["threshold", "--rho", "0.5"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --rho 0.5" in err
 
 
 def test_sweep_point_evaluates_the_threshold_at_most_twice(
@@ -698,6 +725,12 @@ def _no_fiber(model, spec, p):
      "needs --samples >= 2"),
     (["sweep", "--path", "0,0,0", "--samples", "0"], None,
      "needs --samples >= 1"),
+] + [
+    # a coupling that is not positive, absolute or a multiple of mu(p) > 0
+    ([command, "--mu=" + mu] + (["--path", "0,0,0"] if command == "sweep"
+                                else []), None, "is not positive and finite")
+    for command in ("classify", "eigenvalue", "oracle", "sweep")
+    for mu in ("-1", "0", "x0", "x-2")
 ])
 def test_bad_input_exits_before_the_fibre(capsys, monkeypatch, tmp_path, argv,
                                           threads, fragment):

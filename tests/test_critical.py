@@ -48,7 +48,6 @@ def test_momentum_beyond_two_pi_rejected(kind, p):
         lambda: model.w(p, P0), lambda: model.w_derivatives(p, P0),
         lambda: fr.find_maximizer(model, p),
         lambda: fr.OmegaEvaluator(model, p, cp),
-        lambda: fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(rho=0.5)),
         lambda: fr.secular_root(model, p, 1.0, 16),
         lambda: fr.dense_spectrum(model, p, 1.0, 4),
         lambda: fr.discrete_omega(model, p, 20.0, 16),

@@ -270,11 +270,6 @@ def test_route_refuses_a_tolerance_below_its_bar(model_one, cp_one):
         ev.second_moment(cp_one.M + 0.1)
 
 
-def test_route_is_for_two_particle_only():
-    with pytest.raises(fr.UnsupportedFamilyError):
-        laplace_table(model_kinds()["off_axis"], P0)
-
-
 def test_route_builds_no_level_and_keeps_the_memo(model_one):
     p = np.array([0.7, -0.3, 1.1])
     cp = fr.find_maximizer(model_one, p)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 import tracemalloc
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 import friedrichs as fr
 from conftest import (mixed_model, model_kinds, mp_laplace_omega,
                       quadrature_twin, scaled_phi)
+from friedrichs import quadrature
 from friedrichs.laplace import ROUNDING
 from friedrichs.quadrature import (
     FIT_POINTS,
     FIT_WINDOW,
     MAX_CONTRACTION,
     MAX_LEVEL_BYTES,
-    RHO_CAP,
     SUM_GRIDS,
     _radial_closed_form,
     bump_profile,
@@ -97,13 +98,14 @@ def test_below_threshold_rejected(cp_twin_one, ev_twin_one):
         ev_twin_one.evaluate(cp_twin_one.M - 1e-6)
 
 
-def test_split_radius_robustness(twin_one, cp_twin_one):
-    # changing rho by x1.5 moves the value by less than 5x the reported
-    # refinement estimate
-    a = fr.OmegaEvaluator(twin_one, P0, cp_twin_one,
-                          fr.QuadratureSpec(rho=0.6)).threshold
-    b = fr.OmegaEvaluator(twin_one, P0, cp_twin_one,
-                          fr.QuadratureSpec(rho=0.9)).threshold
+def test_split_radius_robustness(monkeypatch, twin_one, cp_twin_one):
+    # changing the ball radius RHO_CAP by x1.5 moves the value by less than
+    # 5x the reported refinement estimate
+    values = []
+    for rho in (0.6, 0.9):
+        monkeypatch.setattr(quadrature, "RHO_CAP", rho)
+        values.append(fr.OmegaEvaluator(twin_one, P0, cp_twin_one).threshold)
+    a, b = values
     assert abs(a.value - b.value) <= 5.0 * max(a.estimated_error,
                                                b.estimated_error)
 
@@ -280,12 +282,15 @@ def test_state_norm_diagnostics_builds_no_level():
 
 
 @pytest.mark.parametrize("p", [P0, np.array([0.7, -0.3, 1.1])])
-def test_classification_exponent_ignores_rho_on_the_route(model_one, p):
-    # rho shapes only the split quadrature: the edge offsets follow the
-    # curvature alone
+def test_classification_exponent_ignores_rho_on_the_route(monkeypatch,
+                                                         model_one, p):
+    # the ball radius RHO_CAP and n_grid shape only the split quadrature:
+    # the edge offsets follow the curvature alone
     cp = fr.find_maximizer(model_one, p)
     rates = []
-    for spec in (fr.QuadratureSpec(), fr.QuadratureSpec(rho=0.5)):
+    for rho, spec in ((1.0, fr.QuadratureSpec()),
+                      (0.5, fr.QuadratureSpec(n_grid=32))):
+        monkeypatch.setattr(quadrature, "RHO_CAP", rho)
         ev = fr.OmegaEvaluator(model_one, p, cp, spec)
         rates.append(fr.classify_threshold(
             model_one, p, cp, 1.0 / ev.threshold.value,
@@ -307,22 +312,6 @@ def test_route_fibre_builds_no_level(model_vanishing):
     assert ev._levels == []
 
 
-def test_bump_radius_is_rho_cap_unless_the_spec_sets_one():
-    model = model_kinds()["off_axis"]
-    p = np.array([3.1, 0.1, -0.12])
-    cp = fr.find_maximizer(model, p)
-    ev = fr.OmegaEvaluator(model, p, cp)
-    assert ev.rho == RHO_CAP
-    assert fr.OmegaEvaluator(model, p, cp,
-                             fr.QuadratureSpec(rho=0.5)).rho == 0.5
-    # the threshold here is level 2's value; levels 0 and 1 carry the same
-    # rho at a fraction of the cost, so their node sums are compared
-    capped = fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(rho=RHO_CAP))
-    for level in (0, 1):
-        assert ev.value_at_level(cp.M, level) == capped.value_at_level(cp.M,
-                                                                       level)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
 @given(kind=st.sampled_from(["off_axis", "twin"]),
        sign=st.sampled_from([-1.0, 1.0]), log_gap=st.floats(-9.0, -1.0),
@@ -340,6 +329,23 @@ def test_certified_fibre_keeps_the_capped_ball_below_the_edge(kind, sign,
         return
     ev = fr.OmegaEvaluator(model, p, cp, fr.QuadratureSpec(n_grid=16))
     ev._build_level(0)
+
+
+def test_ball_above_a_wrong_band_edge_names_it():
+    # an M(p) below the maximum of w_p puts nodes of the ball above it: the
+    # refusal says so, names M(p) and the radius, and gives no advice
+    model = model_kinds()["off_axis"]
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    low = dataclasses.replace(cp, M=cp.M - 0.05)
+    ev = fr.OmegaEvaluator(model, p, low, fr.QuadratureSpec(n_grid=16))
+    with pytest.raises(fr.QuadratureError) as info:
+        ev.threshold
+    text = str(info.value)
+    assert text.startswith("the near-field ball of radius 1.000 about q0 "
+                           "has nodes where w_p - M(p) reaches 0.05")
+    assert "(M(p) = %.12g): M(p) is not the maximum of w_p" % low.M in text
+    assert "rho" not in text
 
 
 @pytest.mark.parametrize("n_grid, level", [(10 ** 6, 0), (512, 0),
@@ -370,8 +376,6 @@ def test_oversized_level_refused_before_allocation(twin_one, cp_twin_one,
 def test_spec_validation():
     with pytest.raises(fr.QuadratureError):
         fr.QuadratureSpec(n_grid=8)
-    with pytest.raises(fr.QuadratureError):
-        fr.QuadratureSpec(rho=2.0)
 
 
 def test_not_converged_message_states_the_last_estimate(twin_one,
