@@ -48,7 +48,12 @@ by a tenth of its bar.
 
 Everything but e^{-t delta} is independent of z, so laplace_table builds
 the nodes, G and the tail coefficients of a fibre once, and
-laplace_omega costs one exponential per node and two dot products.
+laplace_omega costs one exponential per node and two dot products.  The
+table holds the moments of (2^-j phi)^2, j = 0 unless phi's largest
+coefficient lies outside 2^-250 .. 2^250, and laplace_omega scales value
+and bar by 2^(2j) at the end (at j = 0 it returns them as they are): no
+intermediate overflows or underflows at any scale of phi, and a moment
+that the scaling carries beyond the float range is a QuadratureError.
 
 The Bessel factors are numpy code (no SciPy).  _ives sums the power
 series e^-x (x/2)^n sum_k (x^2/4)^k / (k! (k+n)!) by Horner in x^2/4 up
@@ -73,6 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import two_particle_closed_forms
+from .errors import QuadratureError
 
 HEAD_U = -30.0         # log t0, the head's end, when every alpha_j <= 1
 PANEL = 0.5            # panel width in u = log t
@@ -155,11 +161,17 @@ def _log_rule(u0, n_panels, nodes):
 
 @lru_cache(maxsize=8)
 def _phi_squared_modes(table):
-    """{m: a_m} of phi^2 = sum_m a_m e^{i m.q} for a HarmonicTable phi, as
-    (m, a_m) pairs: formed once per table (kept for the last few tables),
-    not per fibre."""
+    """(modes, j): {m: a_m} of (2^-j phi)^2 = sum_m a_m e^{i m.q} for a
+    HarmonicTable phi, as (m, a_m) pairs, and j = e - clip(e, -250, 250),
+    e the binary exponent of phi's largest coefficient, so that no mode or
+    tail coefficient overflows or underflows (j = 0 at ordinary scales):
+    formed once per table (kept for the last few tables), not per fibre."""
+    e = int(np.frexp(np.max(np.abs(np.concatenate((table.cos,
+                                                    table.sin)))))[1])
+    j = e - min(max(e, -250), 250)
     beta = {}
-    for k, c, s in zip(table.indices, table.cos, table.sin):
+    for k, c, s in zip(table.indices, np.ldexp(table.cos, -j),
+                       np.ldexp(table.sin, -j)):
         k = tuple(int(v) for v in k)
         if k == (0, 0, 0):
             beta[k] = beta.get(k, 0.0) + c
@@ -171,7 +183,7 @@ def _phi_squared_modes(table):
     for (k, bk), (l, bl) in itertools.product(beta.items(), repeat=2):
         m = (k[0] + l[0], k[1] + l[1], k[2] + l[2])
         modes[m] = modes.get(m, 0.0) + bk * bl
-    return tuple(modes.items())
+    return tuple(modes.items()), j
 
 
 @dataclass(frozen=True)
@@ -184,6 +196,8 @@ class LaplaceTable:
     a0, slope    G(0) and the bound 2 sum_j alpha_j sum_m |a_m| on |G'|
     tail         SERIES_TERMS coefficients of t^(-3/2-K) in G(t)
     omitted      the magnitude of the first omitted coefficient
+    shift        j of phi 2^-j, whose square the table holds: values and
+                 bars are 2^(2j) times the table's
     """
 
     t: np.ndarray
@@ -195,6 +209,7 @@ class LaplaceTable:
     slope: float
     tail: np.ndarray
     omitted: float
+    shift: int
 
 
 def laplace_table(model, p) -> LaplaceTable:
@@ -203,7 +218,8 @@ def laplace_table(model, p) -> LaplaceTable:
     q0, _, alpha = two_particle_closed_forms(model.hopping, p)
 
     coef, size = {}, {}  # per (|m_1|, |m_2|, |m_3|): Re[a_m e^{i m.q0}], |a_m|
-    for m, a in _phi_squared_modes(model._phi):
+    modes, shift = _phi_squared_modes(model._phi)
+    for m, a in modes:
         key = tuple(abs(v) for v in m)
         coef[key] = coef.get(key, 0.0) + (a * np.exp(1j * np.dot(m, q0))).real
         size[key] = size.get(key, 0.0) + abs(a)
@@ -240,7 +256,7 @@ def laplace_table(model, p) -> LaplaceTable:
         t=t, wg=wt * G, wh=wt * H, t0=math.exp(u0), T=T,
         a0=coef.get((0, 0, 0), 0.0),
         slope=2.0 * float(np.sum(alpha)) * sum(size.values()),
-        tail=lead * tail, omitted=lead * omitted)
+        tail=lead * tail, omitted=lead * omitted, shift=shift)
 
 
 def _tail_integrals(delta, T, n):
@@ -303,4 +319,12 @@ def laplace_omega(table: LaplaceTable, delta, power=1):
     value = scale * (head + body + tail)
     bar = scale * (omitted + head_bound
                    + ROUNDING * (body_abs + abs(head) + abs(tail)))
-    return value, bar
+    if not table.shift:
+        return value, bar
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(value, 2 * table.shift)
+    if not np.isfinite(scaled):
+        raise QuadratureError(
+            "int phi^2 / (z - w_p)^%d = %.3e x 2^%d overflows a float"
+            % (power, value, 2 * table.shift))
+    return scaled, np.ldexp(bar, 2 * table.shift)

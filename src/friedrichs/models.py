@@ -27,9 +27,10 @@ torus sum read w_p from ``fibre_table(p)``, the one table in q of
 T(q) + T(p - q), with phi in one ``harmonic_values`` call; at the near
 field's polar nodes axis 3 takes one value per radius and cos(theta), and
 axes 1 and 2 pass their harmonics, not coordinates, formed by angle
-addition from half the nodes: a node of the off-axis benchmark model costs
-2 transcendental calls.  find_maximizer and the lattice oracle read
-``DispersionModel.w``, so the oracle checks a separate evaluation of w_p.
+addition from a quarter of the nodes: a node of the off-axis benchmark
+model costs 1 transcendental call.  find_maximizer and the lattice oracle
+read ``DispersionModel.w``, so the oracle checks a separate evaluation of
+w_p.
 A phi table is refused (ConfigError) once (2 pi)^3 (sum_k hypot(c_k,
 s_k))^2, the bound on every phi(q)^2 and on ``phi_l2_norm_sq()``,
 overflows a float.
@@ -75,10 +76,13 @@ def _components(q):
 
 def _add_into(acc, term):
     """acc + term, written into acc when acc is an array that already has
-    the broadcast shape (the same bits, one array fewer)."""
-    if isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(
-            acc.shape, np.shape(term)):
-        return np.add(acc, term, out=acc)
+    the broadcast shape (the same bits, one array fewer): each axis of term,
+    aligned from the right, is 1 or acc's."""
+    if isinstance(acc, np.ndarray):
+        shape = np.shape(term)
+        if shape == acc.shape or len(shape) <= acc.ndim and all(
+                t in (1, a) for t, a in zip(shape[::-1], acc.shape[::-1])):
+            return np.add(acc, term, out=acc)
     return acc + term
 
 

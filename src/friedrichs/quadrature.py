@@ -53,8 +53,10 @@ M(p) is not the maximum of w_p, or that w_p is within rounding of it there.
 Evaluating at many spectral parameters z (root finding, the edge record)
 costs one vectorised reduction per z, and values at different z share
 identical node sets, which the second moment int phi^2 / (z - w_p)^2
-(-dOmega/dz) shares.  The solver functions and state_norm_diagnostics
-take an evaluator and read p, M(p), the spec and Omega(p) from it.
+(-dOmega/dz) shares.  A batch of z (the edge record's offsets) reads each
+level once for all of them, with the bits of one z at a time.  The solver
+functions and state_norm_diagnostics take an evaluator and read p, M(p),
+the spec and Omega(p) from it.
 
 The edge behaviour Omega(p) - Omega(p; M(p) + d) ~ a sqrt(d) + b d + ...
 is measured once per fibre, at M(p) only, by edge_samples at offsets that
@@ -70,8 +72,9 @@ broadcast add; a near-field block is (radii, n_ang, 2 n_ang), axis 3 is
 kept at the n_ang distinct cos(theta) per radius, and axes 1 and 2 take
 cos and sin of n (q0_i +- r nu_i), passed in place of coordinates, by
 angle addition from one np.cos and one np.sin of n r nu_i over the half of
-the azimuths whose antipodes are the other half (_polar_block): 2 calls
-per node for the off-axis benchmark model, whose tables have order 1.
+the azimuths whose antipodes are the other half, and over the half of the
+polar rows that the other half mirrors (_polar_block): 1 call per node
+for the off-axis benchmark model, whose tables have order 1.
 The fibre table differs from model.w's T(q) + T(p - q) by rounding only;
 find_maximizer and the oracle read model.w.
 
@@ -82,8 +85,9 @@ polar nodes, and the Hessian model on half of them.  The build streams the
 far field through slabs of torus planes, about BLOCK nodes each, and the
 near field through blocks of radii of about BLOCK / 2 nodes, writing the
 kept nodes straight into the level's arrays; the bump is evaluated only in
-the tensor box of axis nodes within rho of q0 (it is 0 beyond), and a
-slab whose nodes are all kept is copied without a mask.  A per-z
+the tensor box of axis nodes within rho of q0 (it is 0 beyond), a slab's
+far weights are formed in place in the level's array, and a slab whose
+nodes are all kept copies its w_p without a mask.  A per-z
 reduction forms and sums its integrand one block at a time, along NumPy's
 pairwise-summation split (friedrichs.sums), so every node array and every
 sum is bitwise the one of a full-grid pass.
@@ -257,21 +261,25 @@ def _radial_closed_form(delta, k, rho, power):
     return out
 
 
-def _antipodal(nc, na):
+def _antipodal(nc, na, rows):
     """(cos, sin) of nc + na, then of nc - na, along the last axis (twice
     the length of na), by angle addition from one np.cos and one np.sin
-    of na and the scalars cos nc and sin nc."""
+    of na and the scalars cos nc and sin nc.  na holds the first
+    ceil(rows / 2) polar rows (axis 1) of a block of `rows`; row rows - 1
+    - j of the block equals row j and is copied from it."""
     cos_na, sin_na = np.cos(na), np.sin(na)
     cos_c, sin_c = np.cos(nc), np.sin(nc)
-    h = na.shape[-1]
-    cos, sin = (np.empty(na.shape[:-1] + (2 * h,)) for _ in range(2))
+    m, h = na.shape[1:]
+    cos, sin = (np.empty((na.shape[0], rows, 2 * h)) for _ in range(2))
     a, b = cos_c * cos_na, sin_c * sin_na
-    np.subtract(a, b, out=cos[..., :h])
-    np.add(a, b, out=cos[..., h:])
+    np.subtract(a, b, out=cos[:, :m, :h])
+    np.add(a, b, out=cos[:, :m, h:])
     np.multiply(sin_c, cos_na, out=a)
     np.multiply(cos_c, sin_na, out=b)
-    np.add(a, b, out=sin[..., :h])
-    np.subtract(a, b, out=sin[..., h:])
+    np.add(a, b, out=sin[:, :m, :h])
+    np.subtract(a, b, out=sin[:, :m, h:])
+    for x in (cos, sin):
+        x[:, m:] = x[:, :rows - m][:, ::-1]
     return cos, sin
 
 
@@ -281,12 +289,17 @@ def _polar_block(q0, r, half, orders):
     half holds the directions f < n_ang of each polar row; the others are
     their antipodes, so with a = r nu_i on the half, axes 1 and 2 are q0_i
     + a, then q0_i - a, and are passed as the harmonics of their orders
-    from _antipodal.  Axis 3 is its coordinates, (radii, n_ang, 1), one
-    value per cos(theta)."""
+    from _antipodal.  Their nu_i = sin(theta) (cos, sin)(phi) is equal bit
+    for bit on polar rows j and n_ang - 1 - j (numpy's leggauss nodes are
+    exactly antisymmetric), so the harmonics are formed on the first
+    ceil(n_ang / 2) rows and mirrored.  Axis 3 is its coordinates, (radii,
+    n_ang, 1), one value per cos(theta)."""
+    n_ang = half.shape[0]
+    top = half[:n_ang - n_ang // 2]
     axes = []
     for i in (0, 1):
-        a = r * half[:, :, i]
-        axes.append({n: _antipodal(n * q0[i], a if n == 1 else n * a)
+        a = r * top[:, :, i]
+        axes.append({n: _antipodal(n * q0[i], a if n == 1 else n * a, n_ang)
                      for n in orders[i]})
     return axes + [q0[2] + r * half[:, :1, 2]]
 
@@ -366,14 +379,16 @@ class OmegaEvaluator:
         the FIT_POINTS offsets d_j = k x (x log-spaced over FIT_WINDOW, k
         the largest eigenvalue of -A/2) and bar the bar of Omega(p) plus the
         largest of the others; on identical nodes, so systematic errors
-        cancel.  Computed once; the arrays are read-only."""
+        cancel.  The offsets are one batch of _moment, the bits of evaluate
+        at each, and do not enter the memo of recent values.  Computed
+        once; the arrays are read-only."""
         k = -0.5 * self.cp.hessian_eigenvalues[0]
         deltas = k * np.logspace(np.log10(FIT_WINDOW[0]),
                                  np.log10(FIT_WINDOW[1]), FIT_POINTS)
         omega = self.threshold
-        values = [self.evaluate(self.M + d) for d in deltas]
-        data = np.array([omega.value - v.value for v in values])
-        bar = omega.estimated_error + max(v.estimated_error for v in values)
+        values = self._moment(self.M + deltas, 1, "quadrature")
+        data = np.array([omega.value - v[0] for v in values])
+        bar = omega.estimated_error + max(v[1] for v in values)
         return _read_only(deltas, data) + (bar,)
 
     # -- node data ------------------------------------------------------
@@ -415,7 +430,10 @@ class OmegaEvaluator:
             shape = (len(slab[0]), n_grid, n_grid)
             w, phi = harmonic_values(tables, *slab)
             phi2 = np.asarray(phi) ** 2
-            weight = np.multiply(h3, phi2, out=np.empty(shape))
+            # formed in place in far_weight, where it stays if every node
+            # is kept
+            weight = np.multiply(h3, phi2, out=far_weight[
+                kept:kept + shape[0] * n_grid ** 2].reshape(shape))
             inner = box[0][(box[0] >= i) & (box[0] < i + planes)]
             if inner.size and box[1].size and box[2].size:
                 dist = np.sqrt(d2[0][inner, None, None]
@@ -426,13 +444,14 @@ class OmegaEvaluator:
                 sub = np.ix_(inner - i, box[1], box[2])
                 weight[sub] = (h3 * (1.0 - chi)
                                * np.broadcast_to(phi2, shape)[sub])
-            if weight.min() > 0.0:  # every node kept: a contiguous copy
+            if weight.min() > 0.0:  # every node kept: w copied whole
                 n_keep = weight.size
-                far_weight[kept:kept + n_keep] = weight.ravel()
                 far_w[kept:kept + n_keep].reshape(shape)[...] = w
             else:
                 keep = weight > 0.0
                 n_keep = np.count_nonzero(keep)
+                # weight[keep] is a copy, so overwriting the slice weight
+                # views is safe
                 far_weight[kept:kept + n_keep] = weight[keep]
                 far_w[kept:kept + n_keep] = np.broadcast_to(w, shape)[keep]
             kept += n_keep
@@ -497,8 +516,11 @@ class OmegaEvaluator:
         return max(float(z) - self.M, 0.0)
 
     def _sums(self, z, level, power):
-        """(total, near, far) of int phi^2 / (z - w_p)^power at one level."""
-        delta = self._delta(z)
+        """(total, near, far) of int phi^2 / (z - w_p)^power at one level:
+        floats for one z, and for a 1-D array of z three arrays, from one
+        pass over the level's nodes, each entry bitwise the one-z value."""
+        z = np.asarray(z, dtype=float)
+        delta = np.reshape([self._delta(x) for x in z.ravel()], z.shape)
         L = self._level(level)
         far = _sum_over(L["far_weight"], z, np.subtract, L["far_w"], power)
         near = _sum_over(L["P"], delta, np.add, L["u"], power)
@@ -508,13 +530,18 @@ class OmegaEvaluator:
         if self._phi0_sq != 0.0:
             model_part = self._phi0_sq * _sum_over(L["R2wa"], delta, np.add,
                                                    L["kr2"], power)
-            closed = float(self._phi0_sq * np.sum(
-                L["wa"] * _radial_closed_form(delta, L["k"], RHO_CAP, power)))
+            closed = np.reshape([self._phi0_sq * np.sum(
+                L["wa"] * _radial_closed_form(float(d), L["k"], RHO_CAP,
+                                              power)) for d in delta.ravel()],
+                delta.shape)
             near = near - model_part + closed
-        return near + far, near, far
+        if z.ndim:
+            return near + far, near, far
+        return float(near + far), float(near), float(far)
 
     def value_at_level(self, z, level):
-        """(total, near, far) at a fixed refinement level."""
+        """(total, near, far) at a fixed refinement level, for one z or a
+        1-D array of z (see _sums)."""
         return self._sums(z, level, 1)
 
     def _torus_sum(self, z, delta, power):
@@ -560,38 +587,76 @@ class OmegaEvaluator:
         above that bound, or an estimate that the doublings left cannot
         bring within it, each shrinking it at most MAX_CONTRACTION times,
         raises QuadratureNotConvergedError before the next level is built.
+
+        A 1-D array of z gives the list of their triples, each bitwise the
+        one-z triple.  The backend and convergence are decided per z, and
+        each level is reduced once for all z the loop still holds.  The
+        QuadratureNotConvergedError raised, and the levels built, are those
+        of the z evaluated one by one in order: a z refused drops every z
+        after it.  A z below M(p) or not finite is refused (_delta) before
+        any level is reduced.
         """
-        delta = self._delta(z)
-        if self._laplace is not None:
-            value, est = laplace_omega(self._laplace, delta, power)
-            bound = self.spec.rel_tol * abs(value)
-            if est <= bound:
-                return value, est, self.spec.n_grid
-            where = "on the Laplace-Bessel route"
-        else:
-            summed = self._torus_sum(z, delta, power)
-            if summed is not None and (
-                    summed[1] <= self.spec.rel_tol * abs(summed[0])):
-                return summed
-            prev = None
-            for level in range(MAX_REFINEMENTS + 1):
-                sums = (self.value_at_level(z, level) if power == 1
-                        else self._sums(z, level, power))
-                if prev is not None:
-                    value = sums[0]
-                    est = abs(sums[1] - prev[1]) + abs(sums[2] - prev[2])
-                    bound = self.spec.rel_tol * max(abs(value), 1e-300)
+        batch = isinstance(z, np.ndarray) and z.ndim > 0
+        zs = z if batch else (z,)
+        tol = self.spec.rel_tol
+        out, pending = [], []
+        for x in zs:
+            delta = self._delta(x)
+            if self._laplace is not None:
+                value, est = laplace_omega(self._laplace, delta, power)
+                if not est <= tol * abs(value):
+                    raise self._refusal(what, value, est, tol * abs(value),
+                                        "on the Laplace-Bessel route")
+                out.append((value, est, self.spec.n_grid))
+                continue
+            summed = self._torus_sum(x, delta, power)
+            if summed is None or not summed[1] <= tol * abs(summed[0]):
+                pending.append(len(out))
+                summed = None
+            out.append(summed)
+        if pending:
+            self._refine(zs, pending, out, power, what)
+        return out if batch else out[0]
+
+    def _refine(self, zs, pending, out, power, what):
+        """The refinement loop of _moment for zs[j], j in pending: each
+        level is reduced once for the z it still holds, and each triple
+        goes into out[j].  A refused z drops the z after it; the first
+        refusal in the order of zs is raised once the z before it are
+        settled."""
+        tol = self.spec.rel_tol
+        prev, failure = {}, None
+        for level in range(MAX_REFINEMENTS + 1):
+            if not pending:
+                break
+            held_z = np.array([zs[j] for j in pending], dtype=float)
+            sums = zip(*(self.value_at_level(held_z, level) if power == 1
+                         else self._sums(held_z, level, power)))
+            held = []
+            for j, (value, near, far) in zip(pending, sums):
+                if level:
+                    est = float(abs(near - prev[j][0])
+                                + abs(far - prev[j][1]))
+                    bound = tol * max(abs(value), 1e-300)
                     if est <= bound:
-                        return value, est, self.spec.n_grid * 2 ** level
+                        n_grid = self.spec.n_grid * 2 ** level
+                        out[j] = float(value), est, n_grid
+                        continue
                     left = MAX_REFINEMENTS - level
                     if not est <= bound * MAX_CONTRACTION ** left:
+                        failure = (value, est, bound, "at level %d" % level + (
+                            "; %d more doubling(s) cannot reach the bound if "
+                            "each shrinks the estimate at most %dx"
+                            % (left, MAX_CONTRACTION) if left else ""))
                         break
-                prev = sums
-            where = "at level %d" % level + (
-                "; %d more doubling(s) cannot reach the bound if each "
-                "shrinks the estimate at most %dx" % (left, MAX_CONTRACTION)
-                if left else "")
-        raise QuadratureNotConvergedError(
+                prev[j] = near, far
+                held.append(j)
+            pending = held
+        if failure is not None:
+            raise self._refusal(what, *failure)
+
+    def _refusal(self, what, value, est, bound, where):
+        return QuadratureNotConvergedError(
             "%s not converged: estimate %.3e above %.3e (rel_tol %.1e x "
             "|value| %.3e) %s" % (what, est, bound, self.spec.rel_tol,
                                   abs(value), where))

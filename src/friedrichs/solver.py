@@ -38,8 +38,9 @@ from .roots import brentq
 MU_REL_TOL = 1e-9        # relative band around mu(p) treated as "equal"
 PHI_REL_TOL = 1e-8       # |phi(q0)| below this fraction of phi's RMS is zero
 FIT_RESIDUAL_GATE = 1e-3
+EPS = np.finfo(float).eps
 ROOT_XTOL = 1e-14        # brentq's absolute and relative root tolerances
-ROOT_RTOL = 4.0 * np.finfo(float).eps
+ROOT_RTOL = 4.0 * EPS
 TWO_PI_SQ = 2.0 * np.pi ** 2
 
 
@@ -188,16 +189,28 @@ def eigenfunction(model, p, cp: CriticalPointInfo, mu, energy,
     1 / (mu sqrt(second moment)); a second moment that underflows (E - M(p)
     above about 7e153 ||phi||, mu above about 4e152 for phi = 1) raises
     QuadratureError rather than return an infinite constant.
+
+    E is refused (InvalidInputError) when |1 - mu Omega(E)| exceeds what a
+    root within brentq's tolerance can leave: mu (bar of Omega(E) + S2(E)
+    (ROOT_XTOL + ROOT_RTOL |E|)), S2 = -dOmega/dz the second moment, plus
+    the rounding eps (1 + mu |Omega(E)|) of the determinant itself.  True
+    roots read at most a tenth of that bound, from hopping 1e-8 to 1e8.
     """
     check_coupling(mu)
     ev = _evaluator(model, p, cp, evaluator)
     if not energy > ev.M:
         raise InvalidInputError("eigenfunction requires E > M(p)")
-    det = _det(energy, ev, mu)
-    if abs(det) > 1e-8:
-        raise InvalidInputError(
-            "energy is not an eigenvalue: |determinant| = %.3e" % abs(det))
     norm_sq = ev.second_moment(energy)  # int phi^2/(E-w)^2
+    omega = ev.evaluate(energy)
+    det = 1.0 - mu * omega.value
+    bound = (mu * (omega.estimated_error
+                   + norm_sq * (ROOT_XTOL + ROOT_RTOL * abs(energy)))
+             + EPS * (1.0 + mu * abs(omega.value)))
+    if not abs(det) <= bound:
+        raise InvalidInputError(
+            "energy is not an eigenvalue: |determinant| = %.3e above %.3e, "
+            "mu (bar of Omega(E) + second moment x root tolerance) plus "
+            "rounding" % (abs(det), bound))
     c = 1.0 / (mu * np.sqrt(norm_sq))
     return EigenfunctionEval(normalization=float(c), mu=float(mu),
                              energy=float(energy), model=ev.model, p=ev.p)
@@ -284,7 +297,8 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     coefficients, so the residual gate has something to test.  The fit
     runs on edge_scaled(data), and its coefficients are scaled back.
     ExpansionFitError: no difference above the bars of its Omega values,
-    or a residual above FIT_RESIDUAL_GATE or NaN.
+    a residual above FIT_RESIDUAL_GATE or NaN, or a coefficient beyond the
+    float range.
     """
     ev = _evaluator(model, p, cp, evaluator)
     deltas, data, bars = ev.edge_samples
@@ -297,17 +311,21 @@ def expansion_fit(model, p, cp: CriticalPointInfo,
     coeffs, *_ = np.linalg.lstsq(design, scaled, rcond=None)
     resid = scaled - design @ coeffs
     rel_residual = float(np.linalg.norm(resid) / np.linalg.norm(scaled))
-    coeffs = np.ldexp(coeffs, k)
-    fit = ExpansionFit(
-        tau0_fit=float(coeffs[0] / TWO_PI_SQ),
-        tau0_closed=tau0_closed_form(ev.model, ev.cp),
-        rel_residual=rel_residual,
-        sqrt_coeff=float(coeffs[0]), linear_coeff=float(coeffs[1]),
-        threehalf_coeff=float(coeffs[2]), deltas=deltas, data=data)
     if not rel_residual <= FIT_RESIDUAL_GATE:
         raise ExpansionFitError(
             "expansion fit failed: relative residual %.3e" % rel_residual)
-    return fit
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(coeffs, k)
+    if not np.all(np.isfinite(unscaled)):
+        raise ExpansionFitError(
+            "expansion fit failed: coefficients %s x 2^%d overflow a float"
+            % (coeffs.tolist(), k))
+    return ExpansionFit(
+        tau0_fit=float(unscaled[0] / TWO_PI_SQ),
+        tau0_closed=tau0_closed_form(ev.model, ev.cp),
+        rel_residual=rel_residual,
+        sqrt_coeff=float(unscaled[0]), linear_coeff=float(unscaled[1]),
+        threehalf_coeff=float(unscaled[2]), deltas=deltas, data=data)
 
 
 @dataclass

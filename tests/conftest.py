@@ -254,13 +254,14 @@ def ev_vanishing(model_vanishing, cp_vanishing):
 def threshold_evaluations(monkeypatch):
     """List that gains one entry per computation of Omega at z = M(p): each
     refinement loop of evaluate starts with the level-0 reduction, while
-    an evaluate answered from the evaluator's cache reduces nothing."""
+    an evaluate answered from the evaluator's cache reduces nothing.  A
+    reduction of a batch of z is compared z by z."""
     calls = []
     value_at_level = fr.OmegaEvaluator.value_at_level
 
     def counting(self, z, level):
-        if z == self.M and level == 0:
-            calls.append(z)
+        if level == 0:
+            calls.extend(x for x in np.ravel(z) if x == self.M)
         return value_at_level(self, z, level)
 
     monkeypatch.setattr(fr.OmegaEvaluator, "value_at_level", counting)
@@ -270,13 +271,13 @@ def threshold_evaluations(monkeypatch):
 @pytest.fixture
 def reductions(monkeypatch):
     """List that gains one entry (z) per Omega or second moment reduced on
-    any backend (route, torus sum or refinement loop); values answered from
-    the evaluator's caches reduce nothing."""
+    any backend (route, torus sum or refinement loop), one per z of a
+    batch; values answered from the evaluator's caches reduce nothing."""
     calls = []
     moment = fr.OmegaEvaluator._moment
 
     def counting(self, z, power, what):
-        calls.append(z)
+        calls.extend(np.ravel(z))
         return moment(self, z, power, what)
 
     monkeypatch.setattr(fr.OmegaEvaluator, "_moment", counting)

@@ -301,6 +301,49 @@ def test_eigenvalue_x2(capsys):
     assert abs(root - payload["E"]) / payload["E"] <= 3e-3
 
 
+@pytest.mark.filterwarnings("error")
+def test_eigenvalue_at_small_hopping_answers(capsys, tmp_path):
+    # the root was right (E - M(p) = 1.9e-8), and eigenfunction's absolute
+    # gate |det| > 1e-8 refused it: "energy is not an eigenvalue"
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({
+        "family": "two_particle",
+        "hopping": [2.3789261343218633e-08, 4.679952649926385e-07,
+                    1.3428462062297157e-08]}))
+    code, out, err = _run(capsys, [
+        "eigenvalue", "--config", str(config), "--mu", "x2",
+        "--p=-0.26008189183144337,2.927061045981604,-3.0583721075498813"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["E"] > payload["M"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_phi_at_small_hopping_answers_or_refuses_by_name(capsys,
+                                                               tmp_path):
+    # the route's tail overflowed (numpy RuntimeWarnings) and threshold
+    # printed mu_threshold 0.0 with exit 0; it now prints the unit fibre's
+    # mu(p) times c / s^2, and the fit, whose coefficients are beyond the
+    # float range, is refused by name
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"family": "two_particle",
+                                  "hopping": [1e-5, 1e-5, 1e-5],
+                                  "phi": {"constant": 1e150}}))
+    p = "0.7,-0.3,1.1"
+    code, out, err = _run(capsys, ["threshold", "--config", str(config),
+                                   "--p", p])
+    assert code == 0, err
+    mu_p = json.loads(out)["mu_threshold"]
+    _, out, _ = _run(capsys, ["threshold", "--p", p])
+    unit = json.loads(out)["mu_threshold"]
+    assert abs(mu_p / (unit * 1e-5 / 1e300) - 1.0) <= 1e-12
+    code, out, err = _run(capsys, ["expansion", "--config", str(config),
+                                   "--p", p])
+    assert code == 1 and out == ""
+    assert err.startswith("friedrichs: expansion fit failed: coefficients ")
+    assert err.endswith(" overflow a float\n")
+
+
 def test_eigenvalue_x05_regular(capsys):
     code, out, _ = _run(capsys, ["eigenvalue", "--p", "0,0,0", "--mu",
                                  "x0.5"])

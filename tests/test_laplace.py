@@ -312,3 +312,53 @@ def test_eigenvalue_error_estimate_brackets_the_root(kind, ratio):
     err = fr.eigenvalue_error_estimate(model, p, cp, mu, e, evaluator=ev)
     assert fr.fredholm_det(model, p, cp, mu, e - err, evaluator=ev) <= 0.0
     assert fr.fredholm_det(model, p, cp, mu, e + err, evaluator=ev) >= 0.0
+
+
+P1 = np.array([0.7, -0.3, 1.1])
+
+
+def _route_threshold(hopping, constant):
+    model = fr.two_particle_model(hopping=hopping,
+                                  phi={"constant": constant})
+    return fr.OmegaEvaluator(model, P1, fr.find_maximizer(model, P1)).threshold
+
+
+@pytest.mark.filterwarnings("error")
+def test_route_at_a_large_phi_and_small_hopping_is_the_unit_fibre_rescaled():
+    # phi = 1e150 with hopping 1e-5: the tail coefficients c s_k / (2
+    # alpha)^k overflowed with three RuntimeWarnings and mu(p) read 0.0;
+    # phi is scaled by 2^-j on the route, so mu(p) is the unit fibre's
+    # times c / s^2, a normal float
+    model = fr.two_particle_model(hopping=(1e-5,) * 3,
+                                  phi={"constant": 1e150})
+    cp = fr.find_maximizer(model, P1)
+    mu_p = fr.coupling_threshold(model, P1, cp)
+    unit = fr.two_particle_model()
+    want = fr.coupling_threshold(unit, P1, fr.find_maximizer(unit, P1)) \
+        * 1e-5 / 1e300
+    assert abs(mu_p / want - 1.0) <= 1e-12
+    assert laplace_table(model, P1).shift > 0
+    assert laplace_table(unit, P1).shift == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("constant", [1e-154, 1e-155])
+def test_near_subnormal_threshold_within_a_positive_bar(constant):
+    # Omega(p) near the subnormal range was 1.4e-13 off behind a bar of
+    # 1.4e-14 relative (phi = 1e-154), or 1.1e-11 off behind a bar of 0.0
+    # (phi = 1e-155); both are now the unit fibre times s^2 within a bar
+    # that keeps its relative size
+    unit = _route_threshold((1.0,) * 3, 1.0)
+    got = _route_threshold((1.0,) * 3, constant)
+    want = unit.value * constant * constant
+    assert 0.0 < got.estimated_error <= 2e-14 * got.value
+    assert abs(got.value - want) <= got.estimated_error
+
+
+@pytest.mark.filterwarnings("error")
+def test_route_moment_beyond_the_float_range_is_refused():
+    # phi = 1e150 with hopping 1e-9: Omega(p) is about 3e308
+    with pytest.raises(fr.QuadratureError,
+                       match=r"^int phi\^2 / \(z - w_p\)\^1 = .* x 2\^498 "
+                             r"overflows a float$"):
+        _route_threshold((1e-9,) * 3, 1e150)

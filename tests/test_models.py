@@ -1,5 +1,6 @@
 import json
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import friedrichs as fr
-from friedrichs.models import HarmonicTable, harmonic_values
+from friedrichs.models import HarmonicTable, _add_into, harmonic_values
 from friedrichs.torus import grid_axis, tensor_grid, wrap_angles
 
 P0 = np.zeros(3)
@@ -431,3 +432,20 @@ def test_model_results_broadcast_to_the_reference(cfg):
             else:
                 _assert_close(got, want,
                               tables * _rounding_bound(table, 0), shape)
+
+
+def test_add_into_writes_in_place_exactly_at_the_broadcast_shape():
+    # the shape comparison against np.broadcast_shapes, over every pair of
+    # shapes of up to 3 axes of length 1 to 3
+    shapes = [s for n in range(4) for s in product((1, 2, 3), repeat=n)]
+    for a, t in product(shapes[1:], shapes):
+        acc, term = np.ones(a), np.full(t, 2.0)
+        try:
+            grows = np.broadcast_shapes(a, t) != a
+        except ValueError:
+            continue
+        out = _add_into(acc, term)
+        assert (out is acc) == (not grows), (a, t)
+        assert np.array_equal(out, np.full(np.broadcast_shapes(a, t), 3.0))
+    acc = np.ones(2)
+    assert _add_into(acc, 1.5) is acc and _add_into(1.5, acc) is not acc

@@ -701,3 +701,71 @@ def test_edge_and_fit_window_stay_on_the_refinement_loop(kind):
         assert got.n_grid == ev.spec.n_grid * 2 ** level
         assert got.value == ev.value_at_level(z, level)[0]
     assert ev._grids == {}
+
+
+@pytest.mark.parametrize("kind", ["one", "vanishing", "off_axis", "twin"])
+def test_edge_samples_equal_the_offsets_evaluated_one_by_one(kind):
+    # edge_samples reduces each level once for all its offsets; each datum
+    # and the bar are the bits of evaluate at M(p) + d_j, one z at a time
+    model = (quadrature_twin(model_kinds()["one"]) if kind == "twin"
+             else model_kinds()[kind])
+    p = np.array([0.7, -0.3, 1.1])
+    cp = fr.find_maximizer(model, p)
+    got, ref = (fr.OmegaEvaluator(model, p, cp) for _ in range(2))
+    deltas, data, bar = got.edge_samples
+    omega = ref.threshold
+    values = [ref.evaluate(cp.M + d) for d in deltas]
+    k = -0.5 * cp.hessian_eigenvalues[0]
+    assert np.array_equal(deltas, k * np.logspace(
+        np.log10(FIT_WINDOW[0]), np.log10(FIT_WINDOW[1]), FIT_POINTS))
+    assert np.array_equal(data, [omega.value - v.value for v in values])
+    assert bar == omega.estimated_error + max(v.estimated_error
+                                              for v in values)
+    assert len(got._levels) == len(ref._levels)
+
+
+@pytest.mark.parametrize("nodes, rel_tol, deltas", [
+    # the first z fails at level 2, the second is refused at level 1
+    ((16, 8, 8), 2.6e-7, (0.3, 0.1)),
+    # the first is refused at level 1: level 2 is not built for the second
+    ((16, 8, 8), 2.6e-7, (0.1, 0.3)),
+    ((16, 8, 8), 1e-15, (0.3, 0.1, 0.3)),
+    # the torus sum, then levels 1 and 2 answer
+    ((32, 16, 16), 7e-5, (3.0, 1.0, 0.01, 0.3, 1e-4, 0.0)),
+])
+@pytest.mark.parametrize("power", [1, 2])
+def test_batched_moments_equal_one_z_at_a_time(twin_one, cp_twin_one, nodes,
+                                               rel_tol, deltas, power):
+    # a batch of z: every triple is the one-z triple, and where a z is
+    # refused the error is the one that taking the z one by one, in order,
+    # raises first, with no level built that that order would not build
+    if power == 2 and 0.0 in deltas:
+        deltas = deltas[:-1]  # phi(q0) != 0: the second moment diverges
+    spec = fr.QuadratureSpec(*nodes, rel_tol=rel_tol)
+    zs = cp_twin_one.M + np.array(deltas)
+    batch, single = (fr.OmegaEvaluator(twin_one, P0, cp_twin_one, spec)
+                     for _ in range(2))
+    want, error = [], None
+    for z in zs:
+        try:
+            want.append(single._moment(z, power, "m"))
+        except fr.QuadratureNotConvergedError as exc:
+            error = str(exc)
+            break
+    if error is None:
+        assert batch._moment(zs, power, "m") == want
+    else:
+        with pytest.raises(fr.QuadratureNotConvergedError,
+                           match="^" + re.escape(error) + "$"):
+            batch._moment(zs, power, "m")
+    assert len(batch._levels) == len(single._levels)
+
+
+def test_value_at_level_takes_an_array_of_z(ev_twin_one, cp_twin_one):
+    zs = cp_twin_one.M + np.array([0.0, 1e-4, 0.3])
+    for level in (0, 1):
+        totals, nears, fars = ev_twin_one.value_at_level(zs, level)
+        for j, z in enumerate(zs):
+            one = ev_twin_one.value_at_level(z, level)
+            assert all(type(x) is float for x in one)
+            assert one == (totals[j], nears[j], fars[j])

@@ -211,6 +211,36 @@ def test_eigenfunction_requires_energy_above_edge(model_one, cp_one, ev_one,
                          evaluator=ev_one)
 
 
+SMALL_HOPPING = (2.3789261343218633e-08, 4.679952649926385e-07,
+                 1.3428462062297157e-08)
+SMALL_HOPPING_P = np.array([-0.26008189183144337, 2.927061045981604,
+                            -3.0583721075498813])
+
+
+def test_eigenfunction_gate_is_relative_to_the_root_tolerance():
+    # at this small hopping E - M(p) is 1.9e-8 and the true root left
+    # |det| = 1.27e-8, which the absolute gate |det| > 1e-8 refused; the
+    # gate is now mu (bar of Omega(E) + S2(E) x brentq's tolerance) plus
+    # rounding, which true roots meet with a margin and an energy halfway
+    # to M(p) misses by orders of magnitude
+    model = fr.two_particle_model(hopping=SMALL_HOPPING)
+    p = SMALL_HOPPING_P
+    cp = fr.find_maximizer(model, p)
+    ev = fr.OmegaEvaluator(model, p, cp)
+    mu = 2.0 * fr.coupling_threshold(model, p, cp, evaluator=ev)
+    energy = fr.solve_eigenvalue(model, p, cp, mu, evaluator=ev)
+    assert abs(fr.fredholm_det(model, p, cp, mu, energy, evaluator=ev)) > 1e-8
+    psi = fr.eigenfunction(model, p, cp, mu, energy, evaluator=ev)
+    assert psi.normalization > 0.0
+    with pytest.raises(fr.InvalidInputError,
+                       match=r"^energy is not an eigenvalue: \|determinant\| "
+                             r"= .* above .*, mu \(bar of Omega\(E\) \+ "
+                             r"second moment x root tolerance\) plus "
+                             r"rounding$"):
+        fr.eigenfunction(model, p, cp, mu, cp.M + 0.5 * (energy - cp.M),
+                         evaluator=ev)
+
+
 def test_scaling_covariance_of_states(model_one, cp_one, ev_one, mu_one):
     # (phi, mu) -> (2 phi, mu/4) leaves E and |psi| unchanged
     mu = 2.0 * mu_one

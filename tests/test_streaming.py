@@ -116,6 +116,21 @@ def test_blocked_sum_equals_full_temporary(size, power):
                                                            power)
 
 
+@pytest.mark.parametrize("size", [1, 129, BLOCK + 1, 3 * BLOCK + 17])
+@pytest.mark.parametrize("power", [1, 2])
+def test_blocked_sums_of_several_c_equal_one_c_at_a_time(size, power):
+    # one pass for an array of c: each sum is the bits of its one-c sum, a
+    # constant numerator included
+    rng = np.random.default_rng(size)
+    b = rng.uniform(-3.0, 3.0, size)
+    cs = np.array([5.0, 3.0 + 1e-12, 1e160, 4.0])
+    for num in (rng.standard_normal(size), np.asarray(2.5)):
+        got = _sum_over(num, cs, np.subtract, b, power)
+        assert got.shape == cs.shape
+        for c, sum_c in zip(cs, got):
+            assert sum_c == _sum_over(num, c, np.subtract, b, power)
+
+
 @pytest.mark.filterwarnings("error")
 def test_blocked_square_overflow_is_silent():
     # a square above the float range is inf and its term adds 0, without a
@@ -254,6 +269,32 @@ def test_sphere_rule_antipodes_are_nodes(n):
     anti = (n - 1 - j) * 2 * n + (f + n) % (2 * n)
     assert np.array_equal(nu[anti], -nu)
     assert np.array_equal(wa[anti], wa)
+
+
+@pytest.mark.parametrize("n_ang", [4, 5, 26])
+def test_mirrored_polar_rows_equal_every_row_formed(n_ang):
+    # _polar_block forms axes 1 and 2 on the first ceil(n_ang / 2) polar
+    # rows and mirrors them: the bits of angle addition on every row
+    nu, _ = sphere_product_rule(n_ang)
+    half = nu.reshape(n_ang, 2 * n_ang, 3)[:, :n_ang]
+    r = np.linspace(0.05, 1.0, 3)[:, None, None]
+    q0 = np.array([2.3, -0.7, 1.9])
+    orders = [[1, 2, 3], [1, 5]]
+    axes = _polar_block(q0, r, half, orders)
+    for i in (0, 1):
+        a = r * half[:, :, i]
+        assert sorted(axes[i]) == orders[i]
+        for n, (cos, sin) in axes[i].items():
+            na = a if n == 1 else n * a
+            cos_na, sin_na = np.cos(na), np.sin(na)
+            cos_c, sin_c = np.cos(n * q0[i]), np.sin(n * q0[i])
+            assert np.array_equal(cos, np.concatenate(
+                (cos_c * cos_na - sin_c * sin_na,
+                 cos_c * cos_na + sin_c * sin_na), axis=-1))
+            assert np.array_equal(sin, np.concatenate(
+                (sin_c * cos_na + cos_c * sin_na,
+                 sin_c * cos_na - cos_c * sin_na), axis=-1))
+    assert np.array_equal(axes[2], q0[2] + r * half[:, :1, 2])
 
 
 @pytest.mark.parametrize("name", ["one", "vanishing", "off_axis", "mixed"])
